@@ -55,7 +55,7 @@ def _read_graph(path: str) -> Graph:
     try:
         with open(path, "r", encoding="ascii") as handle:
             return parse_dimacs(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -113,6 +113,10 @@ def _gen_connected(kind: str, params: dict, seed: int, max_reseeds: int) -> tupl
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise InputError(f"--count must be at least 1, got {args.count}")
+    if args.max_reseeds < 0:
+        raise InputError(f"--max-reseeds must be non-negative, got {args.max_reseeds}")
     if args.kind == "gnp":
         params = {"n": args.n, "p": args.p}
     else:
@@ -284,6 +288,10 @@ def _parse_bip_spec(spec: str) -> dict:
 
 
 def _cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise InputError(f"--repeats must be at least 1, got {args.repeats}")
+    if not 1 <= args.jobs <= (os.cpu_count() or 1):
+        raise InputError(f"--jobs must lie in [1, {os.cpu_count() or 1}], got {args.jobs}")
     tasks = []
     try:
         for spec in args.gnp or ():

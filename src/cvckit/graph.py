@@ -12,8 +12,6 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .errors import DimacsError, InputError
 from .rng import Xoshiro256
 
@@ -138,51 +136,40 @@ def connected_after_removal(masks: tuple[int, ...], live: int, v: int) -> bool:
 def articulation_points_mask(masks: tuple[int, ...], live: int) -> int:
     """Cut vertices of the induced subgraph selected by `live`, as a mask.
 
-    Computed per connected component with one iterative low-link DFS, so the
-    result is meaningful for disconnected subgraphs too.
+    One DFS per connected component, so the result is meaningful for
+    disconnected subgraphs too.  Every non-tree edge of an undirected DFS
+    joins a vertex to an ancestor, so a non-root u is a cut vertex iff some
+    child's subtree has a neighbour union (`reach`, the OR of its masks)
+    that misses every proper ancestor of u; the root is one iff it has two
+    or more children.  The DFS enters and leaves each vertex once, so a
+    call costs O(n) big-int operations, with no per-edge step.
     """
     art = 0
-    visited = 0
-    size = len(masks)
-    order = [0] * size
-    low = [0] * size
-    clock = 1
-    rest = live
-    while rest:
-        root = (rest & -rest).bit_length() - 1
-        order[root] = low[root] = clock
-        clock += 1
-        visited |= 1 << root
-        root_children = 0
-        # frame: [vertex, parent, mask of neighbors not yet scanned]
-        frames = [[root, -1, masks[root] & live]]
-        while frames:
-            frame = frames[-1]
-            v, parent, pending = frame
-            if pending:
-                wbit = pending & -pending
-                frame[2] = pending ^ wbit
-                w = wbit.bit_length() - 1
-                if not visited & wbit:
-                    if v == root:
-                        root_children += 1
-                    order[w] = low[w] = clock
-                    clock += 1
-                    visited |= wbit
-                    frames.append([w, v, masks[w] & live])
-                elif w != parent:
-                    if order[w] < low[v]:
-                        low[v] = order[w]
-            else:
-                frames.pop()
-                if parent != -1:
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if parent != root and low[v] >= order[parent]:
-                        art |= 1 << parent
-        if root_children >= 2:
-            art |= 1 << root
-        rest = live & ~visited
+    unvisited = live
+    while unvisited:
+        vbit = path = unvisited & -unvisited
+        unvisited ^= vbit
+        vmask = reach = masks[vbit.bit_length() - 1]
+        # the current vertex's ancestors: (bit, mask, reach of subtree so far)
+        frames = []
+        while True:
+            nxt = vmask & unvisited
+            if nxt:
+                frames.append((vbit, vmask, reach))
+                vbit = nxt & -nxt
+                unvisited ^= vbit
+                path |= vbit
+                vmask = reach = masks[vbit.bit_length() - 1]
+                continue
+            path ^= vbit
+            if not frames:
+                break
+            vbit, vmask, parent_reach = frames.pop()
+            # with no frames left vbit is the root, which has no proper
+            # ancestor: it has a second child iff a neighbour is unvisited
+            if not reach & path & ~vbit and (frames or vmask & unvisited):
+                art |= vbit
+            reach |= parent_reach
     return art
 
 
@@ -260,22 +247,34 @@ def dfs_tree(g: Graph, root: int) -> list[tuple[int, int]]:
 def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees, by the matrix-tree determinant.
 
-    Uses the reduced Laplacian; intended for the small graphs the
-    exhaustive verifiers work on (counts stay well inside exact float
-    range there).  A graph with a single vertex has one spanning tree;
-    a disconnected graph has zero.
+    The determinant of the reduced Laplacian is taken exactly, in integers,
+    by fraction-free (Bareiss) elimination, so the count is exact at any
+    size.  A graph with a single vertex has one spanning tree; a
+    disconnected graph has zero.
     """
     if g.n == 0:
         raise InputError("spanning_tree_count is undefined for the empty graph")
-    if g.n == 1:
-        return 1
-    lap = np.zeros((g.n, g.n), dtype=np.float64)
-    for u, v in g.edges:
-        lap[u, u] += 1
-        lap[v, v] += 1
-        lap[u, v] -= 1
-        lap[v, u] -= 1
-    return int(round(np.linalg.det(lap[1:, 1:])))
+    # the Laplacian without vertex 0's row and column
+    size = g.n - 1
+    a = [
+        [g.degree(i) if i == j else -(g.masks[i] >> j & 1) for j in range(1, g.n)]
+        for i in range(1, g.n)
+    ]
+    sign, prev = 1, 1
+    for k in range(size):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                # exact: Bareiss guarantees prev divides the numerator
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        # after the last step prev is the last pivot, the determinant
+        prev = a[k][k]
+    return sign * prev
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .graph import (
     bits_of,
     is_connected,
     mask_to_set,
+    reachable_mask,
     set_to_mask,
 )
 from .oracle import check_cvc
@@ -696,15 +697,7 @@ def enumerate_verify_pstp(g: Graph) -> bool:
             comps = []
             rest = cmask
             while rest:
-                seed = rest & -rest
-                comp = seed
-                frontier = seed
-                while frontier:
-                    nxt = 0
-                    for v in bits_of(frontier):
-                        nxt |= g.masks[v] & cmask
-                    frontier = nxt & ~comp
-                    comp |= frontier
+                comp = reachable_mask(g.masks, (rest & -rest).bit_length() - 1, cmask)
                 comps.append(comp)
                 rest &= ~comp
             if len(comps) < 2:

@@ -22,7 +22,7 @@ from cvckit.oracle import (
     check_cvc,
     max_feasible_stable,
 )
-from tests.conftest import connected_gnp
+from tests.conftest import connected_bipartite, connected_gnp
 from tests.test_graph import complete, cycle, path
 from tests.test_oracle import petersen
 
@@ -83,6 +83,25 @@ class TestEngineBehavior:
         assert solve(g, SolverConfig(use_russian_doll=True)).algorithm == "rds"
         assert solve(g).algorithm == "bb"
         assert solve(g).branch_rule == "max-degree-first"
+
+    @pytest.mark.parametrize(
+        "graph,solver,nodes,optimum",
+        [
+            (("gnp", 60, 0.1, 101), solve_cvc_bb, 1557, 37),
+            (("gnp", 60, 0.1, 101), russian_doll_solve, 816, 37),
+            (("gnp", 60, 0.3, 101), solve_cvc_bb, 775, 48),
+            (("gnp", 60, 0.3, 101), russian_doll_solve, 1200, 48),
+            (("bip", 30, 30, 0.2, 11), solve_cvc_bb, 11487, 34),
+        ],
+    )
+    def test_baseline_node_counts(self, graph, solver, nodes, optimum):
+        # the pruned candidate sets are fixed by the algorithm, so a faster
+        # primitive (cut-vertex pass, bounds) must reproduce these exactly
+        kind, *params = graph
+        g = connected_gnp(*params) if kind == "gnp" else connected_bipartite(*params)
+        report = solver(g)
+        assert (report.node_count, report.cover_size, report.status) == (
+            nodes, optimum, "optimal")
 
     def test_warm_start_never_hurts_nodes(self, corpus60):
         for name, g in corpus60[:25]:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 
 import pytest
 
@@ -58,6 +59,13 @@ class TestGen:
                                "--seed", "1", "--out", str(tmp_path))
         assert code == 3 and "probability" in err
 
+    @pytest.mark.parametrize("flag,value", [("--count", "0"), ("--max-reseeds", "-1")])
+    def test_range_checks(self, tmp_path, capsys, flag, value):
+        code, out, err = run_cli(capsys, "gen", "gnp", "--n", "5", "--p", "0.5",
+                                 "--seed", "1", "--connected", flag, value,
+                                 "--out", str(tmp_path))
+        assert code == 3 and out == "" and err.startswith("error:") and flag in err
+
 
 class TestSolve:
     def test_optimal_run(self, instance, capsys):
@@ -85,6 +93,13 @@ class TestSolve:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "nowhere.col")
         assert code == 3 and "cannot read" in err
+
+    def test_non_ascii_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.col"
+        path.write_bytes(b"p edge 2 1\ne 1 2\nc \xff\n")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: cannot read") and "0xff" in err
 
     def test_time_limit_exit_code(self, tmp_path, capsys):
         g = connected_gnp(60, 0.08, 7)
@@ -190,6 +205,15 @@ class TestBench:
         assert code == 3 and "N,P,SEED" in err
         code, _, err = run_cli(capsys, "bench", "--gnp", "8,x,1")
         assert code == 3
+
+    # every rejected value fails before any solve or worker pool starts
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--repeats", 0), ("--jobs", 0), ("--jobs", (os.cpu_count() or 1) + 1)],
+    )
+    def test_range_checks(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "bench", "--gnp", "8,0.4,3", flag, str(value))
+        assert code == 3 and out == "" and err.startswith("error:") and flag in err
 
 
 class TestUsage:

@@ -1,11 +1,14 @@
 """Graph type, connectivity helpers, DIMACS I/O, generators, RNG."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvckit.errors import DimacsError, InputError
 from cvckit.graph import (
     Graph,
     articulation_points,
+    articulation_points_mask,
     bipartite_random,
     bits_of,
     connected_after_removal,
@@ -34,11 +37,14 @@ def complete(n):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def _component_count(g, skip=None):
+def _component_count(g, skip=None, live=None):
+    """Components of g[live] minus skip, by a plain set-based DFS."""
+    allowed = set(range(g.n)) if live is None else set(bits_of(live))
+    allowed.discard(skip)
     seen = set()
     comps = 0
-    for s in range(g.n):
-        if s == skip or s in seen:
+    for s in allowed:
+        if s in seen:
             continue
         comps += 1
         stack = [s]
@@ -46,7 +52,7 @@ def _component_count(g, skip=None):
         while stack:
             v = stack.pop()
             for w in g.adj[v]:
-                if w != skip and w not in seen:
+                if w in allowed and w not in seen:
                     seen.add(w)
                     stack.append(w)
     return comps
@@ -133,6 +139,27 @@ class TestArticulation:
             )
             assert articulation_points(g) == naive, f"seed {seed}"
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mask_matches_deletion_definition(self, data):
+        # n up to 70 puts masks past one 64-bit word; live masks may be
+        # empty, a single vertex, or split into several components
+        n = data.draw(st.integers(0, 70), label="n")
+        p = data.draw(st.sampled_from((0.03, 0.06, 0.1, 0.2, 0.4)), label="p")
+        g = gnp_random(n, p, data.draw(st.integers(0, 2**32), label="seed"))
+        full = g.full_mask()
+        choices = [st.just(full), st.just(0), st.integers(0, full)]
+        if n:
+            choices.append(st.integers(0, n - 1).map(lambda v: 1 << v))
+            choices.append(st.tuples(st.integers(0, full), st.integers(0, full))
+                           .map(lambda ab: ab[0] & ab[1]))
+        live = data.draw(st.one_of(choices), label="live")
+        base = _component_count(g, live=live)
+        naive = set_to_mask(
+            v for v in bits_of(live) if _component_count(g, skip=v, live=live) > base
+        )
+        assert articulation_points_mask(g.masks, live) == naive
+
 
 class TestOperations:
     def test_induced_delete(self):
@@ -163,6 +190,12 @@ class TestOperations:
         k33 = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
         assert spanning_tree_count(k33) == 81
         assert spanning_tree_count(Graph(3, [(0, 1)])) == 0
+
+    def test_spanning_tree_count_is_exact(self):
+        for n in range(2, 13):
+            assert spanning_tree_count(complete(n)) == n ** (n - 2), n
+        # past float precision: a float determinant is off in the low digits
+        assert spanning_tree_count(complete(20)) == 20**18
 
 
 class TestDimacs:
