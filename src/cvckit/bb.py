@@ -216,11 +216,14 @@ class _Engine:
                 break
         if not timed_out:
             return "optimal", self.best_size
+        # an inherited coloring's base contains umask, so the classes that
+        # still meet umask bound it with no fresh coloring
         open_bound = self.best_size
-        for smask, ssize, ulist, umask, cache in stack:
-            open_bound = max(open_bound, ssize + len(ulist))
-        for smask, ssize, ulist, umask, cache in roots[started:]:
-            open_bound = max(open_bound, ssize + len(ulist))
+        for smask, ssize, ulist, umask, cache in stack + roots[started:]:
+            bound = len(ulist)
+            if cache is not None:
+                bound = min(bound, sum(1 for cm in cache.classes if cm & umask))
+            open_bound = max(open_bound, ssize + bound)
         return "time_limit", open_bound
 
     def report(self, algorithm: str, t0: float, status: str, best_bound: int) -> SolveReport:

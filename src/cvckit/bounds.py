@@ -11,6 +11,13 @@ coloring computed on a superset stays valid on any subset, counting only
 the colors that still occur.  `CachedColoring` carries what is needed and
 `color_bound_cached` applies the recomputation policy (fresh coloring once
 the set has shrunk below 75% of the size it was computed at).
+
+The greedy coloring is bit-parallel in the manner of San Segundo,
+Rodriguez-Losada and Jimenez (Computers & OR 38(2), 2011): it extracts one
+class at a time with mask intersections instead of testing each vertex
+against every open class.  Extracting greedy maximal cliques in the scan
+order gives exactly the classes of first-fit coloring in that order, so
+the bound and its witness are those of plain first-fit.
 """
 
 from __future__ import annotations
@@ -51,25 +58,52 @@ class CachedColoring(NamedTuple):
 def _greedy_classes(masks: tuple[int, ...], umask: int) -> tuple[int, ...]:
     """Greedy clique cover of the vertices in umask.
 
-    Scans vertices by decreasing complement-degree inside the set (ties by
-    index), placing each into the first class whose members are all
-    neighbors, i.e. greedy coloring of the complement by largest-first.
+    The result is first-fit coloring of the complement in the order pi:
+    increasing degree inside the set (i.e. decreasing complement-degree,
+    largest-first), ties by index.  Each vertex joins the first class whose
+    members are all its neighbors, and classes are listed by their first
+    vertex.
+
+    It is built one class at a time.  A vertex lands in class i exactly
+    when it is in none of classes 1..i-1 and is adjacent to every member
+    of class i that precedes it in pi.  So class i is the greedy maximal
+    clique taken in pi order from the vertices the earlier classes left,
+    and it opens at the first of them.  pi is kept as one bitmask per
+    degree; the next member is the lowest bit of the first level that
+    meets the candidates (unplaced common neighbors of the members).
     """
     size = umask.bit_count()
-    order = sorted(
-        bits_of(umask), key=lambda v: ((masks[v] & umask).bit_count(), v)
-    )
-    # increasing graph-degree inside U == decreasing complement-degree
+    buckets = [0] * size  # a degree inside umask is below its size
+    rest = umask
+    while rest:
+        low = rest & -rest
+        buckets[(masks[low.bit_length() - 1] & umask).bit_count()] |= low
+        rest ^= low
+    levels = [b for b in buckets if b]
     classes: list[int] = []
-    for v in order:
-        placed = False
-        for i, cm in enumerate(classes):
-            if cm & ~masks[v] == 0:
-                classes[i] = cm | (1 << v)
-                placed = True
-                break
-        if not placed:
-            classes.append(1 << v)
+    unplaced = umask
+    first = 0
+    while unplaced:
+        while not levels[first]:
+            first += 1
+        level = levels[first]
+        low = level & -level
+        levels[first] = level ^ low
+        members = low
+        cand = masks[low.bit_length() - 1] & unplaced
+        # cand only shrinks, so a level it misses never meets it again
+        j = first
+        while cand:
+            hit = levels[j] & cand
+            if hit:
+                low = hit & -hit
+                levels[j] ^= low
+                members |= low
+                cand &= masks[low.bit_length() - 1]
+            else:
+                j += 1
+        unplaced ^= members
+        classes.append(members)
     assert sum(cm.bit_count() for cm in classes) == size
     return tuple(classes)
 

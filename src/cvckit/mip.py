@@ -557,6 +557,17 @@ def _verify_pick(dg: RootedDigraph, cmask: int, parent: Mapping[int, int]) -> bo
     return feasible_d(dg, z, xs) is not None
 
 
+def _closes_cycle(parent: dict[int, int], u: int, v: int) -> bool:
+    """Whether picking arc (u, v) closes a directed cycle, i.e. v is
+    already an ancestor of u along the picked in-arcs in `parent`."""
+    w = u
+    while w in parent:
+        w = parent[w]
+        if w == v:
+            return True
+    return False
+
+
 def _exists_arc_pick(dg: RootedDigraph, cmask: int) -> bool:
     """Decide whether some binary z completes x = indicator of cmask.
 
@@ -591,20 +602,12 @@ def _exists_arc_pick(dg: RootedDigraph, cmask: int) -> bool:
         in_choices[v] = tails
     parent = dict(base_parent)
 
-    def closes_cycle(u: int, v: int) -> bool:
-        w = u
-        while w in parent:
-            w = parent[w]
-            if w == v:
-                return True
-        return False
-
     def search(idx: int) -> bool:
         if idx == len(targets):
             return _verify_pick(dg, cmask, parent)
         v = targets[idx]
         for u in in_choices[v]:
-            if not closes_cycle(u, v):
+            if not _closes_cycle(parent, u, v):
                 parent[v] = u
                 if search(idx + 1):
                     return True
@@ -736,14 +739,6 @@ def count_qr_feasible(dg: RootedDigraph) -> int:
     parent: dict[int, int] = {}
     ones = [1] * dg.n
 
-    def closes_cycle(u: int, v: int) -> bool:
-        w = u
-        while w in parent:
-            w = parent[w]
-            if w == v:
-                return True
-        return False
-
     def count(idx: int) -> int:
         if idx == len(targets):
             chosen = {(u, w) for w, u in parent.items()}
@@ -752,7 +747,7 @@ def count_qr_feasible(dg: RootedDigraph) -> int:
         v = targets[idx]
         total = 0
         for u in dg.in_tails(v):
-            if not closes_cycle(u, v):
+            if not _closes_cycle(parent, u, v):
                 parent[v] = u
                 total += count(idx + 1)
                 del parent[v]

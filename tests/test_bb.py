@@ -1,9 +1,11 @@
 """Branch-and-bound solvers: oracle agreement, pruning safety, toggles."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
+from cvckit import bb as bb_module
 from cvckit.bb import (
     SearchNode,
     SolverConfig,
@@ -92,6 +94,8 @@ class TestEngineBehavior:
             (("gnp", 60, 0.3, 101), solve_cvc_bb, 775, 48),
             (("gnp", 60, 0.3, 101), russian_doll_solve, 1200, 48),
             (("bip", 30, 30, 0.2, 11), solve_cvc_bb, 11487, 34),
+            (("gnp", 60, 0.1, 101), solve_vc_bb, 1031, 37),
+            (("gnp", 80, 0.1, 101), solve_vc_bb, 5359, 53),
         ],
     )
     def test_baseline_node_counts(self, graph, solver, nodes, optimum):
@@ -144,6 +148,21 @@ class TestEngineBehavior:
         assert report.status == "time_limit"
         assert check_cvc(g, report.cover).valid  # incumbent still usable
         assert report.best_bound >= g.n - report.cover_size
+
+    def test_time_limit_bound_uses_inherited_colorings(self, monkeypatch):
+        # a clock that ticks once per read stops the search after a fixed
+        # 1,000 pops, with colored entries on the stack; their inherited
+        # colorings give 36 where ssize + len(ulist) gave 77
+        g = connected_gnp(80, 0.1, 101)
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            bb_module, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+        )
+        report = solve_cvc_bb(g, SolverConfig(time_limit=1000))
+        assert report.status == "time_limit"
+        assert report.best_bound >= g.n - 54  # the proven optimum cover is 54
+        assert report.best_bound >= g.n - report.cover_size
+        assert report.best_bound <= 36
 
     def test_generous_limit_still_optimal(self):
         g = connected_gnp(10, 0.4, 2)

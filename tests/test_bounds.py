@@ -1,10 +1,13 @@
 """Pruning bounds: greedy clique cover, cached reuse, bipartite alpha."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvckit.bounds import (
     RECOMPUTE_FRACTION,
     CachedColoring,
+    _greedy_classes,
     bipartite_alpha,
     bipartite_stable_bound,
     color_bound_cached,
@@ -12,7 +15,7 @@ from cvckit.bounds import (
     is_bipartite,
 )
 from cvckit.errors import ContractError
-from cvckit.graph import Graph, bipartite_random, gnp_random, set_to_mask
+from cvckit.graph import Graph, bipartite_random, bits_of, gnp_random, set_to_mask
 from cvckit.oracle import max_stable_set_size
 from tests.test_graph import complete, cycle, path
 
@@ -28,7 +31,40 @@ def induced_alpha(g, vertices):
     return max_stable_set_size(sub)
 
 
+def first_fit_classes(masks, umask):
+    """Reference clique cover: first-fit coloring of the complement.
+
+    Scans vertices by increasing degree inside umask (ties by index) and
+    puts each into the first class whose members are all its neighbors.
+    """
+    order = sorted(bits_of(umask), key=lambda v: ((masks[v] & umask).bit_count(), v))
+    classes = []
+    for v in order:
+        for i, cm in enumerate(classes):
+            if cm & ~masks[v] == 0:
+                classes[i] = cm | (1 << v)
+                break
+        else:
+            classes.append(1 << v)
+    return tuple(classes)
+
+
 class TestGreedyColorBound:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_classes_match_first_fit(self, data):
+        # same classes in the same order as the first-fit reference, on
+        # masks past one 64-bit word that are empty, one vertex, full or random
+        n = data.draw(st.integers(0, 70), label="n")
+        p = data.draw(st.floats(0.05, 0.9), label="p")
+        g = gnp_random(n, p, data.draw(st.integers(0, 2**32), label="seed"))
+        full = g.full_mask()
+        choices = [st.just(full), st.just(0), st.integers(0, full)]
+        if n:
+            choices.append(st.integers(0, n - 1).map(lambda v: 1 << v))
+        umask = data.draw(st.one_of(choices), label="umask")
+        assert _greedy_classes(g.masks, umask) == first_fit_classes(g.masks, umask)
+
     def test_families(self):
         # clique covers of a clique need one class; of a stable set, n
         assert greedy_color_bound(complete(6), range(6)).color_count == 1
