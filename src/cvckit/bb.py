@@ -20,11 +20,12 @@ subproblem first, incumbent carried across), and solve_vc_bb (connectivity
 pruning disabled, yielding a classical maximum-stable-set solver used for
 plain vertex cover numbers).
 
-The coloring-reuse cache is threaded through the search per node: children
-inherit the parent's cache snapshot, so the bound computed at a node never
-depends on which other branches were explored.  A consequence worth having
-is that a run that starts with a better incumbent (warm start) visits a
-subset of the nodes the cold run visits, so node counts are monotone.
+The bound cache (a coloring, or a maximum matching on bipartite inputs) is
+threaded through the search per node: children inherit the parent's cache
+snapshot, so the bound computed at a node never depends on which other
+branches were explored.  A consequence worth having is that a run that
+starts with a better incumbent (warm start) visits a subset of the nodes
+the cold run visits, so node counts are monotone.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Optional
 
 from .bounds import (
     CachedColoring,
+    CachedMatching,
     bipartite_alpha,
     color_bound_cached,
     is_bipartite,
@@ -68,7 +70,10 @@ class SolverConfig:
     time_limit: wall-clock seconds; None means no limit.
     use_russian_doll: dispatch hint for `solve` (per-vertex restricted runs).
     use_bipartite_bound: on bipartite inputs, prune with the exact
-        matching-based stable-set bound instead of the coloring bound.
+        stable-set bound |U| - nu(G[U]) (Koenig) instead of the coloring
+        bound.  Each node repairs the maximum matching it inherits from
+        its parent rather than matching from scratch, whatever
+        coloring_reuse says.
     coloring_reuse: reuse a node's inherited coloring while its candidate
         set is still at least 75% of the size the coloring was computed at.
     warm_start: seed the incumbent with the complement of the greedy
@@ -128,11 +133,7 @@ class _Engine:
         # pop order: ascending degree, ties by descending index, so popping
         # from the end yields the highest degree vertex, lowest index first
         self.pop_order = sorted(range(g.n), key=lambda v: (g.degree(v), -v))
-        self.side0_mask: Optional[int] = None
-        if cfg.use_bipartite_bound:
-            sides = is_bipartite(g)
-            if sides is not None:
-                self.side0_mask = set_to_mask(sides[0])
+        self.bipartite = cfg.use_bipartite_bound and is_bipartite(g) is not None
         self.best_mask = 0
         self.best_size = 0
         self.visits = 0
@@ -157,9 +158,9 @@ class _Engine:
         if ssize > self.best_size:
             self.set_incumbent(smask, ssize)
 
-    def _bound(self, umask: int, cache: Optional[CachedColoring]):
-        if self.side0_mask is not None:
-            return bipartite_alpha(self.masks, umask, self.side0_mask), cache
+    def _bound(self, umask: int, cache: Optional[CachedColoring | CachedMatching]):
+        if self.bipartite:
+            return bipartite_alpha(self.masks, umask, cache)
         if not self.cfg.coloring_reuse:
             bound, _ = color_bound_cached(self.masks, umask, None)
             return bound, None
@@ -216,13 +217,11 @@ class _Engine:
                 break
         if not timed_out:
             return "optimal", self.best_size
-        # an inherited coloring's base contains umask, so the classes that
-        # still meet umask bound it with no fresh coloring
+        # an inherited coloring or matching bounds an open entry's
+        # candidates without a fresh bound call, and never exceeds |U|
         open_bound = self.best_size
         for smask, ssize, ulist, umask, cache in stack + roots[started:]:
-            bound = len(ulist)
-            if cache is not None:
-                bound = min(bound, sum(1 for cm in cache.classes if cm & umask))
+            bound = len(ulist) if cache is None else cache.bound(umask)
             open_bound = max(open_bound, ssize + bound)
         return "time_limit", open_bound
 

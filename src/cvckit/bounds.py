@@ -3,8 +3,8 @@
 The branch-and-bound solver prunes with bounds on alpha(G[U]).  Two are
 provided: a greedy clique-cover bound (a proper coloring of the complement
 of G[U]; every color class is a clique of G, and a stable set can use each
-clique at most once), and, for bipartite graphs, the exact value via
-Koenig's theorem and a maximum matching.
+clique at most once), and, for bipartite graphs, the exact value
+|U| - nu(G[U]) via Koenig's theorem and a maximum matching.
 
 The coloring bound supports reuse across shrinking candidate sets: a
 coloring computed on a superset stays valid on any subset, counting only
@@ -18,6 +18,22 @@ class at a time with mask intersections instead of testing each vertex
 against every open class.  Extracting greedy maximal cliques in the scan
 order gives exactly the classes of first-fit coloring in that order, so
 the bound and its witness are those of plain first-fit.
+
+The matching is carried down the search the same way, as a
+`CachedMatching`, and repaired rather than rebuilt.  From scratch it is a
+greedy matching in index order followed by one bitmask BFS for an
+augmenting path from each vertex still free: by Berge's lemma a vertex
+with no augmenting path never gains one as others augment, so one pass
+gives a maximum matching.  Given a maximum matching on a superset of U,
+removed vertices that are free, and matched pairs removed whole, are
+dropped and the rest stays maximum.  Every other removed matched vertex x
+is taken out of the current set one at a time: that frees its partner y
+alone, and any augmenting path left must end at y (one between two older
+free vertices would have augmented the matching before), so one search
+from y makes it maximum again.  Removing them all at once and searching
+only from the freed partners is not exact: an augmentation from one
+partner can open a path between two older free vertices that nothing
+searches for.
 """
 
 from __future__ import annotations
@@ -26,7 +42,7 @@ from collections import deque
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ContractError, InputError
-from .graph import Graph, VertexSet, bits_of, set_to_mask
+from .graph import Graph, VertexSet, bits_of, induced_delete, set_to_mask
 
 RECOMPUTE_FRACTION = 0.75
 
@@ -53,6 +69,11 @@ class CachedColoring(NamedTuple):
     base_mask: int
     base_size: int
     classes: tuple[int, ...]
+
+    def bound(self, umask: int) -> int:
+        """The classes that meet umask: a clique cover of it when umask is
+        a subset of the base."""
+        return sum(1 for cm in self.classes if cm & umask)
 
 
 def _greedy_classes(masks: tuple[int, ...], umask: int) -> tuple[int, ...]:
@@ -120,7 +141,7 @@ def color_bound_cached(
     if cache is not None:
         assert umask & ~cache.base_mask == 0, "cache used outside its base set"
         if umask.bit_count() >= RECOMPUTE_FRACTION * cache.base_size:
-            return sum(1 for cm in cache.classes if cm & umask), cache
+            return cache.bound(umask), cache
     classes = _greedy_classes(masks, umask)
     cache = CachedColoring(umask, umask.bit_count(), classes)
     return len(classes), cache
@@ -166,86 +187,128 @@ def is_bipartite(g: Graph) -> Optional[tuple[VertexSet, VertexSet]]:
     return side0, side1
 
 
-def _matching_size(masks: tuple[int, ...], left: list[int], right_mask: int) -> int:
-    """Maximum bipartite matching (Hopcroft-Karp: layered BFS phases, each
-    followed by depth-first augmentation along the layers)."""
-    inf = float("inf")
-    match_l: dict[int, Optional[int]] = {v: None for v in left}
-    match_r: dict[int, int] = {}
-    dist: dict[int, float] = {}
-    result = 0
+class CachedMatching(NamedTuple):
+    """Immutable snapshot of a maximum matching, carried to subsets.
 
-    def bfs() -> bool:
-        queue = deque()
-        for v in left:
-            if match_l[v] is None:
-                dist[v] = 0
-                queue.append(v)
-            else:
-                dist[v] = inf
-        reached_free = False
-        while queue:
-            v = queue.popleft()
-            for w in bits_of(masks[v] & right_mask):
-                partner = match_r.get(w)
-                if partner is None:
-                    reached_free = True
-                elif dist[partner] == inf:
-                    dist[partner] = dist[v] + 1
-                    queue.append(partner)
-        return reached_free
+    base_mask: the vertex set the matching is maximum on.
+    mate: mate[v] is v's partner; meaningful only for v in `matched`.
+    matched: the mask of matched vertices.
+    size: the number of matched pairs.
+    """
 
-    def dfs(v: int) -> bool:
-        for w in bits_of(masks[v] & right_mask):
-            partner = match_r.get(w)
-            if partner is None or (dist[partner] == dist[v] + 1 and dfs(partner)):
-                match_l[v] = w
-                match_r[w] = v
-                return True
-        dist[v] = inf
-        return False
+    base_mask: int
+    mate: tuple[int, ...]
+    matched: int
+    size: int
 
-    while bfs():
-        for v in left:
-            if match_l[v] is None and dfs(v):
-                result += 1
-    return result
+    def bound(self, umask: int) -> int:
+        """|U| minus the pairs inside umask: those pairs are a matching of
+        G[U], so this caps alpha(G[U]) for any umask, a subset of the base
+        or not."""
+        mate = self.mate
+        inside = self.matched & umask
+        pairs = sum(1 for v in bits_of(inside) if inside >> mate[v] & 1) // 2
+        return umask.bit_count() - pairs
 
 
-def bipartite_alpha(masks: tuple[int, ...], umask: int, side0_mask: int) -> int:
-    """Exact alpha of the induced subgraph on umask, given a bipartition
-    mask valid for it: |U| minus the maximum matching (Koenig)."""
-    left = list(bits_of(umask & side0_mask))
-    right_mask = umask & ~side0_mask
-    return umask.bit_count() - _matching_size(masks, left, right_mask)
+def _augment(masks: tuple[int, ...], live: int, mate: list[int], matched: int, root: int) -> int:
+    """One BFS for an augmenting path from the free vertex root inside live.
+
+    The search is exact only on a bipartite live subgraph: there every
+    vertex it enqueues lies on root's side and every neighbor it scans on
+    the other, so no blossom can occur.  On success the path is flipped
+    into mate and its far end is returned; otherwise -1.
+    """
+    parent = {}
+    seen = 0  # far-side vertices reached
+    queue = [root]
+    for x in queue:
+        nbrs = masks[x] & live & ~seen
+        if not nbrs:
+            continue
+        free = nbrs & ~matched
+        if free:
+            y = end = (free & -free).bit_length() - 1
+            while x != root:
+                nxt = mate[x]
+                mate[x], mate[y] = y, x
+                y, x = nxt, parent[nxt]
+            mate[root], mate[y] = y, root
+            return end
+        seen |= nbrs
+        while nbrs:
+            low = nbrs & -nbrs
+            y = low.bit_length() - 1
+            parent[y] = x
+            queue.append(mate[y])
+            nbrs ^= low
+    return -1
+
+
+def bipartite_alpha(
+    masks: tuple[int, ...], umask: int, cache: Optional[CachedMatching]
+) -> tuple[int, CachedMatching]:
+    """Exact alpha of the bipartite induced subgraph on umask: |U| minus a
+    maximum matching (Koenig).
+
+    Returns (alpha, cache'), where cache' is the cache passed in when
+    umask lost no matched vertex, or else a repaired one; either way its
+    matching lies inside umask and is maximum there.  A cache passed in
+    must have a base containing umask.
+    """
+    if cache is None:
+        mate = [0] * len(masks)
+        matched = 0
+        for v in bits_of(umask):
+            if not matched >> v & 1:
+                cand = masks[v] & umask & ~matched
+                if cand:
+                    w = (cand & -cand).bit_length() - 1
+                    mate[v], mate[w] = w, v
+                    matched |= 1 << v | 1 << w
+        # Berge: a vertex with no augmenting path never gains one later
+        for r in bits_of(umask & ~matched):
+            if not matched >> r & 1:  # not the far end of an earlier path
+                end = _augment(masks, umask, mate, matched, r)
+                if end >= 0:
+                    matched |= 1 << r | 1 << end
+    else:
+        assert umask & ~cache.base_mask == 0, "cache used outside its base set"
+        gone = cache.base_mask & ~umask & cache.matched
+        if not gone:  # only free vertices left: the matching stays maximum
+            return umask.bit_count() - cache.size, cache
+        mate = list(cache.mate)
+        matched = cache.matched
+        live = umask | gone  # unmatched removed vertices leave at no cost
+        for x in bits_of(gone):
+            if not live >> x & 1:
+                continue  # left with its partner
+            y = mate[x]
+            live ^= 1 << x
+            matched ^= 1 << x | 1 << y
+            if gone >> y & 1:
+                live ^= 1 << y  # a whole pair leaves: the rest stays maximum
+                continue
+            # any augmenting path left must end at y, the one new free vertex
+            end = _augment(masks, live, mate, matched, y)
+            if end >= 0:
+                matched |= 1 << y | 1 << end
+    size = matched.bit_count() // 2
+    return umask.bit_count() - size, CachedMatching(umask, tuple(mate), matched, size)
 
 
 def bipartite_stable_bound(g: Graph, u: Iterable[int]) -> int:
     """Exact maximum stable set size of G[u] for bipartite G[u].
 
-    Raises ContractError when G[u] is not bipartite.
+    Raises ContractError when G[u] is not bipartite; the rest of g may be
+    anything.
     """
     u = frozenset(u)
     for v in u:
         if not 0 <= v < g.n:
             raise InputError(f"vertex {v} out of range for n={g.n}")
-    umask = set_to_mask(u)
-    # two-color the induced subgraph itself; the global graph may be anything
-    color: dict[int, int] = {}
-    for start in sorted(u):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in bits_of(g.masks[v] & umask):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    raise ContractError(
-                        "bipartite_stable_bound called on a non-bipartite induced subgraph"
-                    )
-    side0 = set_to_mask(v for v in u if color[v] == 0)
-    return bipartite_alpha(g.masks, umask, side0)
+    if is_bipartite(induced_delete(g, set(range(g.n)) - u).graph) is None:
+        raise ContractError(
+            "bipartite_stable_bound called on a non-bipartite induced subgraph"
+        )
+    return bipartite_alpha(g.masks, set_to_mask(u), None)[0]

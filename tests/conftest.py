@@ -4,8 +4,13 @@ Everything is seeded; the corpus is a deterministic function of this file.
 """
 
 import pytest
+from hypothesis import settings
 
 from cvckit.graph import bipartite_random, gnp_random, is_connected
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so
+# a property test that fails in CI fails the same way locally
+settings.register_profile("ci", derandomize=True)
 
 
 def connected_gnp(n, p, seed, tries=300):

@@ -74,6 +74,16 @@ class TestAgainstOracle:
                 assert solve(g, cfg).cover_size == expected, (g, cfg)
 
 
+@pytest.fixture
+def tick_clock(monkeypatch):
+    """A solver clock that ticks once per read, so a time limit of k stops
+    the search after a fixed number of stack pops, close to k."""
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        bb_module, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+    )
+
+
 class TestEngineBehavior:
     def test_deterministic_reports(self):
         g = connected_gnp(12, 0.4, 3)
@@ -96,6 +106,9 @@ class TestEngineBehavior:
             (("bip", 30, 30, 0.2, 11), solve_cvc_bb, 11487, 34),
             (("gnp", 60, 0.1, 101), solve_vc_bb, 1031, 37),
             (("gnp", 80, 0.1, 101), solve_vc_bb, 5359, 53),
+            (("bip", 30, 30, 0.2, 11), russian_doll_solve, 6640, 34),
+            (("bip", 30, 30, 0.2, 22), solve_cvc_bb, 12273, 35),
+            (("bip", 30, 30, 0.2, 22), russian_doll_solve, 12084, 35),
         ],
     )
     def test_baseline_node_counts(self, graph, solver, nodes, optimum):
@@ -149,20 +162,39 @@ class TestEngineBehavior:
         assert check_cvc(g, report.cover).valid  # incumbent still usable
         assert report.best_bound >= g.n - report.cover_size
 
-    def test_time_limit_bound_uses_inherited_colorings(self, monkeypatch):
-        # a clock that ticks once per read stops the search after a fixed
-        # 1,000 pops, with colored entries on the stack; their inherited
-        # colorings give 36 where ssize + len(ulist) gave 77
+    def test_time_limit_bound_uses_inherited_colorings(self, tick_clock):
+        # the search stops after a fixed 1,000 pops, with colored entries on
+        # the stack; their inherited colorings give 36 where ssize +
+        # len(ulist) gave 77
         g = connected_gnp(80, 0.1, 101)
-        ticks = itertools.count()
-        monkeypatch.setattr(
-            bb_module, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks)))
-        )
         report = solve_cvc_bb(g, SolverConfig(time_limit=1000))
         assert report.status == "time_limit"
         assert report.best_bound >= g.n - 54  # the proven optimum cover is 54
         assert report.best_bound >= g.n - report.cover_size
         assert report.best_bound <= 36
+
+    def test_time_limit_bound_uses_inherited_matchings(self, tick_clock):
+        # on a bipartite input the stack holds matchings; the pairs of each
+        # that stay inside its entry's candidates give 30 where
+        # ssize + len(ulist) gave 59
+        g = connected_bipartite(30, 30, 0.2, 11)
+        report = solve_cvc_bb(g, SolverConfig(time_limit=1000))
+        assert report.status == "time_limit"
+        assert g.n - 34 <= report.best_bound <= 30  # the optimum cover is 34
+
+    @pytest.mark.parametrize("stop", [1, 30, 300, 3000])
+    @pytest.mark.parametrize("solver", [solve_cvc_bb, russian_doll_solve])
+    @pytest.mark.parametrize(
+        "graph,optimum",
+        [(("gnp", 60, 0.1, 101), 37), (("bip", 30, 30, 0.2, 11), 34)],
+    )
+    def test_time_limit_bound_is_valid(self, tick_clock, stop, solver, graph, optimum):
+        # wherever the search stops, the open bound (stable-set side) never
+        # falls below n minus the optimum cover
+        kind, *params = graph
+        g = connected_gnp(*params) if kind == "gnp" else connected_bipartite(*params)
+        report = solver(g, SolverConfig(time_limit=stop))
+        assert report.best_bound >= g.n - optimum
 
     def test_generous_limit_still_optimal(self):
         g = connected_gnp(10, 0.4, 2)

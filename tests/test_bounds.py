@@ -1,5 +1,7 @@
 """Pruning bounds: greedy clique cover, cached reuse, bipartite alpha."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from cvckit.bounds import (
     RECOMPUTE_FRACTION,
     CachedColoring,
+    CachedMatching,
     _greedy_classes,
     bipartite_alpha,
     bipartite_stable_bound,
@@ -14,7 +17,7 @@ from cvckit.bounds import (
     greedy_color_bound,
     is_bipartite,
 )
-from cvckit.errors import ContractError
+from cvckit.errors import ContractError, InputError
 from cvckit.graph import Graph, bipartite_random, bits_of, gnp_random, set_to_mask
 from cvckit.oracle import max_stable_set_size
 from tests.test_graph import complete, cycle, path
@@ -47,6 +50,52 @@ def first_fit_classes(masks, umask):
         else:
             classes.append(1 << v)
     return tuple(classes)
+
+
+def matching_size(masks, left, right_mask):
+    """Reference maximum bipartite matching (Hopcroft-Karp: layered BFS
+    phases, each followed by depth-first augmentation along the layers)."""
+    inf = float("inf")
+    match_l = {v: None for v in left}
+    match_r = {}
+    dist = {}
+    result = 0
+
+    def bfs():
+        queue = deque()
+        for v in left:
+            if match_l[v] is None:
+                dist[v] = 0
+                queue.append(v)
+            else:
+                dist[v] = inf
+        reached_free = False
+        while queue:
+            v = queue.popleft()
+            for w in bits_of(masks[v] & right_mask):
+                partner = match_r.get(w)
+                if partner is None:
+                    reached_free = True
+                elif dist[partner] == inf:
+                    dist[partner] = dist[v] + 1
+                    queue.append(partner)
+        return reached_free
+
+    def dfs(v):
+        for w in bits_of(masks[v] & right_mask):
+            partner = match_r.get(w)
+            if partner is None or (dist[partner] == dist[v] + 1 and dfs(partner)):
+                match_l[v] = w
+                match_r[w] = v
+                return True
+        dist[v] = inf
+        return False
+
+    while bfs():
+        for v in left:
+            if match_l[v] is None and dfs(v):
+                result += 1
+    return result
 
 
 class TestGreedyColorBound:
@@ -156,21 +205,80 @@ class TestBipartite:
     def test_alpha_exact_on_random_bipartite(self):
         for seed in range(15):
             g = bipartite_random(5, 6, 0.4, seed)
-            sides = is_bipartite(g)
-            assert sides is not None
-            side0 = set_to_mask(sides[0])
+            assert is_bipartite(g) is not None
             full = g.full_mask()
-            assert bipartite_alpha(g.masks, full, side0) == max_stable_set_size(g)
+            assert bipartite_alpha(g.masks, full, None)[0] == max_stable_set_size(g)
             # and on induced subsets
             umask = full & ~set_to_mask([0, 7])
             verts = [v for v in range(g.n) if umask >> v & 1]
-            assert bipartite_alpha(g.masks, umask, side0) == induced_alpha(g, verts)
+            assert bipartite_alpha(g.masks, umask, None)[0] == induced_alpha(g, verts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cached_matching_down_shrink_chains(self, data):
+        # thread the cache down to the empty set, dropping one vertex,
+        # whole matched pairs or a random mix of both sides per step, and
+        # sometimes starting over; alpha must equal the reference each time
+        n1 = data.draw(st.integers(0, 25), label="n1")
+        n2 = data.draw(st.integers(0, 25), label="n2")
+        p = data.draw(st.floats(0.05, 0.6), label="p")
+        g = bipartite_random(n1, n2, p, data.draw(st.integers(0, 2**32), label="seed"))
+        left_mask = (1 << n1) - 1
+        umask = g.full_mask()
+        cache = None
+        while True:
+            alpha, cache = bipartite_alpha(g.masks, umask, cache)
+            nu = matching_size(g.masks, list(bits_of(umask & left_mask)), umask & ~left_mask)
+            assert alpha == umask.bit_count() - nu
+            assert umask & ~cache.base_mask == 0 and cache.matched & ~umask == 0
+            assert cache.size * 2 == cache.matched.bit_count() == 2 * nu
+            for v in bits_of(cache.matched):
+                w = cache.mate[v]
+                assert cache.mate[w] == v and g.masks[v] >> w & 1
+            if not umask:
+                return
+            step = data.draw(st.sampled_from(["one", "pairs", "mix"]), label="step")
+            if step == "one":
+                drop = 1 << data.draw(st.sampled_from(list(bits_of(umask))), label="v")
+            elif step == "pairs":
+                drop = data.draw(st.integers(0, cache.matched), label="ends") & cache.matched
+                drop |= set_to_mask(cache.mate[v] for v in bits_of(drop))
+            else:  # a sparse mix: about a quarter of U
+                drop = umask & data.draw(st.integers(0, umask), label="mix")
+                drop &= data.draw(st.integers(0, umask), label="thin")
+            if not drop:
+                drop = umask & -umask
+            umask &= ~drop
+            if data.draw(st.integers(0, 9), label="restart") == 0:
+                cache = None
+
+    def test_cached_matching_drops_matched_vertices_one_at_a_time(self):
+        # path a-p-q-b with pendants x1-p and q-x2, matched p-x1, q-x2
+        # (maximum).  Dropping x1 and x2 frees p and q; a search from p
+        # with q also free takes the edge p-q and leaves a and b unmatched,
+        # while the maximum on a-p-q-b is 2
+        p, q, a, b, x1, x2 = range(6)
+        g = Graph(6, [(a, p), (p, q), (q, b), (p, x1), (q, x2)])
+        mate = (x1, x2, 0, 0, p, q)
+        cache = CachedMatching(g.full_mask(), mate, set_to_mask([p, q, x1, x2]), 2)
+        assert bipartite_alpha(g.masks, set_to_mask([a, p, q, b]), cache)[0] == 2
+
+    def test_cached_matching_bound_counts_pairs_inside(self):
+        g = path(6)  # 0-1-2-3-4-5, matched 0-1, 2-3, 4-5
+        alpha, cache = bipartite_alpha(g.masks, g.full_mask(), None)
+        assert alpha == 3 and cache.size == 3
+        # only the pair 2-3 lies inside {1, 2, 3, 4}: 4 - 1 = 3 >= alpha = 2
+        assert cache.bound(set_to_mask([1, 2, 3, 4])) == 3
+        assert cache.bound(0) == 0
 
     def test_stable_bound_wrapper(self):
         g = bipartite_random(4, 4, 0.5, 2)
         assert bipartite_stable_bound(g, range(8)) == max_stable_set_size(g)
         with pytest.raises(ContractError):
             bipartite_stable_bound(complete(3), range(3))
+        for bad in (8, -1):
+            with pytest.raises(InputError):
+                bipartite_stable_bound(g, [0, bad])
         # an odd cycle in g is fine if the queried subset avoids it
         g5 = cycle(5)
         assert bipartite_stable_bound(g5, [0, 1, 2]) == 2
