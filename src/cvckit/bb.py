@@ -14,6 +14,17 @@ alpha(G[U]) cannot beat the incumbent.  The candidate stack is kept in
 increasing-degree order so the highest-degree vertex is branched on first
 (ties by lowest index).
 
+The include child's candidates rarely need a cut-vertex pass.  Let
+W = U - v - N(v) and let N be v's neighbours in G - S - v.  A u in W is
+not a cut vertex of G - S (the node invariant) and is not adjacent to v,
+so G - S - u is connected and each component of G - S - v - u holds a
+vertex of N: u is a cut vertex of G - S - v exactly when deleting u
+splits N.  Hence if N lies in one component of (G - S - v) - W, no
+vertex of W is cut and the child's candidates are W itself.
+include_candidates tests this with an early-stopping BFS (joined_mask)
+and falls back to the full pass (articulation_points_mask) only when N
+is split.
+
 Three entry points share the engine: solve_cvc_bb (single root),
 russian_doll_solve (one restricted root per vertex, processed smallest
 subproblem first, incumbent carried across), and solve_vc_bb (connectivity
@@ -48,6 +59,7 @@ from .graph import (
     articulation_points_mask,
     dfs_tree,
     is_connected,
+    joined_mask,
     mask_to_set,
     set_to_mask,
 )
@@ -116,6 +128,22 @@ def _validate(g: Graph, cfg: SolverConfig) -> None:
         raise InputError("solver requires a connected graph")
 
 
+def include_candidates(masks: tuple[int, ...], live: int, rmask: int, v: int) -> int:
+    """Candidates of the include child when a node branches on v.
+
+    live is G - S - v, the child's remaining graph; rmask is the node's
+    candidates without v, and must hold no cut vertex of G - S.  The
+    child keeps the non-neighbours of v in rmask that are not cut
+    vertices of G - S - v.  The cut-vertex pass runs only when v's
+    neighbours, all in G - S - v as S is stable, are not joined once those
+    non-neighbours are deleted (see the module docstring).
+    """
+    w = rmask & ~masks[v]
+    if w and not joined_mask(masks, masks[v], live & ~w):
+        w &= ~articulation_points_mask(masks, live)
+    return w
+
+
 class _Engine:
     """Shared search machinery; one instance per solver run."""
 
@@ -127,9 +155,6 @@ class _Engine:
         self.n = g.n
         self.masks = g.masks
         self.full = g.full_mask()
-        self.nonadj = tuple(
-            self.full & ~g.masks[v] & ~(1 << v) for v in range(g.n)
-        )
         # pop order: ascending degree, ties by descending index, so popping
         # from the end yields the highest degree vertex, lowest index first
         self.pop_order = sorted(range(g.n), key=lambda v: (g.degree(v), -v))
@@ -201,10 +226,9 @@ class _Engine:
                     smask |= 1 << v
                     ssize += 1
                     if self.connected:
-                        cut = articulation_points_mask(self.masks, self.full & ~smask)
+                        allowed = include_candidates(self.masks, self.full & ~smask, rmask, v)
                     else:
-                        cut = 0
-                    allowed = rmask & self.nonadj[v] & ~cut
+                        allowed = rmask & ~self.masks[v]
                     if allowed == rmask:
                         ulist = rest
                     else:
@@ -218,10 +242,11 @@ class _Engine:
         if not timed_out:
             return "optimal", self.best_size
         # an inherited coloring or matching bounds an open entry's
-        # candidates without a fresh bound call, and never exceeds |U|
+        # candidates without a fresh bound call; an entry with none (an
+        # unstarted rds root, or any entry without coloring_reuse) gets one
         open_bound = self.best_size
         for smask, ssize, ulist, umask, cache in stack + roots[started:]:
-            bound = len(ulist) if cache is None else cache.bound(umask)
+            bound = self._bound(umask, None)[0] if cache is None else cache.bound(umask)
             open_bound = max(open_bound, ssize + bound)
         return "time_limit", open_bound
 
@@ -277,19 +302,18 @@ def branch(g: Graph, node: SearchNode, v: int) -> tuple[SearchNode, SearchNode]:
 
     The exclude child keeps S and drops v from U.  The include child adds
     v to S and restricts U to non-neighbors of v that are not cut vertices
-    of the shrunken graph.  v must be a candidate of the node; it can never
-    be a cut vertex of G - S when the node invariants hold (asserted).
+    of the shrunken graph.  v must be a candidate of the node, and no
+    candidate may be a cut vertex of G - S (the node invariant, asserted).
     """
     if v not in node.candidates:
         raise InputError(f"vertex {v} is not a candidate of this node")
     exclude = SearchNode(node.stable, node.candidates - {v})
-    smask = set_to_mask(node.stable) | (1 << v)
-    live = g.full_mask() & ~smask
-    assert articulation_points_mask(g.masks, g.full_mask() & ~set_to_mask(node.stable)) >> v & 1 == 0, (
-        "branching vertex is a cut vertex of the remaining graph"
+    live = g.full_mask() & ~set_to_mask(node.stable)
+    umask = set_to_mask(node.candidates)
+    assert articulation_points_mask(g.masks, live) & umask == 0, (
+        "a candidate is a cut vertex of the remaining graph"
     )
-    cut = articulation_points_mask(g.masks, live)
-    allowed = set_to_mask(exclude.candidates) & g.full_mask() & ~g.masks[v] & ~(1 << v) & ~cut
+    allowed = include_candidates(g.masks, live & ~(1 << v), umask & ~(1 << v), v)
     include = SearchNode(frozenset(node.stable | {v}), mask_to_set(allowed))
     return include, exclude
 
@@ -342,9 +366,11 @@ def russian_doll_solve(g: Graph, cfg: Optional[SolverConfig] = None) -> SolveRep
         v = seq[i]
         if g_cut >> v & 1:
             continue
-        cut_i = articulation_points_mask(g.masks, g.full_mask() & ~(1 << v))
-        later = set_to_mask(seq[i + 1 :])
-        roots.append(eng.make_root(1 << v, later & eng.nonadj[v] & ~cut_i))
+        # a cut vertex of G not adjacent to v stays one in G - v, so
+        # removing G's cut vertices first leaves the same root candidates
+        later = set_to_mask(seq[i + 1 :]) & ~g_cut
+        umask = include_candidates(g.masks, g.full_mask() & ~(1 << v), later, v)
+        roots.append(eng.make_root(1 << v, umask))
     status, best_bound = eng.run(roots)
     return eng.report("rds", t0, status, best_bound)
 

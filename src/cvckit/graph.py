@@ -117,15 +117,29 @@ def reachable_mask(masks: tuple[int, ...], start: int, live: int) -> int:
     return seen
 
 
+def joined_mask(masks: tuple[int, ...], target: int, live: int) -> bool:
+    """Whether the `target` vertices lie in one component of the `live`
+    induced subgraph (target must be a subset of live).
+
+    A bitmask BFS from the lowest target vertex that stops as soon as it
+    has reached every target vertex.  An empty target counts as joined.
+    """
+    seen = frontier = target & -target
+    while frontier and target & ~seen:
+        nxt = 0
+        for v in bits_of(frontier):
+            nxt |= masks[v]
+        frontier = nxt & live & ~seen
+        seen |= frontier
+    return not target & ~seen
+
+
 def is_connected_mask(masks: tuple[int, ...], live: int) -> bool:
     """Connectivity of the induced subgraph selected by `live`.
 
     Empty and single-vertex subgraphs count as connected.
     """
-    if live == 0:
-        return True
-    start = (live & -live).bit_length() - 1
-    return reachable_mask(masks, start, live) == live
+    return joined_mask(masks, live, live)
 
 
 def connected_after_removal(masks: tuple[int, ...], live: int, v: int) -> bool:

@@ -4,6 +4,8 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvckit import bb as bb_module
 from cvckit.bb import (
@@ -11,13 +13,23 @@ from cvckit.bb import (
     SolverConfig,
     branch,
     greedy_cvc_2approx,
+    include_candidates,
     russian_doll_solve,
     solve,
     solve_cvc_bb,
     solve_vc_bb,
 )
 from cvckit.errors import InputError
-from cvckit.graph import Graph, articulation_points, gnp_random, mask_to_set
+from cvckit.graph import (
+    Graph,
+    articulation_points,
+    articulation_points_mask,
+    bipartite_random,
+    bits_of,
+    gnp_random,
+    mask_to_set,
+    reachable_mask,
+)
 from cvckit.oracle import (
     brute_force_cvc,
     brute_force_vc,
@@ -196,6 +208,39 @@ class TestEngineBehavior:
         report = solver(g, SolverConfig(time_limit=stop))
         assert report.best_bound >= g.n - optimum
 
+    @pytest.mark.parametrize(
+        "graph,solver,bound",
+        [
+            (("bip", 30, 30, 0.2, 11), solve_cvc_bb, 30),
+            (("bip", 30, 30, 0.2, 11), russian_doll_solve, 30),
+            (("gnp", 80, 0.1, 101), solve_cvc_bb, 36),
+            (("gnp", 80, 0.1, 101), russian_doll_solve, 32),
+        ],
+    )
+    def test_time_limit_bound_after_1000_pops(self, tick_clock, graph, solver, bound):
+        # each unstarted rds root gets one fresh bound call, where
+        # ssize + len(ulist) gave 49 and 67; bb's open entries all inherit
+        # a coloring or a matching
+        kind, *params = graph
+        g = connected_gnp(*params) if kind == "gnp" else connected_bipartite(*params)
+        report = solver(g, SolverConfig(time_limit=1000))
+        assert (report.status, report.best_bound) == ("time_limit", bound)
+
+    @pytest.mark.parametrize(
+        "solver,nodes,passes", [(solve_cvc_bb, 1557, 163), (russian_doll_solve, 816, 46)]
+    )
+    def test_cut_pass_calls(self, monkeypatch, solver, nodes, passes):
+        # the include step skips the cut-vertex pass when v's neighbours stay
+        # joined; before the skip these runs made 779 and 439 passes
+        calls = []
+        original = bb_module.articulation_points_mask
+        monkeypatch.setattr(
+            bb_module, "articulation_points_mask",
+            lambda masks, live: calls.append(live) or original(masks, live),
+        )
+        report = solver(connected_gnp(60, 0.1, 101))
+        assert (report.node_count, len(calls)) == (nodes, passes)
+
     def test_generous_limit_still_optimal(self):
         g = connected_gnp(10, 0.4, 2)
         report = solve_cvc_bb(g, SolverConfig(time_limit=60.0))
@@ -220,6 +265,42 @@ class TestBranch:
         node = SearchNode(frozenset(), frozenset(range(6)))
         include, _ = branch(g, node, 0)
         # neighbors 1 and 5 drop; 2..4 become cut vertices of the leftover path
+        assert include.candidates == frozenset()
+
+
+class TestIncludeCandidates:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_full_cut_pass(self, data):
+        # G is the component of vertex 0 in a G(n, p) or bipartite draw;
+        # S grows by random include steps, each after an optional exclude
+        # step that thins the candidates
+        n = data.draw(st.integers(1, 40), label="n")
+        p = data.draw(st.floats(0.05, 0.5), label="p")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        if data.draw(st.booleans(), label="bipartite"):
+            g = bipartite_random(n // 2, n - n // 2, p, seed)
+        else:
+            g = gnp_random(n, p, seed)
+        live = reachable_mask(g.masks, 0, g.full_mask())
+        umask = live & ~articulation_points_mask(g.masks, live)
+        while umask:
+            v = data.draw(st.sampled_from(list(bits_of(umask))), label="v")
+            rmask = umask & ~(1 << v)
+            if data.draw(st.booleans(), label="thin"):
+                rmask &= data.draw(st.integers(0, rmask), label="kept")
+            expected = rmask & ~g.masks[v] & ~articulation_points_mask(
+                g.masks, live & ~(1 << v))
+            live &= ~(1 << v)
+            umask = include_candidates(g.masks, live, rmask, v)
+            assert umask == expected
+
+    def test_split_neighbours_run_the_pass(self):
+        # including 0 in the 4-cycle leaves the path 1-2-3: 1 and 3 meet
+        # only through the candidate 2, which is now a cut vertex
+        g = cycle(4)
+        assert include_candidates(g.masks, 0b1110, 0b1110, 0) == 0
+        include, _ = branch(g, SearchNode(frozenset(), frozenset(range(4))), 0)
         assert include.candidates == frozenset()
 
 

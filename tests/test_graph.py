@@ -16,6 +16,8 @@ from cvckit.graph import (
     gnp_random,
     induced_delete,
     is_connected,
+    is_connected_mask,
+    joined_mask,
     mask_to_set,
     parse_dimacs,
     set_to_mask,
@@ -106,6 +108,22 @@ class TestMasks:
         assert not is_connected(two_parts)
         with pytest.raises(InputError):
             is_connected(Graph(0))
+
+    def test_joined_mask(self):
+        two_parts = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        live = two_parts.full_mask()
+        assert joined_mask(two_parts.masks, 0, live)
+        assert joined_mask(two_parts.masks, 1 << 4, live)
+        assert joined_mask(two_parts.masks, 0b101, live)
+        assert not joined_mask(two_parts.masks, 0b101, live & ~(1 << 1))
+        assert not joined_mask(two_parts.masks, 0b1001, live)
+        assert joined_mask(two_parts.masks, 0b111000, live)
+        # with target == live it is is_connected_mask, checked here against
+        # the set-based component count
+        for seed in range(20):
+            g = gnp_random(12, 0.2, seed)
+            for live in (g.full_mask(), g.full_mask() & ~0b1010, 0, 1 << 5):
+                assert is_connected_mask(g.masks, live) == (_component_count(g, live=live) <= 1)
 
     def test_connected_after_removal_matches_naive(self):
         for seed in range(20):
