@@ -11,8 +11,7 @@ from cvckit import (
     check_cvc,
     greedy_cvc_2approx,
     max_feasible_stable,
-    russian_doll_solve,
-    solve_cvc_bb,
+    solve,
 )
 
 
@@ -32,8 +31,8 @@ def named_instances():
 
 def main():
     for name, g in named_instances():
-        report = solve_cvc_bb(g)
-        doll = russian_doll_solve(g)
+        report = solve(g)
+        doll = solve(g, "rds")
         _, oracle_size = brute_force_cvc(g)
 
         cert = check_cvc(g, report.cover)

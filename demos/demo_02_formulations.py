@@ -17,7 +17,7 @@ from cvckit import (
     count_qr_feasible,
     default_roots,
     parb_point,
-    solve_cvc_bb,
+    solve,
     spanning_tree_count,
     witness_parb,
     write_lp,
@@ -42,7 +42,7 @@ def show_sizes(g):
 
 
 def certified_point(g, parb, r, r1):
-    report = solve_cvc_bb(g)
+    report = solve(g)
     witness = witness_parb(g, report.cover, r, r1)
     dg = build_digraph(g, r, r1)
     point = parb_point(dg, report.cover, witness)

@@ -8,7 +8,7 @@ times are whatever the machine gives.
 
 import time
 
-from cvckit import SolverConfig, gnp_random, is_connected, russian_doll_solve, solve_cvc_bb
+from cvckit import SolverConfig, gnp_random, is_connected, solve
 
 
 def connected_sample(n, p, seed, tries=200):
@@ -27,9 +27,9 @@ def main():
     for n, p, seed in [(20, 0.2, 1), (25, 0.15, 2), (30, 0.12, 3), (35, 0.1, 4), (40, 0.1, 5)]:
         g, used = connected_sample(n, p, seed)
         t0 = time.perf_counter()
-        a = solve_cvc_bb(g, cfg)
+        a = solve(g, "bb", cfg)
         t1 = time.perf_counter()
-        b = russian_doll_solve(g, cfg)
+        b = solve(g, "rds", cfg)
         t2 = time.perf_counter()
         assert a.cover_size == b.cover_size, "solvers disagree"
         name = f"gnp_{n}_{int(p * 100):03d}_s{used}"

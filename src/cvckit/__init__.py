@@ -1,22 +1,6 @@
 """Exact solvers, bounds, and mixed-integer models for connected vertex cover."""
 
-from .bb import (
-    SearchNode,
-    SolveReport,
-    SolverConfig,
-    branch,
-    greedy_cvc_2approx,
-    russian_doll_solve,
-    solve,
-    solve_cvc_bb,
-    solve_vc_bb,
-)
-from .bounds import (
-    ColoringBound,
-    bipartite_stable_bound,
-    greedy_color_bound,
-    is_bipartite,
-)
+from .bb import SolveReport, SolverConfig, greedy_cvc_2approx, solve
 from .errors import (
     ContractError,
     CvcKitError,
@@ -26,22 +10,15 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    InducedSubgraph,
-    VertexSet,
     articulation_points,
     bipartite_random,
-    dfs_tree,
     gnp_random,
-    induced_delete,
     is_connected,
     parse_dimacs,
     spanning_tree_count,
     write_dimacs,
 )
 from .mip import (
-    MipModel,
-    RootedDigraph,
-    Witness,
     bidirect_rooted,
     build_digraph,
     build_parb,
@@ -50,23 +27,16 @@ from .mip import (
     check_integer_point,
     count_qr_feasible,
     default_roots,
-    enumerate_verify_parb,
-    enumerate_verify_pstp,
-    feasible_d,
-    find_parb_mismatch,
     parb_point,
     witness_parb,
     write_lp,
 )
 from .oracle import (
-    CvcCertificate,
     brute_force_cvc,
     brute_force_vc,
     check_cvc,
-    feasible_stable_sets,
     is_interesting,
     max_feasible_stable,
-    max_stable_set_size,
 )
 
 __version__ = "0.1.0"

@@ -25,11 +25,12 @@ include_candidates tests this with an early-stopping BFS (joined_mask)
 and falls back to the full pass (articulation_points_mask) only when N
 is split.
 
-Three entry points share the engine: solve_cvc_bb (single root),
-russian_doll_solve (one restricted root per vertex, processed smallest
-subproblem first, incumbent carried across), and solve_vc_bb (connectivity
-pruning disabled, yielding a classical maximum-stable-set solver used for
-plain vertex cover numbers).
+One entry point, solve(g, algorithm, cfg), runs the engine on the roots
+of one of three algorithms: "bb" (a single root), "rds" (russian doll
+search: one restricted root per vertex, smallest subproblem first, the
+incumbent carried across), and "vc-bb" (connectivity pruning disabled,
+yielding a classical maximum-stable-set solver used for plain vertex
+cover numbers).
 
 The bound cache (a coloring, or a maximum matching on bipartite inputs) is
 threaded through the search per node: children inherit the parent's cache
@@ -66,21 +67,11 @@ from .graph import (
 from .oracle import check_cvc
 
 
-@dataclass(frozen=True)
-class SearchNode:
-    """One branch-and-bound node: the stable set built so far and the
-    candidates still allowed to join it."""
-
-    stable: VertexSet
-    candidates: VertexSet
-
-
 @dataclass
 class SolverConfig:
     """Solver switches.
 
-    time_limit: wall-clock seconds; None means no limit.
-    use_russian_doll: dispatch hint for `solve` (per-vertex restricted runs).
+    time_limit: wall-clock seconds; None or inf means no limit.
     use_bipartite_bound: on bipartite inputs, prune with the exact
         stable-set bound |U| - nu(G[U]) (Koenig) instead of the coloring
         bound.  Each node repairs the maximum matching it inherits from
@@ -93,7 +84,6 @@ class SolverConfig:
     """
 
     time_limit: Optional[float] = None
-    use_russian_doll: bool = False
     use_bipartite_bound: bool = True
     coloring_reuse: bool = True
     warm_start: bool = True
@@ -119,10 +109,16 @@ class SolveReport:
     branch_rule: str = "max-degree-first"
 
 
-def _validate(g: Graph, cfg: SolverConfig) -> None:
+ALGORITHMS = ("bb", "rds", "vc-bb")
+
+
+def _validate(g: Graph, algorithm: str, cfg: SolverConfig) -> None:
+    if algorithm not in ALGORITHMS:
+        raise InputError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
     if g.n == 0:
         raise InputError("solver needs at least one vertex")
-    if cfg.time_limit is not None and cfg.time_limit <= 0:
+    # written so that NaN, which fails every comparison, is rejected too
+    if cfg.time_limit is not None and not cfg.time_limit > 0:
         raise InputError(f"time limit must be positive, got {cfg.time_limit!r}")
     if not is_connected(g):
         raise InputError("solver requires a connected graph")
@@ -267,19 +263,6 @@ class _Engine:
         )
 
 
-def _single_vertex_report(algorithm: str, t0: float) -> SolveReport:
-    # one isolated vertex: the empty cover is valid, S = {0}
-    return SolveReport(
-        cover=frozenset(),
-        cover_size=0,
-        node_count=0,
-        wall_time=time.perf_counter() - t0,
-        status="optimal",
-        best_bound=1,
-        algorithm=algorithm,
-    )
-
-
 def greedy_cvc_2approx(g: Graph) -> VertexSet:
     """Connected vertex cover at most twice the optimum, in linear time.
 
@@ -297,104 +280,74 @@ def greedy_cvc_2approx(g: Graph) -> VertexSet:
     return frozenset(parent for parent, _ in tree)
 
 
-def branch(g: Graph, node: SearchNode, v: int) -> tuple[SearchNode, SearchNode]:
-    """Split a search node on candidate v; returns (include, exclude).
+def _roots(eng: _Engine, algorithm: str) -> list:
+    """The roots the engine searches for one algorithm; see solve."""
+    g, full = eng.g, eng.full
+    if algorithm == "vc-bb":
+        return [eng.make_root(0, full)]
+    # no feasible stable set contains a cut vertex of G
+    cut = articulation_points_mask(g.masks, full)
+    if algorithm == "bb":
+        return [eng.make_root(0, full & ~cut)]
+    seq = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    roots = []
+    for i in range(g.n - 1, -1, -1):
+        v = seq[i]
+        if cut >> v & 1:
+            continue
+        # a cut vertex of G not adjacent to v stays one in G - v, so
+        # removing G's cut vertices first leaves the same root candidates
+        later = set_to_mask(seq[i + 1 :]) & ~cut
+        umask = include_candidates(g.masks, full & ~(1 << v), later, v)
+        roots.append(eng.make_root(1 << v, umask))
+    return roots
 
-    The exclude child keeps S and drops v from U.  The include child adds
-    v to S and restricts U to non-neighbors of v that are not cut vertices
-    of the shrunken graph.  v must be a candidate of the node, and no
-    candidate may be a cut vertex of G - S (the node invariant, asserted).
-    """
-    if v not in node.candidates:
-        raise InputError(f"vertex {v} is not a candidate of this node")
-    exclude = SearchNode(node.stable, node.candidates - {v})
-    live = g.full_mask() & ~set_to_mask(node.stable)
-    umask = set_to_mask(node.candidates)
-    assert articulation_points_mask(g.masks, live) & umask == 0, (
-        "a candidate is a cut vertex of the remaining graph"
-    )
-    allowed = include_candidates(g.masks, live & ~(1 << v), umask & ~(1 << v), v)
-    include = SearchNode(frozenset(node.stable | {v}), mask_to_set(allowed))
-    return include, exclude
 
-
-def solve_cvc_bb(
-    g: Graph, cfg: Optional[SolverConfig] = None, prune_log: Optional[list] = None
+def solve(
+    g: Graph,
+    algorithm: str = "bb",
+    cfg: Optional[SolverConfig] = None,
+    prune_log: Optional[list] = None,
 ) -> SolveReport:
-    """Exact minimum connected vertex cover by branch and bound.
+    """Exact minimum (connected) vertex cover of a connected graph.
+
+    algorithm is one of ALGORITHMS, the name the report carries:
+    - "bb": branch and bound from a single root, S empty.
+    - "rds": russian doll search.  Vertices are ordered by decreasing
+      degree (ties by index) as v_1..v_n.  Step i fixes S = {v_i} and
+      restricts candidates to later non-neighbors v_j (j > i) that are
+      not cut vertices of G - v_i; steps run from the smallest suffix
+      upward so each incumbent prunes the larger steps.  Steps whose v_i
+      is a cut vertex of G are skipped.
+    - "vc-bb": minimum plain vertex cover; the same search with no
+      cut-vertex filtering, so covers may induce anything.
 
     prune_log, when a list is passed, records a (stable_mask,
     candidate_mask, incumbent_size) triple for every bound-test pruning;
     meant for diagnostics and the pruning-safety tests.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    _validate(g, cfg)
+    _validate(g, algorithm, cfg)
     t0 = time.perf_counter()
     if g.n == 1:
-        return _single_vertex_report("bb", t0)
-    eng = _Engine(g, cfg, connected=True, prune_log=prune_log)
+        # one isolated vertex: the empty cover is valid, S = {0}
+        return SolveReport(frozenset(), 0, 0, time.perf_counter() - t0, "optimal", 1, algorithm)
+    eng = _Engine(g, cfg, connected=algorithm != "vc-bb", prune_log=prune_log)
     if cfg.warm_start:
         eng.warm_start()
-    cut = articulation_points_mask(g.masks, g.full_mask())
-    root = eng.make_root(0, g.full_mask() & ~cut)
-    status, best_bound = eng.run([root])
-    return eng.report("bb", t0, status, best_bound)
+    status, best_bound = eng.run(_roots(eng, algorithm))
+    return eng.report(algorithm, t0, status, best_bound)
+
+
+# bench/corpus.py calls the solvers by these names; they go once it calls
+# solve with an algorithm name
+def solve_cvc_bb(g: Graph, cfg: Optional[SolverConfig] = None) -> SolveReport:
+    return solve(g, "bb", cfg)
 
 
 def russian_doll_solve(g: Graph, cfg: Optional[SolverConfig] = None) -> SolveReport:
-    """Exact minimum connected vertex cover by russian doll search.
-
-    Vertices are ordered by decreasing degree (ties by index) as v_1..v_n.
-    Step i fixes S = {v_i} and restricts candidates to later non-neighbors
-    v_j (j > i) that are not cut vertices of G - v_i; steps run from the
-    smallest suffix upward so each incumbent prunes the larger steps.
-    Steps whose v_i is a cut vertex of G are skipped: no feasible stable
-    set contains a cut vertex.  The incumbent persists across steps.
-    """
-    cfg = cfg if cfg is not None else SolverConfig()
-    _validate(g, cfg)
-    t0 = time.perf_counter()
-    if g.n == 1:
-        return _single_vertex_report("rds", t0)
-    eng = _Engine(g, cfg, connected=True)
-    if cfg.warm_start:
-        eng.warm_start()
-    seq = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    g_cut = articulation_points_mask(g.masks, g.full_mask())
-    roots = []
-    for i in range(g.n - 1, -1, -1):
-        v = seq[i]
-        if g_cut >> v & 1:
-            continue
-        # a cut vertex of G not adjacent to v stays one in G - v, so
-        # removing G's cut vertices first leaves the same root candidates
-        later = set_to_mask(seq[i + 1 :]) & ~g_cut
-        umask = include_candidates(g.masks, g.full_mask() & ~(1 << v), later, v)
-        roots.append(eng.make_root(1 << v, umask))
-    status, best_bound = eng.run(roots)
-    return eng.report("rds", t0, status, best_bound)
+    return solve(g, "rds", cfg)
 
 
 def solve_vc_bb(g: Graph, cfg: Optional[SolverConfig] = None) -> SolveReport:
-    """Minimum plain vertex cover: the same engine with connectivity
-    pruning disabled (no cut-vertex filtering, covers may induce anything).
-    """
-    cfg = cfg if cfg is not None else SolverConfig()
-    _validate(g, cfg)
-    t0 = time.perf_counter()
-    if g.n == 1:
-        return _single_vertex_report("vc-bb", t0)
-    eng = _Engine(g, cfg, connected=False)
-    if cfg.warm_start:
-        eng.warm_start()
-    root = eng.make_root(0, g.full_mask())
-    status, best_bound = eng.run([root])
-    return eng.report("vc-bb", t0, status, best_bound)
-
-
-def solve(g: Graph, cfg: Optional[SolverConfig] = None) -> SolveReport:
-    """Dispatch on cfg.use_russian_doll; the front ends use this."""
-    cfg = cfg if cfg is not None else SolverConfig()
-    if cfg.use_russian_doll:
-        return russian_doll_solve(g, cfg)
-    return solve_cvc_bb(g, cfg)
+    return solve(g, "vc-bb", cfg)

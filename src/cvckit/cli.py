@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
-from .bb import SolverConfig, solve, solve_vc_bb
+from .bb import SolverConfig, solve
 from .errors import CvcKitError, InputError
 from .graph import (
     Graph,
@@ -75,10 +75,9 @@ def _resolve_time_limit(value: Optional[float]) -> Optional[float]:
         raise InputError(f"{TIME_LIMIT_ENV} must be a number, got {raw!r}")
 
 
-def _solver_config(args, algorithm: str) -> SolverConfig:
+def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         time_limit=_resolve_time_limit(args.time_limit),
-        use_russian_doll=(algorithm == "rds"),
         use_bipartite_bound=not args.no_bipartite_bound,
         coloring_reuse=not args.no_coloring_reuse,
         warm_start=not args.no_warm_start,
@@ -141,9 +140,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.vc and args.algorithm != "bb":
+        raise InputError(f"--vc cannot be combined with --algorithm {args.algorithm}")
     g = _read_graph(args.file)
-    cfg = _solver_config(args, args.algorithm)
-    report = solve_vc_bb(g, cfg) if args.vc else solve(g, cfg)
+    report = solve(g, "vc-bb" if args.vc else args.algorithm, _solver_config(args))
     name = Path(args.file).stem
     print(
         f"name={name} n={g.n} m={g.m} algorithm={report.algorithm}"
@@ -225,20 +225,15 @@ def _bench_rows(task: dict) -> list[dict]:
         g, used = _gen_connected(task["kind"], task["params"], task["seed"], 1000)
         name = _instance_name(task["kind"], task["params"], used)
         seed = used
-    if g.n <= DEFAULT_CAP:
-        vc = brute_force_vc(g)
-    else:
-        vc = solve_vc_bb(g, SolverConfig(time_limit=task["time_limit"])).cover_size
+    cfg = SolverConfig(time_limit=task["time_limit"])
+    vc = brute_force_vc(g) if g.n <= DEFAULT_CAP else solve(g, "vc-bb", cfg).cover_size
     rows = []
     for algorithm in task["algorithms"]:
-        cfg = SolverConfig(
-            time_limit=task["time_limit"], use_russian_doll=(algorithm == "rds")
-        )
         times = []
         node_counts = []
         report = None
         for _ in range(task["repeats"]):
-            report = solve(g, cfg)
+            report = solve(g, algorithm, cfg)
             times.append(report.wall_time)
             node_counts.append(report.node_count)
         if len(set(node_counts)) > 1:

@@ -142,11 +142,6 @@ def is_connected_mask(masks: tuple[int, ...], live: int) -> bool:
     return joined_mask(masks, live, live)
 
 
-def connected_after_removal(masks: tuple[int, ...], live: int, v: int) -> bool:
-    """Whether the live subgraph stays connected once v is deleted."""
-    return is_connected_mask(masks, live & ~(1 << v))
-
-
 def articulation_points_mask(masks: tuple[int, ...], live: int) -> int:
     """Cut vertices of the induced subgraph selected by `live`, as a mask.
 

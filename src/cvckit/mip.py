@@ -642,14 +642,6 @@ def find_parb_mismatch(
     return None
 
 
-def enumerate_verify_parb(
-    g: Graph, r: Optional[int] = None, r1: Optional[int] = None
-) -> bool:
-    """Exhaustively confirm the two-root model matches the checker on
-    every one of the 2^n vertex sets (n capped at 10)."""
-    return find_parb_mismatch(g, r, r1) is None
-
-
 def enumerate_verify_pstp(g: Graph) -> bool:
     """Exhaustively confirm the spanning-tree model matches the checker.
 

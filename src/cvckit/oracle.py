@@ -19,7 +19,6 @@ from .errors import InputError, SizeCapError
 from .graph import (
     Graph,
     VertexSet,
-    connected_after_removal,
     is_connected,
     is_connected_mask,
     mask_to_set,
@@ -95,8 +94,7 @@ def brute_force_cvc(g: Graph, cap: int = DEFAULT_CAP) -> tuple[VertexSet, int]:
             if is_connected_mask(masks, full & ~smask) and ssize > best_size:
                 best_mask, best_size = smask, ssize
             return
-        live = full & ~smask
-        if masks[v] & smask == 0 and connected_after_removal(masks, live, v):
+        if masks[v] & smask == 0 and is_connected_mask(masks, full & ~smask & ~(1 << v)):
             rec(v + 1, smask | (1 << v), ssize + 1)
         rec(v + 1, smask, ssize)
 

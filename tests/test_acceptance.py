@@ -26,8 +26,8 @@ from cvckit.mip import (
     build_qr,
     check_integer_point,
     count_qr_feasible,
-    enumerate_verify_parb,
     enumerate_verify_pstp,
+    find_parb_mismatch,
     write_lp,
 )
 from cvckit.oracle import brute_force_cvc, check_cvc, feasible_stable_sets
@@ -76,12 +76,12 @@ def test_criterion_02_parb_exhaustive_with_random_roots():
     failures = []
     for i in range(200):
         g = connected_gnp(2 + i % 8, (0.3, 0.5, 0.7)[i % 3], 5000 + i)
-        if not enumerate_verify_parb(g):
+        if find_parb_mismatch(g) is not None:
             failures.append((i, "default"))
         edges = sorted(g.edges)
         for _ in range(5):
             r, r1 = edges[rng.randrange(len(edges))]
-            if not enumerate_verify_parb(g, r, r1):
+            if find_parb_mismatch(g, r, r1) is not None:
                 failures.append((i, (r, r1)))
         checked += 1
     elapsed = time.perf_counter() - t0

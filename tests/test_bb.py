@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from cvckit import bb as bb_module
 from cvckit.bb import (
-    SearchNode,
     SolverConfig,
-    branch,
     greedy_cvc_2approx,
     include_candidates,
     russian_doll_solve,
@@ -22,7 +20,6 @@ from cvckit.bb import (
 from cvckit.errors import InputError
 from cvckit.graph import (
     Graph,
-    articulation_points,
     articulation_points_mask,
     bipartite_random,
     bits_of,
@@ -78,12 +75,12 @@ class TestAgainstOracle:
             expected = brute_force_cvc(g)[1]
             for bip, reuse, warm, rds in itertools.product((False, True), repeat=4):
                 cfg = SolverConfig(
-                    use_russian_doll=rds,
                     use_bipartite_bound=bip,
                     coloring_reuse=reuse,
                     warm_start=warm,
                 )
-                assert solve(g, cfg).cover_size == expected, (g, cfg)
+                algorithm = "rds" if rds else "bb"
+                assert solve(g, algorithm, cfg).cover_size == expected, (g, algorithm, cfg)
 
 
 @pytest.fixture
@@ -104,7 +101,8 @@ class TestEngineBehavior:
 
     def test_dispatcher(self):
         g = cycle(6)
-        assert solve(g, SolverConfig(use_russian_doll=True)).algorithm == "rds"
+        for algorithm in ("bb", "rds", "vc-bb"):
+            assert solve(g, algorithm).algorithm == algorithm
         assert solve(g).algorithm == "bb"
         assert solve(g).branch_rule == "max-degree-first"
 
@@ -142,16 +140,16 @@ class TestEngineBehavior:
     def test_prune_log_safety(self):
         # every logged prune must be justified by the naive enumerator:
         # nothing in the pruned subtree beats the incumbent of that moment
-        for seed in (2, 4, 9, 13):
+        for algorithm, seed in itertools.product(("bb", "rds"), (2, 4, 9, 13)):
             g = connected_gnp(9, 0.35, seed)
             log = []
-            solve_cvc_bb(g, SolverConfig(warm_start=False), prune_log=log)
+            solve(g, algorithm, SolverConfig(warm_start=False), prune_log=log)
             assert log, "expected at least one pruning event"
             for smask, umask, incumbent in log:
                 best_inside = max_feasible_stable(
                     g, base=mask_to_set(smask), candidates=mask_to_set(umask)
                 )
-                assert best_inside <= incumbent, (seed, smask, umask)
+                assert best_inside <= incumbent, (algorithm, seed, smask, umask)
 
     def test_single_vertex(self):
         for solver in (solve_cvc_bb, russian_doll_solve, solve_vc_bb):
@@ -166,6 +164,16 @@ class TestEngineBehavior:
             solve_cvc_bb(Graph(0))
         with pytest.raises(InputError):
             solve_cvc_bb(cycle(5), SolverConfig(time_limit=0))
+        # NaN fails every comparison, so it would never trip the deadline
+        with pytest.raises(InputError):
+            solve(cycle(5), "bb", SolverConfig(time_limit=float("nan")))
+
+    def test_unknown_algorithm(self):
+        # a call in the old solve(g, cfg) form fails instead of running bb
+        with pytest.raises(InputError):
+            solve(cycle(5), "nope")
+        with pytest.raises(InputError):
+            solve(cycle(5), SolverConfig())
 
     def test_time_limit_reports_honestly(self):
         g = connected_gnp(60, 0.08, 21)
@@ -243,29 +251,10 @@ class TestEngineBehavior:
 
     def test_generous_limit_still_optimal(self):
         g = connected_gnp(10, 0.4, 2)
-        report = solve_cvc_bb(g, SolverConfig(time_limit=60.0))
-        assert report.status == "optimal"
-        assert report.cover_size == brute_force_cvc(g)[1]
-
-
-class TestBranch:
-    def test_split_semantics(self):
-        g = path(5)  # 0-1-2-3-4
-        node = SearchNode(stable=frozenset(), candidates=frozenset({0, 4}))
-        include, exclude = branch(g, node, 4)
-        assert exclude == SearchNode(frozenset(), frozenset({0}))
-        assert include.stable == frozenset({4})
-        # 0 survives: not adjacent to 4, not a cut vertex of the path minus 4
-        assert include.candidates == frozenset({0})
-        with pytest.raises(InputError):
-            branch(g, node, 2)
-
-    def test_include_filters_neighbors_and_cuts(self):
-        g = cycle(6)
-        node = SearchNode(frozenset(), frozenset(range(6)))
-        include, _ = branch(g, node, 0)
-        # neighbors 1 and 5 drop; 2..4 become cut vertices of the leftover path
-        assert include.candidates == frozenset()
+        for limit in (60.0, float("inf")):
+            report = solve_cvc_bb(g, SolverConfig(time_limit=limit))
+            assert report.status == "optimal"
+            assert report.cover_size == brute_force_cvc(g)[1]
 
 
 class TestIncludeCandidates:
@@ -296,12 +285,21 @@ class TestIncludeCandidates:
             assert umask == expected
 
     def test_split_neighbours_run_the_pass(self):
-        # including 0 in the 4-cycle leaves the path 1-2-3: 1 and 3 meet
-        # only through the candidate 2, which is now a cut vertex
-        g = cycle(4)
-        assert include_candidates(g.masks, 0b1110, 0b1110, 0) == 0
-        include, _ = branch(g, SearchNode(frozenset(), frozenset(range(4))), 0)
-        assert include.candidates == frozenset()
+        # (graph, node candidates, v, the include child's candidates)
+        cases = [
+            # including 0 in the 4-cycle leaves the path 1-2-3: 1 and 3 meet
+            # only through the candidate 2, which is now a cut vertex
+            (cycle(4), 0b1111, 0, 0),
+            # on the path 0-1-2-3-4, 0 survives including 4: it is not
+            # adjacent to 4 and not a cut vertex of the path minus 4
+            (path(5), 0b10001, 4, 0b1),
+            # in the 6-cycle, 1 and 5 drop as neighbours of 0, and 2..4
+            # become cut vertices of the leftover path
+            (cycle(6), 0b111111, 0, 0),
+        ]
+        for g, umask, v, expected in cases:
+            live = g.full_mask() & ~(1 << v)
+            assert include_candidates(g.masks, live, umask & ~(1 << v), v) == expected
 
 
 class TestGreedyApprox:

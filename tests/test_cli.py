@@ -90,6 +90,23 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", str(path), "--vc")
         assert code == 0 and "algorithm=vc-bb" in out
 
+    def test_vc_rejects_rds(self, instance, capsys):
+        # --vc picks vc-bb, so another --algorithm is an error, not ignored
+        _, path = instance
+        code, out, err = run_cli(capsys, "solve", str(path), "--vc", "--algorithm", "rds")
+        assert code == 3 and out == "" and err.startswith("error:") and "--vc" in err
+
+    def test_nan_time_limit(self, instance, capsys, monkeypatch):
+        # NaN fails every comparison, so unless rejected it would mean no limit
+        _, path = instance
+        code, out, err = run_cli(capsys, "solve", str(path), "--time-limit", "nan")
+        assert code == 3 and out == "" and err.startswith("error: time limit")
+        monkeypatch.setenv("CVCKIT_TIME_LIMIT", "nan")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 3 and out == "" and err.startswith("error: time limit")
+        code, out, _ = run_cli(capsys, "solve", str(path), "--time-limit", "inf")
+        assert code == 0 and "status=optimal" in out
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "nowhere.col")
         assert code == 3 and "cannot read" in err

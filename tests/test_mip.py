@@ -15,7 +15,6 @@ from cvckit.mip import (
     check_integer_point,
     count_qr_feasible,
     default_roots,
-    enumerate_verify_parb,
     enumerate_verify_pstp,
     feasible_d,
     find_parb_mismatch,
@@ -227,20 +226,20 @@ class TestFeasibleD:
 class TestExhaustiveParb:
     def test_families(self):
         for g in (path(5), cycle(6), complete(5), Graph(5, [(0, i) for i in range(1, 5)])):
-            assert enumerate_verify_parb(g)
+            assert find_parb_mismatch(g) is None
 
     def test_random_graphs_random_roots(self):
         for seed in range(12):
             g = connected_gnp(2 + seed % 6, 0.5, 40 + seed)
-            assert enumerate_verify_parb(g), f"seed {seed}"
+            assert find_parb_mismatch(g) is None, f"seed {seed}"
             edges = sorted(g.edges)
             r, r1 = edges[seed % len(edges)]
-            assert enumerate_verify_parb(g, r, r1), f"seed {seed} roots {(r, r1)}"
+            assert find_parb_mismatch(g, r, r1) is None, f"seed {seed} roots {(r, r1)}"
             assert find_parb_mismatch(g, r1, r) is None, f"seed {seed} swapped"
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
-            enumerate_verify_parb(connected_gnp(11, 0.4, 1))
+            find_parb_mismatch(connected_gnp(11, 0.4, 1))
 
 
 class TestBuildQr:
