@@ -257,6 +257,22 @@ class TestEngineBehavior:
             assert report.cover_size == brute_force_cvc(g)[1]
 
 
+class TestBranch:
+    def test_split_semantics(self):
+        g = path(5)  # 0-1-2-3-4
+        umask = 0b10001  # candidates {0, 4}; branch on 4
+        live = g.full_mask() & ~(1 << 4)
+        # the include child keeps 0: not adjacent to 4, not a cut vertex
+        # of the path minus 4
+        assert include_candidates(g.masks, live, umask & ~(1 << 4), 4) == 0b1
+
+    def test_include_filters_neighbors_and_cuts(self):
+        g = cycle(6)
+        live = g.full_mask() & ~1
+        # neighbors 1 and 5 drop; 2..4 become cut vertices of the leftover path
+        assert include_candidates(g.masks, live, live, 0) == 0
+
+
 class TestIncludeCandidates:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -286,20 +302,10 @@ class TestIncludeCandidates:
 
     def test_split_neighbours_run_the_pass(self):
         # (graph, node candidates, v, the include child's candidates)
-        cases = [
-            # including 0 in the 4-cycle leaves the path 1-2-3: 1 and 3 meet
-            # only through the candidate 2, which is now a cut vertex
-            (cycle(4), 0b1111, 0, 0),
-            # on the path 0-1-2-3-4, 0 survives including 4: it is not
-            # adjacent to 4 and not a cut vertex of the path minus 4
-            (path(5), 0b10001, 4, 0b1),
-            # in the 6-cycle, 1 and 5 drop as neighbours of 0, and 2..4
-            # become cut vertices of the leftover path
-            (cycle(6), 0b111111, 0, 0),
-        ]
-        for g, umask, v, expected in cases:
-            live = g.full_mask() & ~(1 << v)
-            assert include_candidates(g.masks, live, umask & ~(1 << v), v) == expected
+        # including 0 in the 4-cycle leaves the path 1-2-3: 1 and 3 meet
+        # only through the candidate 2, which is now a cut vertex
+        g = cycle(4)
+        assert include_candidates(g.masks, 0b1110, 0b1110, 0) == 0
 
 
 class TestGreedyApprox:
