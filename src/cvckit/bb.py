@@ -10,9 +10,10 @@ by construction.
 Branching on v in U splits the node into an include child
 (S + v, the nonneighbors of v within U minus the new cut vertices) and an exclude
 child (S, U - v).  A node is pruned when |S| plus an upper bound on
-alpha(G[U]) cannot beat the incumbent.  The candidate stack is kept in
-increasing-degree order so the highest-degree vertex is branched on first
-(ties by lowest index).
+alpha(G[U]) cannot beat the incumbent.  U is kept only as a bitmask.  The
+engine splits V into one mask per degree, highest degree first, and
+branches on the lowest bit of the first of these levels that meets U: the
+candidate of highest degree, ties by lowest index.
 
 The include child's candidates rarely need a cut-vertex pass.  Let
 W = U - v - N(v) and let N be v's neighbours in G - S - v.  A u in W is
@@ -69,23 +70,20 @@ from .oracle import check_cvc
 
 @dataclass
 class SolverConfig:
-    """Solver switches.
+    """Solver settings.
 
     time_limit: wall-clock seconds; None or inf means no limit.
-    use_bipartite_bound: on bipartite inputs, prune with the exact
-        stable-set bound |U| - nu(G[U]) (Koenig) instead of the coloring
-        bound.  Each node repairs the maximum matching it inherits from
-        its parent rather than matching from scratch, whatever
-        coloring_reuse says.
-    coloring_reuse: reuse a node's inherited coloring while its candidate
-        set is still at least 75% of the size the coloring was computed at.
     warm_start: seed the incumbent with the complement of the greedy
         2-approximate cover before searching.
+
+    The bound follows the input: on bipartite graphs the exact stable-set
+    bound |U| - nu(G[U]) (Koenig), from a maximum matching each node
+    repairs from its parent's; otherwise the greedy clique-cover bound,
+    reusing a node's inherited coloring while its candidate set is still
+    at least 75% of the size the coloring was computed at.
     """
 
     time_limit: Optional[float] = None
-    use_bipartite_bound: bool = True
-    coloring_reuse: bool = True
     warm_start: bool = True
 
 
@@ -151,16 +149,16 @@ class _Engine:
         self.n = g.n
         self.masks = g.masks
         self.full = g.full_mask()
-        # pop order: ascending degree, ties by descending index, so popping
-        # from the end yields the highest degree vertex, lowest index first
-        self.pop_order = sorted(range(g.n), key=lambda v: (g.degree(v), -v))
-        self.bipartite = cfg.use_bipartite_bound and is_bipartite(g) is not None
+        # branch order: one vertex mask per degree, highest degree first;
+        # the lowest bit of the first level that meets U is the branch vertex
+        by_degree = [0] * g.n
+        for v in range(g.n):
+            by_degree[g.degree(v)] |= 1 << v
+        self.levels = [level for level in reversed(by_degree) if level]
+        self.bipartite = is_bipartite(g) is not None
         self.best_mask = 0
         self.best_size = 0
         self.visits = 0
-
-    def ordered_tuple(self, mask: int) -> tuple[int, ...]:
-        return tuple(v for v in self.pop_order if mask >> v & 1)
 
     def set_incumbent(self, smask: int, ssize: int) -> None:
         if __debug__:
@@ -182,13 +180,10 @@ class _Engine:
     def _bound(self, umask: int, cache: Optional[CachedColoring | CachedMatching]):
         if self.bipartite:
             return bipartite_alpha(self.masks, umask, cache)
-        if not self.cfg.coloring_reuse:
-            bound, _ = color_bound_cached(self.masks, umask, None)
-            return bound, None
         return color_bound_cached(self.masks, umask, cache)
 
     def make_root(self, smask: int, umask: int):
-        return (smask, smask.bit_count(), self.ordered_tuple(umask), umask, None)
+        return (smask, smask.bit_count(), umask, None)
 
     def run(self, roots: list) -> tuple[str, int]:
         """Drain each root's subtree in turn; returns (status, best_bound)."""
@@ -207,29 +202,28 @@ class _Engine:
                 if deadline is not None and time.perf_counter() > deadline:
                     timed_out = True
                     break
-                smask, ssize, ulist, umask, cache = stack.pop()
+                smask, ssize, umask, cache = stack.pop()
                 self.visits += 1
-                while ulist:
+                while umask:
                     bound, cache = self._bound(umask, cache)
                     if self.best_size >= ssize + bound:
                         if self.prune_log is not None:
                             self.prune_log.append((smask, umask, self.best_size))
                         break
-                    v = ulist[-1]
-                    rest = ulist[:-1]
-                    rmask = umask & ~(1 << v)
-                    stack.append((smask, ssize, rest, rmask, cache))
-                    smask |= 1 << v
+                    for level in self.levels:
+                        low = level & umask
+                        if low:
+                            break
+                    low &= -low
+                    v = low.bit_length() - 1
+                    rmask = umask ^ low
+                    stack.append((smask, ssize, rmask, cache))
+                    smask |= low
                     ssize += 1
                     if self.connected:
-                        allowed = include_candidates(self.masks, self.full & ~smask, rmask, v)
+                        umask = include_candidates(self.masks, self.full & ~smask, rmask, v)
                     else:
-                        allowed = rmask & ~self.masks[v]
-                    if allowed == rmask:
-                        ulist = rest
-                    else:
-                        ulist = tuple(u for u in rest if allowed >> u & 1)
-                    umask = allowed
+                        umask = rmask & ~self.masks[v]
                     self.visits += 1
                     if ssize > self.best_size:
                         self.set_incumbent(smask, ssize)
@@ -239,9 +233,9 @@ class _Engine:
             return "optimal", self.best_size
         # an inherited coloring or matching bounds an open entry's
         # candidates without a fresh bound call; an entry with none (an
-        # unstarted rds root, or any entry without coloring_reuse) gets one
+        # unstarted rds root) gets one
         open_bound = self.best_size
-        for smask, ssize, ulist, umask, cache in stack + roots[started:]:
+        for smask, ssize, umask, cache in stack + roots[started:]:
             bound = self._bound(umask, None)[0] if cache is None else cache.bound(umask)
             open_bound = max(open_bound, ssize + bound)
         return "time_limit", open_bound

@@ -39,23 +39,11 @@ searches for.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .errors import ContractError, InputError
-from .graph import Graph, VertexSet, bits_of, induced_delete, set_to_mask
+from .graph import Graph, VertexSet, bits_of
 
 RECOMPUTE_FRACTION = 0.75
-
-
-class ColoringBound(NamedTuple):
-    """A clique-cover bound: the count and the witness coloring.
-
-    coloring maps each vertex of the queried set to a color index; any two
-    vertices sharing a color are adjacent in the graph.
-    """
-
-    color_count: int
-    coloring: dict
 
 
 class CachedColoring(NamedTuple):
@@ -145,21 +133,6 @@ def color_bound_cached(
     classes = _greedy_classes(masks, umask)
     cache = CachedColoring(umask, umask.bit_count(), classes)
     return len(classes), cache
-
-
-def greedy_color_bound(g: Graph, u: Iterable[int]) -> ColoringBound:
-    """Upper bound on alpha(G[u]) by greedy clique cover.
-
-    The empty set gets 0 colors.  Deterministic: scan order is decreasing
-    complement-degree within u, ties broken by vertex index.
-    """
-    u = frozenset(u)
-    for v in u:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    classes = _greedy_classes(g.masks, set_to_mask(u))
-    coloring = {v: i for i, cm in enumerate(classes) for v in bits_of(cm)}
-    return ColoringBound(len(classes), coloring)
 
 
 def is_bipartite(g: Graph) -> Optional[tuple[VertexSet, VertexSet]]:
@@ -295,20 +268,3 @@ def bipartite_alpha(
                 matched |= 1 << y | 1 << end
     size = matched.bit_count() // 2
     return umask.bit_count() - size, CachedMatching(umask, tuple(mate), matched, size)
-
-
-def bipartite_stable_bound(g: Graph, u: Iterable[int]) -> int:
-    """Exact maximum stable set size of G[u] for bipartite G[u].
-
-    Raises ContractError when G[u] is not bipartite; the rest of g may be
-    anything.
-    """
-    u = frozenset(u)
-    for v in u:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    if is_bipartite(induced_delete(g, set(range(g.n)) - u).graph) is None:
-        raise ContractError(
-            "bipartite_stable_bound called on a non-bipartite induced subgraph"
-        )
-    return bipartite_alpha(g.masks, set_to_mask(u), None)[0]

@@ -78,8 +78,6 @@ def _resolve_time_limit(value: Optional[float]) -> Optional[float]:
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         time_limit=_resolve_time_limit(args.time_limit),
-        use_bipartite_bound=not args.no_bipartite_bound,
-        coloring_reuse=not args.no_coloring_reuse,
         warm_start=not args.no_warm_start,
     )
 
@@ -226,7 +224,12 @@ def _bench_rows(task: dict) -> list[dict]:
         name = _instance_name(task["kind"], task["params"], used)
         seed = used
     cfg = SolverConfig(time_limit=task["time_limit"])
-    vc = brute_force_vc(g) if g.n <= DEFAULT_CAP else solve(g, "vc-bb", cfg).cover_size
+    if g.n <= DEFAULT_CAP:
+        vc = brute_force_vc(g)
+    else:
+        # a vc-bb solve stopped at the limit knows only an incumbent: no value
+        vc_report = solve(g, "vc-bb", cfg)
+        vc = vc_report.cover_size if vc_report.status == "optimal" else ""
     rows = []
     for algorithm in task["algorithms"]:
         times = []
@@ -335,8 +338,6 @@ def _cmd_bench(args) -> int:
 def _add_solver_flags(sub) -> None:
     sub.add_argument("--time-limit", type=float, default=None, metavar="SEC")
     sub.add_argument("--no-warm-start", action="store_true")
-    sub.add_argument("--no-bipartite-bound", action="store_true")
-    sub.add_argument("--no-coloring-reuse", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,11 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from cvckit.bb import SolverConfig, greedy_cvc_2approx, russian_doll_solve, solve_cvc_bb, solve_vc_bb
+from cvckit.bb import SolverConfig, greedy_cvc_2approx, solve
 from cvckit.graph import (
     Graph,
     articulation_points,
-    bipartite_random,
     gnp_random,
     is_connected,
     spanning_tree_count,
@@ -56,9 +55,9 @@ def test_criterion_01_solvers_match_oracle(corpus500):
     bad = []
     for name, g in corpus500:
         expected = brute_force_cvc(g)[1]
-        if solve_cvc_bb(g).cover_size != expected:
+        if solve(g, "bb").cover_size != expected:
             bad.append(("bb", name))
-        if russian_doll_solve(g).cover_size != expected:
+        if solve(g, "rds").cover_size != expected:
             bad.append(("rds", name))
     elapsed = time.perf_counter() - t0
     _verdict(
@@ -133,8 +132,8 @@ def test_criterion_05_complete_bipartite_gap():
     bad = []
     for n in range(2, 9):
         g = Graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
-        cvc = solve_cvc_bb(g).cover_size
-        vc = solve_vc_bb(g).cover_size
+        cvc = solve(g, "bb").cover_size
+        vc = solve(g, "vc-bb").cover_size
         if (cvc, vc) != (n + 1, n):
             bad.append((n, cvc, vc))
     _verdict(
@@ -185,16 +184,16 @@ def test_criterion_08_midsize_within_budget():
     for seed in (101, 202, 303):
         g = connected_gnp(60, 0.1, seed)
         t0 = time.perf_counter()
-        report = solve_cvc_bb(g)
+        report = solve(g, "bb")
         elapsed = time.perf_counter() - t0
         if report.status != "optimal" or elapsed >= 60.0:
             slow.append(("gnp60", seed, round(elapsed, 1)))
-        if russian_doll_solve(g).cover_size != report.cover_size:
+        if solve(g, "rds").cover_size != report.cover_size:
             slow.append(("gnp60-disagree", seed, 0))
     for seed in (11, 22):
         g = connected_bipartite(30, 30, 0.2, seed)
         t0 = time.perf_counter()
-        report = solve_cvc_bb(g)
+        report = solve(g, "bb")
         elapsed = time.perf_counter() - t0
         if report.status != "optimal" or elapsed >= 120.0:
             slow.append(("bip30", seed, round(elapsed, 1)))
@@ -210,8 +209,8 @@ def test_criterion_08_midsize_within_budget():
 def test_criterion_09_warm_start_node_monotonicity(corpus500):
     bad = []
     for name, g in corpus500:
-        warm = solve_cvc_bb(g, SolverConfig(warm_start=True))
-        cold = solve_cvc_bb(g, SolverConfig(warm_start=False))
+        warm = solve(g, "bb", SolverConfig(warm_start=True))
+        cold = solve(g, "bb", SolverConfig(warm_start=False))
         if warm.node_count > cold.node_count or warm.cover_size != cold.cover_size:
             bad.append((name, warm.node_count, cold.node_count))
     _verdict(

@@ -2,22 +2,17 @@
 
 from collections import deque
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvckit.bounds import (
     RECOMPUTE_FRACTION,
-    CachedColoring,
     CachedMatching,
     _greedy_classes,
     bipartite_alpha,
-    bipartite_stable_bound,
     color_bound_cached,
-    greedy_color_bound,
     is_bipartite,
 )
-from cvckit.errors import ContractError, InputError
 from cvckit.graph import Graph, bipartite_random, bits_of, gnp_random, set_to_mask
 from cvckit.oracle import max_stable_set_size
 from tests.test_graph import complete, cycle, path
@@ -116,21 +111,19 @@ class TestGreedyColorBound:
 
     def test_families(self):
         # clique covers of a clique need one class; of a stable set, n
-        assert greedy_color_bound(complete(6), range(6)).color_count == 1
-        assert greedy_color_bound(Graph(5), range(5)).color_count == 5
-        assert greedy_color_bound(path(4), range(4)).color_count == 2
-        assert greedy_color_bound(cycle(5), range(5)).color_count == 3
-        assert greedy_color_bound(path(4), ()).color_count == 0
+        assert len(_greedy_classes(complete(6).masks, 0b111111)) == 1
+        assert len(_greedy_classes(Graph(5).masks, 0b11111)) == 5
+        assert len(_greedy_classes(path(4).masks, 0b1111)) == 2
+        assert len(_greedy_classes(cycle(5).masks, 0b11111)) == 3
+        assert _greedy_classes(path(4).masks, 0) == ()
 
     def test_classes_are_cliques(self):
         for seed in range(15):
             g = gnp_random(11, 0.5, seed)
-            bound = greedy_color_bound(g, range(11))
-            by_color = {}
-            for v, c in bound.coloring.items():
-                by_color.setdefault(c, []).append(v)
-            assert len(by_color) == bound.color_count
-            for members in by_color.values():
+            classes = _greedy_classes(g.masks, g.full_mask())
+            assert sum(cm.bit_count() for cm in classes) == 11
+            for cm in classes:
+                members = list(bits_of(cm))
                 for i, u in enumerate(members):
                     for v in members[i + 1 :]:
                         assert g.has_edge(u, v), f"seed {seed}"
@@ -141,12 +134,13 @@ class TestGreedyColorBound:
             g = gnp_random(10, 0.45, seed)
             for shift in range(4):
                 verts = [v for v in range(10) if (seed + shift + v) % 3]
-                got = greedy_color_bound(g, verts).color_count
+                got = len(_greedy_classes(g.masks, set_to_mask(verts)))
                 assert got >= induced_alpha(g, verts)
 
     def test_deterministic(self):
         g = gnp_random(12, 0.4, 9)
-        assert greedy_color_bound(g, range(12)) == greedy_color_bound(g, range(12))
+        full = g.full_mask()
+        assert _greedy_classes(g.masks, full) == _greedy_classes(g.masks, full)
 
 
 class TestCachedColoring:
@@ -271,14 +265,8 @@ class TestBipartite:
         assert cache.bound(set_to_mask([1, 2, 3, 4])) == 3
         assert cache.bound(0) == 0
 
-    def test_stable_bound_wrapper(self):
-        g = bipartite_random(4, 4, 0.5, 2)
-        assert bipartite_stable_bound(g, range(8)) == max_stable_set_size(g)
-        with pytest.raises(ContractError):
-            bipartite_stable_bound(complete(3), range(3))
-        for bad in (8, -1):
-            with pytest.raises(InputError):
-                bipartite_stable_bound(g, [0, bad])
+    def test_alpha_on_bipartite_subset_of_any_graph(self):
         # an odd cycle in g is fine if the queried subset avoids it
         g5 = cycle(5)
-        assert bipartite_stable_bound(g5, [0, 1, 2]) == 2
+        assert bipartite_alpha(g5.masks, set_to_mask([0, 1, 2]), None)[0] == 2
+        assert bipartite_alpha(g5.masks, set_to_mask([0, 1, 3, 4]), None)[0] == 2

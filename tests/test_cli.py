@@ -215,6 +215,20 @@ class TestBench:
         rows = list(csv.DictReader(target.open()))
         assert {r["name"][:5] for r in rows} == {"G_gnp", "G_bip"}
 
+    def test_vc_column_is_the_optimum(self, capsys):
+        # n = 40 is past the brute-force cap, so vc comes from a vc-bb solve
+        code, out, _ = run_cli(capsys, "bench", "--gnp", "40,0.1,1")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert (row["n"], row["vc"], row["status"]) == ("40", "23", "optimal")
+
+    def test_vc_column_empty_at_time_limit(self, capsys):
+        # the vc-bb solve stops at once, holding only its warm-start cover (30)
+        code, out, _ = run_cli(capsys, "bench", "--gnp", "40,0.1,1", "--time-limit", "1e-6")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert (row["vc"], row["status"]) == ("", "time_limit")
+
     def test_bad_specs(self, capsys):
         code, _, err = run_cli(capsys, "bench")
         assert code == 3 and "at least one" in err

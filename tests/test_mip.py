@@ -2,7 +2,7 @@
 
 import pytest
 
-from cvckit.errors import ContractError, InputError, SizeCapError
+from cvckit.errors import InputError, SizeCapError
 from cvckit.graph import Graph, gnp_random, spanning_tree_count
 from cvckit.mip import (
     MipModel,
@@ -24,7 +24,6 @@ from cvckit.mip import (
 from cvckit.oracle import brute_force_cvc
 from tests.conftest import connected_gnp
 from tests.test_graph import complete, cycle, path
-from tests.test_oracle import petersen
 
 
 class TestRootedDigraph:
