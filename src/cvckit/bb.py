@@ -22,9 +22,14 @@ so G - S - u is connected and each component of G - S - v - u holds a
 vertex of N: u is a cut vertex of G - S - v exactly when deleting u
 splits N.  Hence if N lies in one component of (G - S - v) - W, no
 vertex of W is cut and the child's candidates are W itself.
-include_candidates tests this with an early-stopping BFS (joined_mask)
-and falls back to the full pass (articulation_points_mask) only when N
-is split.
+include_candidates tests this with a BFS (grow_piece) from one vertex of
+N in (G - S - v) - W that stops once it has reached all of N.  When it
+does not, it has grown that vertex's whole component of (G - S - v) - W
+and the component's neighbour union, and the pass that follows
+(articulation_points_mask) looks for cut vertices in W only.  It treats
+each component of (G - S - v) - W as one DFS node, starting from the one
+the BFS grew: contracting a connected set that holds no vertex of W
+does not change whether a vertex of W is a cut vertex.
 
 One entry point, solve(g, algorithm, cfg), runs the engine on the roots
 of one of three algorithms: "bb" (a single root), "rds" (russian doll
@@ -43,6 +48,7 @@ the cold run visits, so node counts are monotone.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -60,8 +66,8 @@ from .graph import (
     VertexSet,
     articulation_points_mask,
     dfs_tree,
+    grow_piece,
     is_connected,
-    joined_mask,
     mask_to_set,
     set_to_mask,
 )
@@ -115,9 +121,14 @@ def _validate(g: Graph, algorithm: str, cfg: SolverConfig) -> None:
         raise InputError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
     if g.n == 0:
         raise InputError("solver needs at least one vertex")
-    # written so that NaN, which fails every comparison, is rejected too
-    if cfg.time_limit is not None and not cfg.time_limit > 0:
-        raise InputError(f"time limit must be positive, got {cfg.time_limit!r}")
+    limit = cfg.time_limit
+    if limit is not None:
+        # bool is an int subclass, but True is no number of seconds
+        if isinstance(limit, bool) or not isinstance(limit, numbers.Real):
+            raise InputError(f"time limit must be a number of seconds, got {limit!r}")
+        # written so that NaN, which fails every comparison, is rejected too
+        if not limit > 0:
+            raise InputError(f"time limit must be positive, got {limit!r}")
     if not is_connected(g):
         raise InputError("solver requires a connected graph")
 
@@ -127,14 +138,18 @@ def include_candidates(masks: tuple[int, ...], live: int, rmask: int, v: int) ->
 
     live is G - S - v, the child's remaining graph; rmask is the node's
     candidates without v, and must hold no cut vertex of G - S.  The
-    child keeps the non-neighbours of v in rmask that are not cut
+    child keeps the non-neighbours W of v in rmask that are not cut
     vertices of G - S - v.  The cut-vertex pass runs only when v's
-    neighbours, all in G - S - v as S is stable, are not joined once those
-    non-neighbours are deleted (see the module docstring).
+    neighbours, all in G - S - v as S is stable, are not joined in
+    G - S - v - W; it then reuses the piece the failed join test grew and
+    looks for cut vertices in W only (see the module docstring).
     """
     w = rmask & ~masks[v]
-    if w and not joined_mask(masks, masks[v], live & ~w):
-        w &= ~articulation_points_mask(masks, live)
+    if w:
+        nbrs = masks[v]
+        grown = grow_piece(masks, nbrs & -nbrs, live & ~w, nbrs)
+        if nbrs & ~grown[0]:
+            w &= ~articulation_points_mask(masks, live, w, grown)
     return w
 
 

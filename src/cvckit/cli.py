@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 import warnings
@@ -57,6 +58,14 @@ def _read_graph(path: str) -> Graph:
             return parse_dimacs(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _pct(p: float) -> str:
@@ -119,7 +128,10 @@ def _cmd_gen(args) -> int:
     else:
         params = {"n1": args.n1, "n2": args.n2, "p": args.p}
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create {outdir}: {exc}") from exc
     cursor = args.seed
     for _ in range(args.count):
         if args.connected:
@@ -127,7 +139,7 @@ def _cmd_gen(args) -> int:
         else:
             g, used = _generate(args.kind, params, cursor), cursor
         path = outdir / (_instance_name(args.kind, params, used) + ".col")
-        path.write_text(write_dimacs(g), encoding="ascii")
+        _write_text(path, write_dimacs(g))
         print(path)
         cursor = used + 1
     return EXIT_OK
@@ -172,7 +184,7 @@ def _cmd_emit(args) -> int:
         model = build_parb(g, args.root, args.root2)
     text = write_lp(model)
     if args.output:
-        Path(args.output).write_text(text, encoding="ascii")
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -194,9 +206,7 @@ def _cmd_verify(args) -> int:
             failed = True
             out = Path(args.out or ".") / f"{stem}.mismatch.col"
             members = " ".join(str(v) for v in sorted(mismatch))
-            out.write_text(
-                f"c mismatch_set {members}\n" + write_dimacs(g), encoding="ascii"
-            )
+            _write_text(out, f"c mismatch_set {members}\n" + write_dimacs(g))
             print(f"parb: MISMATCH on {{{members}}}, wrote {out}")
     if args.model in ("pstp", "all"):
         if enumerate_verify_pstp(g):
@@ -316,18 +326,15 @@ def _cmd_bench(args) -> int:
     else:
         results = [_bench_rows(task) for task in tasks]
     header = ["name", "n", "m", "vc", "cvc", "solver", "time_s", "nodes", "status", "seed"]
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=header, lineterminator="\n")
+    writer.writeheader()
+    for rows in results:
+        writer.writerows(rows)
     if args.output:
-        handle = open(args.output, "w", newline="", encoding="ascii")
+        _write_text(args.output, table.getvalue())
     else:
-        handle = sys.stdout
-    try:
-        writer = csv.DictWriter(handle, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
-        for rows in results:
-            writer.writerows(rows)
-    finally:
-        if args.output:
-            handle.close()
+        sys.stdout.write(table.getvalue())
     return EXIT_OK
 
 

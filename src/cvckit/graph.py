@@ -10,7 +10,7 @@ induced subgraph, so subgraphs never have to be materialised in hot loops.
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DimacsError, InputError
 from .rng import Xoshiro256
@@ -104,34 +104,44 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def grow_piece(
+    masks: tuple[int, ...], seed: int, live: int, target: int = -1
+) -> tuple[int, int]:
+    """Grow the piece of the `live` induced subgraph that holds `seed`.
+
+    A level-by-level bitmask BFS from the vertices of `seed` (a subset of
+    live).  Returns (piece, reach): the vertices reached, and the OR of
+    the neighbour masks of the vertices it expanded.  The BFS stops as
+    soon as piece covers `target`; with the default target (every vertex)
+    or a target it cannot cover, it runs until the frontier is empty, and
+    then piece is the union of the components of its seed vertices and
+    reach is the neighbour union of the whole piece.
+    """
+    piece = frontier = seed
+    reach = 0
+    while frontier and target & ~piece:
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & live & ~piece
+        piece |= frontier
+    return piece, reach
+
+
 def reachable_mask(masks: tuple[int, ...], start: int, live: int) -> int:
     """Vertices of the `live` induced subgraph reachable from `start`."""
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= masks[v]
-        frontier = nxt & live & ~seen
-        seen |= frontier
-    return seen
+    return grow_piece(masks, 1 << start, live)[0]
 
 
 def joined_mask(masks: tuple[int, ...], target: int, live: int) -> bool:
     """Whether the `target` vertices lie in one component of the `live`
     induced subgraph (target must be a subset of live).
 
-    A bitmask BFS from the lowest target vertex that stops as soon as it
-    has reached every target vertex.  An empty target counts as joined.
+    grow_piece from the lowest target vertex, stopping as soon as it has
+    reached every target vertex.  An empty target counts as joined.
     """
-    seen = frontier = target & -target
-    while frontier and target & ~seen:
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= masks[v]
-        frontier = nxt & live & ~seen
-        seen |= frontier
-    return not target & ~seen
+    return not target & ~grow_piece(masks, target & -target, live, target)[0]
 
 
 def is_connected_mask(masks: tuple[int, ...], live: int) -> bool:
@@ -142,33 +152,61 @@ def is_connected_mask(masks: tuple[int, ...], live: int) -> bool:
     return joined_mask(masks, live, live)
 
 
-def articulation_points_mask(masks: tuple[int, ...], live: int) -> int:
-    """Cut vertices of the induced subgraph selected by `live`, as a mask.
+def articulation_points_mask(
+    masks: tuple[int, ...],
+    live: int,
+    among: int = -1,
+    start: Optional[tuple[int, int]] = None,
+) -> int:
+    """Cut vertices of the induced subgraph selected by `live` that lie in
+    `among` (default: every vertex), as a mask.
 
     One DFS per connected component, so the result is meaningful for
-    disconnected subgraphs too.  Every non-tree edge of an undirected DFS
-    joins a vertex to an ancestor, so a non-root u is a cut vertex iff some
-    child's subtree has a neighbour union (`reach`, the OR of its masks)
-    that misses every proper ancestor of u; the root is one iff it has two
-    or more children.  The DFS enters and leaves each vertex once, so a
-    call costs O(n) big-int operations, with no per-edge step.
+    disconnected subgraphs too.  Each connected piece of live - among is
+    one DFS node, grown by grow_piece when the DFS first reaches it: a
+    connected set that holds no vertex of among can be contracted without
+    changing whether any vertex of among is a cut vertex.  `start`, a
+    (piece, reach) pair as grow_piece returns it for one whole piece of
+    live - among, is taken as the first root, so a caller that has grown
+    that piece already does not grow it again.
+
+    Every non-tree edge of an undirected DFS joins a node to an ancestor,
+    so a non-root u is a cut vertex iff some child's subtree has a
+    neighbour union (`reach`, the OR of its masks) that misses every
+    proper ancestor of u; the root is one iff it has two or more children.
+    The DFS enters and leaves each node once, so a call costs O(n)
+    big-int operations, with no per-edge step.
     """
+    pieces = live & ~among
     art = 0
     unvisited = live
     while unvisited:
-        vbit = path = unvisited & -unvisited
+        if start is not None:
+            vbit, vmask = start
+            start = None
+        else:
+            vbit = unvisited & -unvisited
+            if vbit & pieces:
+                vbit, vmask = grow_piece(masks, vbit, pieces)
+            else:
+                vmask = masks[vbit.bit_length() - 1]
         unvisited ^= vbit
-        vmask = reach = masks[vbit.bit_length() - 1]
-        # the current vertex's ancestors: (bit, mask, reach of subtree so far)
+        path = vbit
+        reach = vmask
+        # the current node's ancestors: (bits, mask, reach of subtree so far)
         frames = []
         while True:
             nxt = vmask & unvisited
             if nxt:
                 frames.append((vbit, vmask, reach))
                 vbit = nxt & -nxt
+                if vbit & pieces:
+                    vbit, vmask = grow_piece(masks, vbit, pieces)
+                else:
+                    vmask = masks[vbit.bit_length() - 1]
                 unvisited ^= vbit
                 path |= vbit
-                vmask = reach = masks[vbit.bit_length() - 1]
+                reach = vmask
                 continue
             path ^= vbit
             if not frames:
@@ -176,7 +214,7 @@ def articulation_points_mask(masks: tuple[int, ...], live: int) -> int:
             vbit, vmask, parent_reach = frames.pop()
             # with no frames left vbit is the root, which has no proper
             # ancestor: it has a second child iff a neighbour is unvisited
-            if not reach & path & ~vbit and (frames or vmask & unvisited):
+            if vbit & among and not reach & path & ~vbit and (frames or vmask & unvisited):
                 art |= vbit
             reach |= parent_reach
     return art

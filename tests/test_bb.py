@@ -170,6 +170,11 @@ class TestEngineBehavior:
         with pytest.raises(InputError):
             solve(cycle(5), "bb", SolverConfig(time_limit=float("nan")))
 
+    @pytest.mark.parametrize("limit", ["5", [1], 1j, True, False])
+    def test_time_limit_must_be_a_number(self, limit):
+        with pytest.raises(InputError, match="number of seconds"):
+            solve(cycle(5), "bb", SolverConfig(time_limit=limit))
+
     def test_unknown_algorithm(self):
         # a call in the old solve(g, cfg) form fails instead of running bb
         with pytest.raises(InputError):
@@ -247,7 +252,7 @@ class TestEngineBehavior:
         original = bb_module.articulation_points_mask
         monkeypatch.setattr(
             bb_module, "articulation_points_mask",
-            lambda masks, live: calls.append(live) or original(masks, live),
+            lambda masks, live, *rest: calls.append(live) or original(masks, live, *rest),
         )
         report = solve(connected_gnp(60, 0.1, 101), algorithm)
         assert (report.node_count, len(calls)) == (nodes, passes)

@@ -66,6 +66,13 @@ class TestGen:
                                  "--out", str(tmp_path))
         assert code == 3 and out == "" and err.startswith("error:") and flag in err
 
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="ascii")
+        code, out, err = run_cli(capsys, "gen", "gnp", "--n", "5", "--p", "0.5",
+                                 "--seed", "1", "--out", str(taken))
+        assert code == 3 and out == "" and err.startswith("error: cannot create")
+
 
 class TestSolve:
     def test_optimal_run(self, instance, capsys):
@@ -156,6 +163,13 @@ class TestEmit:
                                "--root", "0")
         assert code == 3 and "no roots" in err
 
+    def test_unwritable_output(self, instance, tmp_path, capsys):
+        _, path = instance
+        target = tmp_path / "missing" / "model.lp"
+        code, out, err = run_cli(capsys, "emit", str(path), "--model", "parb",
+                                 "-o", str(target))
+        assert code == 3 and out == "" and err.startswith("error: cannot write")
+
 
 class TestVerify:
     def test_both_models_pass(self, tmp_path, capsys):
@@ -183,6 +197,15 @@ class TestVerify:
         dump = (tmp_path / "g9.mismatch.col").read_text(encoding="ascii")
         assert dump.startswith("c mismatch_set 0 2\n")
         parse_dimacs(dump)  # still a readable instance
+
+    def test_unwritable_counterexample(self, instance, tmp_path, capsys, monkeypatch):
+        _, path = instance
+        monkeypatch.setattr(
+            "cvckit.cli.find_parb_mismatch", lambda g, r, r1: frozenset({0, 2})
+        )
+        code, _, err = run_cli(capsys, "verify", str(path),
+                               "--out", str(tmp_path / "missing"))
+        assert code == 3 and err.startswith("error: cannot write")
 
 
 class TestBench:
@@ -214,6 +237,11 @@ class TestBench:
         assert code == 0 and out == ""
         rows = list(csv.DictReader(target.open()))
         assert {r["name"][:5] for r in rows} == {"G_gnp", "G_bip"}
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run_cli(capsys, "bench", "--gnp", "8,0.4,3", "-o", str(target))
+        assert code == 3 and out == "" and err.startswith("error: cannot write")
 
     def test_vc_column_is_the_optimum(self, capsys):
         # n = 40 is past the brute-force cap, so vc comes from a vc-bb solve

@@ -13,6 +13,7 @@ from cvckit.graph import (
     bits_of,
     dfs_tree,
     gnp_random,
+    grow_piece,
     induced_delete,
     is_connected,
     is_connected_mask,
@@ -124,6 +125,30 @@ class TestMasks:
             for live in (g.full_mask(), g.full_mask() & ~0b1010, 0, 1 << 5):
                 assert is_connected_mask(g.masks, live) == (_component_count(g, live=live) <= 1)
 
+    def test_grow_piece_stops_once_target_is_covered(self):
+        g = path(6)  # 0-1-2-3-4-5
+        # levels {0}, {1}, {2}: vertex 2 is reached but never expanded
+        assert grow_piece(g.masks, 0b1, g.full_mask(), 0b100) == (0b111, 0b111)
+        # a target held by the seed stops the BFS before it starts
+        assert grow_piece(g.masks, 0b10, g.full_mask(), 0b10) == (0b10, 0)
+
+    def test_grow_piece_returns_component_and_neighbour_union(self):
+        g = path(6)
+        live = g.full_mask() & ~(1 << 3)
+        # reach holds the neighbour 3 outside live; a target outside the
+        # component cannot stop the BFS early
+        for target in (-1, 1 << 5):
+            assert grow_piece(g.masks, 0b1, live, target) == (0b111, 0b1111)
+        for seed in range(20):
+            g = gnp_random(14, 0.15, seed)
+            live = g.full_mask() & ~(0b1001 << seed % 10)  # a few vertices out
+            for v in bits_of(live):
+                piece, reach = grow_piece(g.masks, 1 << v, live)
+                # one whole component of live
+                assert _component_count(g, live=piece) == 1
+                assert _component_count(g, live=live & ~piece) == _component_count(g, live=live) - 1
+                assert reach == set_to_mask(w for u in bits_of(piece) for w in g.adj[u])
+
     def test_connected_after_removal_matches_naive(self):
         for seed in range(20):
             g = gnp_random(9, 0.3, seed)
@@ -176,6 +201,29 @@ class TestArticulation:
             v for v in bits_of(live) if _component_count(g, skip=v, live=live) > base
         )
         assert articulation_points_mask(g.masks, live) == naive
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_contracted_pass_matches_full_pass(self, data):
+        # the pieces of live - among are contracted, so only cut vertices
+        # in among are reported; a start piece is one such piece grown
+        # beforehand, as the include step grows it
+        n = data.draw(st.integers(1, 40), label="n")
+        p = data.draw(st.floats(0.05, 0.5), label="p")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        if data.draw(st.booleans(), label="bipartite"):
+            g = bipartite_random(n // 2, n - n // 2, p, seed)
+        else:
+            g = gnp_random(n, p, seed)
+        live = data.draw(st.integers(0, g.full_mask()) | st.just(g.full_mask()), label="live")
+        among = live & data.draw(st.integers(0, live), label="among")
+        expected = articulation_points_mask(g.masks, live) & among
+        assert articulation_points_mask(g.masks, live, among) == expected
+        rest = live & ~among
+        if rest:
+            v = data.draw(st.sampled_from(list(bits_of(rest))), label="start")
+            start = grow_piece(g.masks, 1 << v, rest)
+            assert articulation_points_mask(g.masks, live, among, start) == expected
 
 
 class TestOperations:
