@@ -18,6 +18,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
@@ -69,7 +70,16 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def _pct(p: float) -> str:
-    return f"{int(round(p * 100)):03d}"
+    """p in percent for instance names: three digits for a whole percent
+    (0.1 -> "010"), else the exact percent of repr(p) with its point
+    written as "p" (0.105 -> "010p5"), so distinct p never share a name.
+    Below 1e-6 percent the text is in exponent form (1e-9 -> "1E-7"),
+    which keeps the name short."""
+    pct = Decimal(repr(p)).scaleb(2)
+    if pct == int(pct):
+        return f"{int(pct):03d}"
+    whole, _, frac = str(pct).partition(".")
+    return f"{whole.zfill(3)}p{frac}" if frac else whole
 
 
 def _resolve_time_limit(value: Optional[float]) -> Optional[float]:

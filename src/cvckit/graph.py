@@ -415,12 +415,14 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
         raise InputError(f"vertex count must be a non-negative int, got {n!r}")
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must lie in [0, 1], got {p!r}")
-    rng = Xoshiro256(seed)
     edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
+    # row i holds the flat offsets [row_end - (n - 1 - i), row_end)
+    i, row_end = 0, n - 1
+    for k in Xoshiro256(seed).below(n * (n - 1) // 2, p):
+        while k >= row_end:
+            i += 1
+            row_end += n - 1 - i
+        edges.append((i, k - row_end + n))
     return Graph(n, edges)
 
 
@@ -435,10 +437,5 @@ def bipartite_random(n1: int, n2: int, p: float, seed: int) -> Graph:
         raise InputError(f"side sizes must be non-negative ints, got {n1!r}, {n2!r}")
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must lie in [0, 1], got {p!r}")
-    rng = Xoshiro256(seed)
-    edges = []
-    for i in range(n1):
-        for j in range(n2):
-            if rng.random() < p:
-                edges.append((i, n1 + j))
-    return Graph(n1 + n2, edges)
+    hits = Xoshiro256(seed).below(n1 * n2, p)
+    return Graph(n1 + n2, [(k // n2, n1 + k % n2) for k in hits])

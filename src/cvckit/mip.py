@@ -83,9 +83,12 @@ class MipModel:
         self._var_names.add(name)
         self.variables.append(Variable(name, kind, lb, ub))
 
-    def _check_terms(self, terms, where: str):
+    def _check_terms(self, terms, row: Optional[str]):
+        """Reject a term on an undeclared variable; `row` names the
+        constraint, None the objective."""
         for _, var in terms:
             if var not in self._var_names:
+                where = "objective" if row is None else f"constraint {row!r}"
                 raise InputError(f"{where} references undeclared variable {var!r}")
 
     def add_constraint(self, name: str, terms, sense: str, rhs: float):
@@ -94,13 +97,13 @@ class MipModel:
         if name in self._row_names:
             raise InputError(f"duplicate constraint name {name!r}")
         terms = tuple(terms)
-        self._check_terms(terms, f"constraint {name!r}")
+        self._check_terms(terms, name)
         self._row_names.add(name)
         self.constraints.append(Constraint(name, terms, sense, rhs))
 
     def set_objective(self, terms):
         terms = tuple(terms)
-        self._check_terms(terms, "objective")
+        self._check_terms(terms, None)
         self.objective = terms
 
     def constraint_names(self) -> set[str]:
@@ -263,35 +266,38 @@ def build_parb(g: Graph, r: Optional[int] = None, r1: Optional[int] = None) -> M
     dg = build_digraph(g, r, r1)
     n = g.n
     model = MipModel(metadata={"formulation": "arborescence", "roots": f"r={r} r1={r1}"})
-    for v in range(n):
-        model.add_variable(f"x_{v}", "binary")
-    for u, v in dg.arcs:
-        model.add_variable(f"z_{u}_{v}", "binary")
-    for v in range(n):
-        model.add_variable(f"d_{v}", "continuous", 0.0, float(n - 1))
-    model.set_objective(tuple((1, f"x_{v}") for v in range(n)))
+    # every name is formatted once; arc (u, v) also carries its row-name
+    # suffix "_u_v"
+    x = [f"x_{v}" for v in range(n)]
+    d = [f"d_{v}" for v in range(n)]
+    arcs = [(u, v, f"_{u}_{v}", f"z_{u}_{v}") for u, v in dg.arcs]
+    z = {(u, v): zuv for u, v, _, zuv in arcs}
+    for name in x:
+        model.add_variable(name, "binary")
+    for name in z.values():
+        model.add_variable(name, "binary")
+    for name in d:
+        model.add_variable(name, "continuous", 0.0, float(n - 1))
+    model.set_objective(tuple((1, name) for name in x))
     for u, v in sorted(g.edges):
-        model.add_constraint(f"cover_{u}_{v}", ((1, f"x_{u}"), (1, f"x_{v}")), ">=", 1)
+        model.add_constraint(f"cover_{u}_{v}", ((1, x[u]), (1, x[v])), ">=", 1)
     for v in range(n):
         if v in (r, r1):
             continue
-        terms = [(1, f"z_{u}_{v}") for u in dg.in_tails(v)]
-        terms.append((-1, f"x_{v}"))
+        terms = [(1, z[u, v]) for u in dg.in_tails(v)]
+        terms.append((-1, x[v]))
         model.add_constraint(f"indeg_{v}", terms, "=", 0)
-    for u, v in dg.arcs:
+    for u, v, tail, zuv in arcs:
         model.add_constraint(
-            f"mtz_{u}_{v}",
-            ((1, f"d_{v}"), (-n, f"z_{u}_{v}"), (-1, f"d_{u}"), (-1, f"x_{v}")),
-            ">=",
-            -n,
+            "mtz" + tail, ((1, d[v]), (-n, zuv), (-1, d[u]), (-1, x[v])), ">=", -n
         )
-    model.add_constraint("root", ((1, f"d_{r}"),), "=", 0)
-    card = [(1, f"z_{u}_{v}") for u, v in dg.arcs]
-    card.extend((-1, f"x_{v}") for v in range(n))
+    model.add_constraint("root", ((1, d[r]),), "=", 0)
+    card = [(1, name) for name in z.values()]
+    card.extend((-1, name) for name in x)
     model.add_constraint("card", card, "=", -1)
-    for u, v in dg.arcs:
-        model.add_constraint(f"lnka_{u}_{v}", ((1, f"z_{u}_{v}"), (-1, f"x_{u}")), "<=", 0)
-        model.add_constraint(f"lnkb_{u}_{v}", ((1, f"z_{u}_{v}"), (-1, f"x_{v}")), "<=", 0)
+    for u, v, tail, zuv in arcs:
+        model.add_constraint("lnka" + tail, ((1, zuv), (-1, x[u])), "<=", 0)
+        model.add_constraint("lnkb" + tail, ((1, zuv), (-1, x[v])), "<=", 0)
     return model
 
 
@@ -758,16 +764,25 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
-def _expr_tokens(terms) -> list[str]:
-    tokens = []
-    for i, (coef, var) in enumerate(terms):
-        mag = abs(coef)
-        body = var if mag == 1 else f"{_num(mag)} {var}"
-        if i == 0:
-            tokens.append(body if coef >= 0 else f"- {body}")
-        else:
-            tokens.append(f"+ {body}" if coef >= 0 else f"- {body}")
-    return tokens
+def _term_prefix(coef, first: bool) -> str:
+    """The text written before a term's variable name."""
+    mag = abs(coef)
+    body = "" if mag == 1 else f"{_num(mag)} "
+    if coef < 0:
+        return "- " + body
+    return body if first else "+ " + body
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key) on first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def _wrap(prefix: str, tokens: list[str], per_line: int = 8) -> list[str]:
@@ -788,23 +803,36 @@ def write_lp(model: MipModel) -> str:
     """
     if not model.variables:
         raise InputError("cannot write a model with no variables")
-    first_var = model.variables[0].name
+    empty = ((0, model.variables[0].name),)
+    # a model repeats few coefficients and numbers: format each once
+    first = _Memo(lambda coef: _term_prefix(coef, True))
+    later = _Memo(lambda coef: _term_prefix(coef, False))
+    num = _Memo(_num)
+
+    def tokens_of(terms) -> list[str]:
+        terms = terms or empty
+        tokens = [later[coef] + var for coef, var in terms]
+        coef, var = terms[0]
+        tokens[0] = first[coef] + var
+        return tokens
+
     lines = [f"\\ {k}: {v}" for k, v in model.metadata.items()]
     lines.append("Minimize")
-    obj = model.objective or ((0, first_var),)
-    lines.extend(_wrap(" obj: ", _expr_tokens(obj)))
+    lines.extend(_wrap(" obj: ", tokens_of(model.objective)))
     lines.append("Subject To")
     for row in model.constraints:
-        terms = row.terms or ((0, first_var),)
-        tokens = _expr_tokens(terms)
+        tokens = tokens_of(row.terms)
         tokens.append(row.sense)
-        tokens.append(_num(row.rhs))
-        lines.extend(_wrap(f" {row.name}: ", tokens))
+        tokens.append(num[row.rhs])
+        if len(tokens) <= 8:
+            lines.append(f" {row.name}: {' '.join(tokens)}")
+        else:
+            lines.extend(_wrap(f" {row.name}: ", tokens))
     bounded = [v for v in model.variables if v.kind == "continuous"]
     if bounded:
         lines.append("Bounds")
         for v in bounded:
-            lines.append(f" {_num(v.lb)} <= {v.name} <= {_num(v.ub)}")
+            lines.append(f" {num[v.lb]} <= {v.name} <= {num[v.ub]}")
     binaries = [v.name for v in model.variables if v.kind == "binary"]
     if binaries:
         lines.append("Binaries")

@@ -27,6 +27,19 @@ Stream (xoshiro256**).  Each 64-bit draw::
     s3  = rotl64(s3, 45)
 
 Floats in [0, 1) take the top 53 bits: ``(draw >> 11) * 2.0**-53``.
+
+Batched threshold draws (``Xoshiro256.below``).  ``below(count, p)``
+returns, in increasing order, the offsets k in [0, count) for which the
+k-th of the next ``count`` calls to ``random()`` would return a float
+``< p``, and leaves the stream exactly where those ``count`` calls would.
+It compares the raw draws with one integer threshold instead of building
+floats.  The float of a draw d is ``m * 2**-53`` with ``m = d >> 11``, an
+integer below 2**53, and that product is exact.  So ``float < p`` holds iff
+``m < p * 2**53``, iff ``m < ceil(p * 2**53)`` (m is an integer), iff
+``d < ceil(p * 2**53) << 11``.  The ceiling is taken in integer arithmetic
+from ``p.as_integer_ratio()``, so a float, int, ``Fraction`` or ``Decimal``
+p selects exactly the draws that ``random() < p`` selects, with no
+rounding anywhere.
 """
 
 from __future__ import annotations
@@ -82,6 +95,33 @@ class Xoshiro256:
     def random(self) -> float:
         """Uniform float in [0, 1) from the top 53 bits of one draw."""
         return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def below(self, count: int, p) -> list[int]:
+        """Offsets k in [0, count), increasing, whose float draw is < p.
+
+        Same result and same end state as `count` calls to `random()`;
+        the module docstring gives the exactness argument.  p is any
+        finite real with `as_integer_ratio()`.
+        """
+        num, den = p.as_integer_ratio()
+        threshold = -((-num << 53) // den) << 11
+        mask = _MASK64
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        hits = []
+        append = hits.append
+        for k in range(count):
+            x = (s1 * 5) & mask
+            if ((x << 7 | x >> 57) * 9) & mask < threshold:
+                append(k)
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = (s3 << 45 | s3 >> 19) & mask
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return hits
 
     def randrange(self, bound: int) -> int:
         """Uniform int in [0, bound) by rejection on the top bits."""

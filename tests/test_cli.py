@@ -59,6 +59,27 @@ class TestGen:
                                "--seed", "1", "--out", str(tmp_path))
         assert code == 3 and "probability" in err
 
+    def test_distinct_p_get_distinct_names(self, tmp_path, capsys):
+        # 0.1 and 0.105 round to the same percent; neither file may
+        # overwrite the other
+        names = {}
+        for p in ("0.1", "0.105", "0.1049", "0.07", "0.29", "0.00001", "1.5e-9", "5e-324"):
+            code, out, _ = run_cli(capsys, "gen", "gnp", "--n", "30", "--p", p,
+                                   "--seed", "1", "--out", str(tmp_path))
+            assert code == 0
+            names[p] = out.strip().rsplit("/", 1)[-1]
+        assert names == {
+            "0.1": "G_gnp_30_010_s1.col",
+            "0.105": "G_gnp_30_010p5_s1.col",
+            "0.1049": "G_gnp_30_010p49_s1.col",
+            "0.07": "G_gnp_30_007_s1.col",
+            "0.29": "G_gnp_30_029_s1.col",
+            "0.00001": "G_gnp_30_000p001_s1.col",
+            "1.5e-9": "G_gnp_30_001p5E-7_s1.col",
+            "5e-324": "G_gnp_30_5E-322_s1.col",
+        }
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names.values())
+
     @pytest.mark.parametrize("flag,value", [("--count", "0"), ("--max-reseeds", "-1")])
     def test_range_checks(self, tmp_path, capsys, flag, value):
         code, out, err = run_cli(capsys, "gen", "gnp", "--n", "5", "--p", "0.5",

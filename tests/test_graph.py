@@ -1,5 +1,9 @@
 """Graph type, connectivity helpers, DIMACS I/O, generators, RNG."""
 
+import hashlib
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -305,6 +309,50 @@ class TestDimacs:
             parse_dimacs(text)
 
 
+def _gnp_reference(n, p, seed):
+    """G(n, p) as one random() call per pair: the loop that
+    Xoshiro256.below replaces, kept as the reference."""
+    rng = Xoshiro256(seed)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                edges.append((i, j))
+    return Graph(n, edges)
+
+
+def _bipartite_reference(n1, n2, p, seed):
+    rng = Xoshiro256(seed)
+    edges = []
+    for i in range(n1):
+        for j in range(n2):
+            if rng.random() < p:
+                edges.append((i, n1 + j))
+    return Graph(n1 + n2, edges)
+
+
+# edge probabilities: the ends of [0, 1] and the floats next to them, a
+# few exact non-float types, and arbitrary floats
+PROBABILITIES = st.one_of(
+    st.sampled_from(
+        [
+            0.0,
+            1.0,
+            5e-324,
+            2.0**-53,
+            0.5,
+            1 - 2.0**-53,
+            Fraction(1, 3),
+            0,
+            1,
+            Decimal("0.3"),
+            Decimal("0.1234567890123456789012345678901"),
+        ]
+    ),
+    st.floats(0.0, 1.0),
+)
+
+
 class TestGenerators:
     def test_gnp_deterministic(self):
         assert gnp_random(20, 0.3, 7) == gnp_random(20, 0.3, 7)
@@ -331,6 +379,37 @@ class TestGenerators:
         assert bipartite_random(5, 7, 0.5, 3) == g
         full = bipartite_random(3, 4, 1.0, 0)
         assert full.m == 12
+
+    def test_pinned_instances(self):
+        # a change to any generated instance shows here first, before it
+        # shows as a benchmark LP digest or a node-count pin
+        pins = [
+            (gnp_random(200, 0.05, 101), "7b37ff71e89d7a48ce2cf7a3ef6ae15c11158c0a3e50e128a1c22e01e715f000"),
+            (gnp_random(60, 0.1, 101), "21c0a4001fa6458b84bdf5d0e500519e88970f1fdd3b6d8f4f408c9e694e044b"),
+            (bipartite_random(30, 30, 0.2, 11), "5d4c6afc3eb8176e49cc3520d82b95dfaa4f445722d1c09367db23ca7e6ff5d3"),
+        ]
+        for g, digest in pins:
+            text = "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        p=PROBABILITIES,
+        seed=st.integers(-(2**64), 2**64),
+    )
+    def test_gnp_matches_per_draw_loop(self, n, p, seed):
+        assert gnp_random(n, p, seed) == _gnp_reference(n, p, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n1=st.integers(0, 20),
+        n2=st.integers(0, 20),
+        p=PROBABILITIES,
+        seed=st.integers(-(2**64), 2**64),
+    )
+    def test_bipartite_matches_per_draw_loop(self, n1, n2, p, seed):
+        assert bipartite_random(n1, n2, p, seed) == _bipartite_reference(n1, n2, p, seed)
 
 
 MASK64 = (1 << 64) - 1
@@ -389,6 +468,43 @@ class TestRng:
         vals = [rng.random() for _ in range(2000)]
         assert all(0.0 <= x < 1.0 for x in vals)
         assert abs(sum(vals) / len(vals) - 0.5) < 0.03
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        count=st.integers(0, 3000),
+        p=PROBABILITIES,
+        seed=st.integers(-(2**64), 2**64),
+    )
+    def test_below_matches_random_calls(self, count, p, seed):
+        fast, slow = Xoshiro256(seed), Xoshiro256(seed)
+        hits = fast.below(count, p)
+        assert hits == [k for k in range(count) if slow.random() < p]
+        # the stream goes on where `count` calls to random() leave it
+        assert fast.next_u64() == slow.next_u64()
+
+    def test_below_at_the_threshold(self):
+        # the first draw of seed 0 whose low 11 bits are zero equals its own
+        # threshold when p is its float, so a `<=` test or a rounded
+        # threshold counts it wrongly; random draws almost never probe this
+        stream = Xoshiro256(0)
+        draws = [stream.next_u64() for _ in range(20_000)]
+        k = next(i for i, d in enumerate(draws) if d & 0x7FF == 0 and d >> 11)
+        m = draws[k] >> 11
+        with localcontext() as ctx:
+            ctx.prec = 100
+            # above the draw by far less than 28 digits resolve
+            decimal_above = Decimal(m * 2.0**-53) + Decimal("1e-40")
+        cases = [
+            (m * 2.0**-53, False),
+            (Fraction(2 * m - 1, 2**54), False),
+            (Fraction(2 * m + 1, 2**54), True),
+            (decimal_above, True),
+        ]
+        reference = Xoshiro256(0)
+        float_k = [reference.random() for _ in range(k + 1)][k]
+        for p, hit in cases:
+            assert (float_k < p) == hit
+            assert (k in Xoshiro256(0).below(k + 1, p)) == hit
 
     def test_randrange(self):
         rng = Xoshiro256(5)

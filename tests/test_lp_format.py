@@ -1,5 +1,6 @@
 """LP writer: golden bytes, dialect details, independent re-parse."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,28 @@ class TestDialect:
         model.add_variable("a", "binary")
         model.add_constraint("nothing", (), "=", 0)
         assert " nothing: 0 a = 0\n" in write_lp(model)
+
+    def test_mixed_coefficient_types(self):
+        # equal coefficients of different types (1.0, True, -1) share one
+        # formatted prefix; zeros, fractions and big ints keep their text
+        model = MipModel()
+        for name in "abc":
+            model.add_variable(name, "continuous", -2.5, 1.0)
+        model.add_constraint(
+            "r",
+            [(0, "a"), (-0.0, "b"), (2.5, "c"), (1.0, "a"), (True, "b"), (-1, "c"),
+             (Fraction(1, 4), "a"), (-(2**60), "b")],
+            ">=",
+            -0.5,
+        )
+        model.add_constraint("s", [(-0.0, "a"), (1.0, "b")], "<=", 2.0)
+        assert write_lp(model) == (
+            "Minimize\n obj: 0 a\nSubject To\n"
+            " r: 0 a + 0 b + 2.5 c + a + b - c + 0.25 a - 1152921504606846976 b\n"
+            "    >= -0.5\n"
+            " s: 0 a + b <= 2\n"
+            "Bounds\n -2.5 <= a <= 1\n -2.5 <= b <= 1\n -2.5 <= c <= 1\nEnd\n"
+        )
 
     def test_no_variables_rejected(self):
         with pytest.raises(InputError):

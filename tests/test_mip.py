@@ -82,8 +82,10 @@ class TestMipModel:
             model.add_variable("x_0", "binary")
         with pytest.raises(InputError):
             model.add_variable("w", "affine")
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="constraint 'row' references undeclared variable 'nope'"):
             model.add_constraint("row", ((1, "nope"),), "<=", 1)
+        with pytest.raises(InputError, match="objective references undeclared variable 'nope'"):
+            model.set_objective(((1, "nope"),))
         model.add_constraint("row", ((1, "x_0"),), "<=", 1)
         with pytest.raises(InputError):
             model.add_constraint("row", ((1, "x_0"),), ">=", 0)
