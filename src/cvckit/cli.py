@@ -205,6 +205,8 @@ def _cmd_emit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.model == "pstp" and (args.root is not None or args.root2 is not None):
+        raise InputError("the spanning-tree model takes no roots")
     g = _read_graph(args.file)
     stem = Path(args.file).stem
     failed = False

@@ -134,22 +134,12 @@ def reachable_mask(masks: tuple[int, ...], start: int, live: int) -> int:
     return grow_piece(masks, 1 << start, live)[0]
 
 
-def joined_mask(masks: tuple[int, ...], target: int, live: int) -> bool:
-    """Whether the `target` vertices lie in one component of the `live`
-    induced subgraph (target must be a subset of live).
-
-    grow_piece from the lowest target vertex, stopping as soon as it has
-    reached every target vertex.  An empty target counts as joined.
-    """
-    return not target & ~grow_piece(masks, target & -target, live, target)[0]
-
-
 def is_connected_mask(masks: tuple[int, ...], live: int) -> bool:
     """Connectivity of the induced subgraph selected by `live`.
 
     Empty and single-vertex subgraphs count as connected.
     """
-    return joined_mask(masks, live, live)
+    return grow_piece(masks, live & -live, live, live)[0] == live
 
 
 def articulation_points_mask(

@@ -19,8 +19,10 @@ Three models over a connected graph G, all minimizing the cover size:
   connected vertex cover.
 
 `MipModel` is a deliberately dumb IR (named variables, linear rows) with a
-deterministic LP-file writer; no solver is embedded, and the exhaustive
-verifiers below decide feasibility by direct combinatorial search instead.
+deterministic LP-file writer; no solver is embedded.  The exhaustive
+verifiers below search arc picks combinatorially instead, and evaluate
+every candidate point on the model the builder returns
+(`check_integer_point`), so a wrong row shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -466,39 +468,54 @@ def feasible_d(
 # witnesses and exhaustive verification
 
 
-def _grow_arborescence(dg: RootedDigraph, cmask: int):
+def _grow_arborescence(dg: RootedDigraph, cmask: int) -> Optional[dict[int, int]]:
     """Breadth-first arborescence of the digraph induced on cmask.
 
     Roots per membership: from r when present (with the forced arc to r1
-    when both roots are in), else from r1.  Returns (parent, depth) maps,
-    or None when some member is unreachable.
+    when both roots are in), else from r1.  Returns the parent map, or
+    None when some member is unreachable.
     """
     r, r1 = dg.r, dg.r1
     parent: dict[int, int] = {}
-    depth: dict[int, int] = {}
     if cmask >> r & 1:
-        depth[r] = 0
         seeds = [r]
         if r1 is not None and cmask >> r1 & 1:
             parent[r1] = r
-            depth[r1] = 1
             seeds.append(r1)
     elif r1 is not None and cmask >> r1 & 1:
-        depth[r1] = 0
         seeds = [r1]
     else:
         return None
+    reached = set(seeds)
     queue = deque(seeds)
     while queue:
         u = queue.popleft()
         for w in dg.out_heads(u):
-            if cmask >> w & 1 and w not in depth:
+            if cmask >> w & 1 and w not in reached:
                 parent[w] = u
-                depth[w] = depth[u] + 1
+                reached.add(w)
                 queue.append(w)
-    if len(depth) != cmask.bit_count():
+    if len(reached) != cmask.bit_count():
         return None
-    return parent, depth
+    return parent
+
+
+def _pick_witness(
+    dg: RootedDigraph, cmask: int, parent: Optional[Mapping[int, int]]
+) -> Optional[Witness]:
+    """The (z, d) of an arc pick for x = indicator of cmask, or None.
+
+    z picks the arc into each vertex of `parent` from its parent; d is the
+    componentwise-least solution of the depth rows (`feasible_d`).  None
+    when there is no pick (parent None) or no such d.  On an arborescence
+    the least labels are the tree depths.
+    """
+    if parent is None:
+        return None
+    chosen = {(u, w) for w, u in parent.items()}
+    z = {arc: (1 if arc in chosen else 0) for arc in dg.arcs}
+    d = feasible_d(dg, z, [cmask >> v & 1 for v in range(dg.n)])
+    return None if d is None else Witness(z=z, d=tuple(d))
 
 
 def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> Witness:
@@ -515,14 +532,9 @@ def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> Witness:
         raise InputError("witness_parb requires a valid connected vertex cover")
     dg = build_digraph(g, r, r1)
     cmask = set_to_mask(cover)
-    grown = _grow_arborescence(dg, cmask)
-    if grown is None:
+    witness = _pick_witness(dg, cmask, _grow_arborescence(dg, cmask))
+    if witness is None:
         raise ContractError("no arborescence spans the cover; internal bug")
-    parent, depth = grown
-    chosen = {(u, w) for w, u in parent.items()}
-    z = {arc: (1 if arc in chosen else 0) for arc in dg.arcs}
-    d = tuple(depth.get(v, 0) for v in range(g.n))
-    witness = Witness(z=z, d=d)
     model = build_parb(g, r, r1)
     if not check_integer_point(model, parb_point(dg, cover, witness)):
         raise ContractError("constructed witness fails the model; internal bug")
@@ -530,7 +542,8 @@ def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> Witness:
 
 
 def parb_point(dg: RootedDigraph, cover: Iterable[int], witness: Witness) -> dict:
-    """Merge a cover and its witness into a named assignment for the model."""
+    """Merge a cover and its witness into a named assignment for the model
+    (build_qr declares no x, so it ignores those keys)."""
     cover = frozenset(cover)
     point = {f"x_{v}": (1 if v in cover else 0) for v in range(dg.n)}
     for u, v in dg.arcs:
@@ -538,29 +551,6 @@ def parb_point(dg: RootedDigraph, cover: Iterable[int], witness: Witness) -> dic
     for v in range(dg.n):
         point[f"d_{v}"] = witness.d[v]
     return point
-
-
-def _verify_pick(dg: RootedDigraph, cmask: int, parent: Mapping[int, int]) -> bool:
-    """Mechanically check an arc pick against the integral rows for
-    x = indicator of cmask: linking, indegree, cardinality, and the depth
-    system.  Covering rows are the caller's business (they ignore z, d)."""
-    chosen = {(u, w) for w, u in parent.items()}
-    for u, w in chosen:
-        if not (cmask >> u & 1 and cmask >> w & 1):
-            return False
-    indeg = [0] * dg.n
-    for _, w in chosen:
-        indeg[w] += 1
-    xs = [(cmask >> v) & 1 for v in range(dg.n)]
-    for v in range(dg.n):
-        if v in (dg.r, dg.r1):
-            continue
-        if indeg[v] != xs[v]:
-            return False
-    if len(chosen) != cmask.bit_count() - 1:
-        return False
-    z = {arc: (1 if arc in chosen else 0) for arc in dg.arcs}
-    return feasible_d(dg, z, xs) is not None
 
 
 def _closes_cycle(parent: dict[int, int], u: int, v: int) -> bool:
@@ -574,55 +564,6 @@ def _closes_cycle(parent: dict[int, int], u: int, v: int) -> bool:
     return False
 
 
-def _exists_arc_pick(dg: RootedDigraph, cmask: int) -> bool:
-    """Decide whether some binary z completes x = indicator of cmask.
-
-    The rows themselves shape the search space: linking zeroes every arc
-    leaving the set, the indegree rows demand exactly one picked in-arc
-    for each member outside the roots, and the cardinality row then forces
-    the root arc exactly when both roots are members.  The search tries a
-    breadth-first candidate first, then enumerates in-arc choices
-    depth-first.  A partial choice closing a directed cycle is pruned:
-    its depth rows d_head >= d_tail + 1 are already unsatisfiable and
-    completions only add rows, so no completion can recover.
-    """
-    r, r1 = dg.r, dg.r1
-    r_in = cmask >> r & 1
-    r1_in = r1 is not None and cmask >> r1 & 1
-    if not (r_in or r1_in):
-        return False
-    base_parent: dict[int, int] = {}
-    if r_in and r1_in:
-        base_parent[r1] = r
-    grown = _grow_arborescence(dg, cmask)
-    if grown is not None and _verify_pick(dg, cmask, grown[0]):
-        return True
-    targets = [
-        v for v in bits_of(cmask) if v != r and (r1 is None or v != r1)
-    ]
-    in_choices = {}
-    for v in targets:
-        tails = [u for u in dg.in_tails(v) if cmask >> u & 1]
-        if not tails:
-            return False
-        in_choices[v] = tails
-    parent = dict(base_parent)
-
-    def search(idx: int) -> bool:
-        if idx == len(targets):
-            return _verify_pick(dg, cmask, parent)
-        v = targets[idx]
-        for u in in_choices[v]:
-            if not _closes_cycle(parent, u, v):
-                parent[v] = u
-                if search(idx + 1):
-                    return True
-                del parent[v]
-        return False
-
-    return search(0)
-
-
 def find_parb_mismatch(
     g: Graph, r: Optional[int] = None, r1: Optional[int] = None
 ) -> Optional[VertexSet]:
@@ -631,20 +572,31 @@ def find_parb_mismatch(
     For every C subseteq V, the two-root model with x = indicator of C is
     feasible for some (z, d) exactly when C is a connected vertex cover.
     Returns the first C (by bitmask order) where the sides disagree.
+
+    The model side is judged on the model `build_parb` returns, at one
+    point per C.  With x fixed, the linking, indegree and cardinality rows
+    allow only picks giving each member but the root(s) one in-arc from
+    inside C.  A pick that closes a directed cycle breaks the depth rows
+    on it, and one that closes none is an arborescence from the root(s).
+    So a feasible (z, d) exists iff a breadth-first search from the
+    root(s) reaches all of C and its tree, with the least depth labels,
+    passes every row.
     """
     if g.n > VERIFY_CAP:
         raise SizeCapError(
             f"find_parb_mismatch refuses n={g.n}: 2^n subsets (cap {VERIFY_CAP})"
         )
     r, r1 = _resolve_roots(g, r, r1)
+    model = build_parb(g, r, r1)
     dg = build_digraph(g, r, r1)
-    edges = sorted(g.edges)
     for cmask in range(1 << g.n):
-        covered = all(cmask >> u & 1 or cmask >> v & 1 for u, v in edges)
-        target = check_cvc(g, mask_to_set(cmask)).valid
-        feasible = covered and _exists_arc_pick(dg, cmask)
-        if feasible != target:
-            return mask_to_set(cmask)
+        cover = mask_to_set(cmask)
+        witness = _pick_witness(dg, cmask, _grow_arborescence(dg, cmask))
+        feasible = witness is not None and check_integer_point(
+            model, parb_point(dg, cover, witness)
+        )
+        if feasible != check_cvc(g, cover).valid:
+            return cover
     return None
 
 
@@ -722,26 +674,32 @@ def count_qr_feasible(dg: RootedDigraph) -> int:
     """Count the binary arc picks feasible in the single-root model.
 
     Enumerates the solution set of the indegree rows (one picked in-arc
-    per non-root vertex) depth-first, pruning partial picks that close a
-    directed cycle (their depth rows are already unsatisfiable, and
-    completions only add rows); each complete pick is accepted only if the
-    depth system solves.  Intended for the matrix-tree cross-check.
+    per non-root vertex) depth-first.  A partial pick that closes a
+    directed cycle is pruned: the depth rows along the cycle (each adds 1)
+    are already unsatisfiable, and completions only add rows.  Every
+    complete pick is then an r-arborescence, and it counts when its point
+    (z with the least depth labels) passes the model `build_qr` returns.
+    Intended for the matrix-tree cross-check; a two-root digraph raises
+    InputError, as in build_qr.
     """
     if dg.n > QR_COUNT_CAP:
         raise SizeCapError(f"count_qr_feasible refuses n={dg.n} (cap {QR_COUNT_CAP})")
     r = dg.r
+    model = build_qr(dg, r)
     targets = [v for v in range(dg.n) if v != r]
     for v in targets:
         if not dg.in_tails(v):
             return 0
+    full = (1 << dg.n) - 1
     parent: dict[int, int] = {}
-    ones = [1] * dg.n
 
     def count(idx: int) -> int:
         if idx == len(targets):
-            chosen = {(u, w) for w, u in parent.items()}
-            z = {arc: (1 if arc in chosen else 0) for arc in dg.arcs}
-            return 1 if feasible_d(dg, z, ones) is not None else 0
+            witness = _pick_witness(dg, full, parent)
+            return int(
+                witness is not None
+                and check_integer_point(model, parb_point(dg, range(dg.n), witness))
+            )
         v = targets[idx]
         total = 0
         for u in dg.in_tails(v):

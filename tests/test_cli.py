@@ -201,6 +201,21 @@ class TestVerify:
         assert code == 0
         assert out == "parb: ok\npstp: ok\n"
 
+    def test_roots_reach_parb_only(self, tmp_path, capsys, monkeypatch):
+        g = connected_gnp(6, 0.5, 11)
+        path = tmp_path / "g6.col"
+        path.write_text(write_dimacs(g), encoding="ascii")
+        code, out, err = run_cli(capsys, "verify", str(path), "--model", "pstp",
+                                 "--root", "3", "--root2", "99")
+        assert code == 3 and out == "" and "no roots" in err
+        seen = []
+        monkeypatch.setattr(
+            "cvckit.cli.find_parb_mismatch", lambda g, r, r1: seen.append((r, r1))
+        )
+        code, out, _ = run_cli(capsys, "verify", str(path), "--model", "all",
+                               "--root", "3")
+        assert code == 0 and out == "parb: ok\npstp: ok\n" and seen == [(3, None)]
+
     def test_cap_is_an_input_error(self, instance, tmp_path, capsys):
         g = connected_gnp(12, 0.3, 6)
         path = tmp_path / "g12.col"

@@ -21,7 +21,6 @@ from cvckit.graph import (
     induced_delete,
     is_connected,
     is_connected_mask,
-    joined_mask,
     mask_to_set,
     parse_dimacs,
     set_to_mask,
@@ -113,15 +112,16 @@ class TestMasks:
         with pytest.raises(InputError):
             is_connected(Graph(0))
 
-    def test_joined_mask(self):
+    def test_grow_piece_joins_target(self):
+        # the target vertices share a piece iff the grown piece covers them
         two_parts = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        live = two_parts.full_mask()
-        assert joined_mask(two_parts.masks, 0, live)
-        assert joined_mask(two_parts.masks, 1 << 4, live)
-        assert joined_mask(two_parts.masks, 0b101, live)
-        assert not joined_mask(two_parts.masks, 0b101, live & ~(1 << 1))
-        assert not joined_mask(two_parts.masks, 0b1001, live)
-        assert joined_mask(two_parts.masks, 0b111000, live)
+        masks, live = two_parts.masks, two_parts.full_mask()
+        assert grow_piece(masks, 0, live, 0) == (0, 0)
+        assert grow_piece(masks, 1 << 4, live, 1 << 4) == (1 << 4, 0)
+        assert grow_piece(masks, 0b1, live, 0b101) == (0b111, 0b111)
+        assert grow_piece(masks, 0b1, live & ~(1 << 1), 0b101) == (0b1, 0b10)
+        assert grow_piece(masks, 0b1, live, 0b1001) == (0b111, 0b111)
+        assert grow_piece(masks, 0b1000, live, 0b111000) == (0b111000, 0b111000)
         # with target == live it is is_connected_mask, checked here against
         # the set-based component count
         for seed in range(20):

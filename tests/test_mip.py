@@ -242,6 +242,16 @@ class TestExhaustiveParb:
         with pytest.raises(SizeCapError):
             find_parb_mismatch(connected_gnp(11, 0.4, 1))
 
+    def test_judges_the_built_model(self, monkeypatch):
+        def tightened(g, r=None, r1=None):
+            model = build_parb(g, r, r1)
+            model.add_constraint("extra", ((1, "x_0"),), "<=", 0)
+            return model
+
+        monkeypatch.setattr("cvckit.mip.build_parb", tightened)
+        # {0, 1, 2, 3} is the first connected vertex cover of C5 by bitmask
+        assert find_parb_mismatch(cycle(5)) == frozenset({0, 1, 2, 3})
+
 
 class TestBuildQr:
     def test_rejects_wrong_digraph(self):
@@ -288,6 +298,22 @@ class TestBuildQr:
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
             count_qr_feasible(bidirect_rooted(complete(11), 0))
+
+    def test_judges_the_built_model(self, monkeypatch):
+        def tightened(dg, r):
+            model = build_qr(dg, r)
+            model.add_constraint("extra", ((1, "z_0_1"),), "=", 0)
+            return model
+
+        monkeypatch.setattr("cvckit.mip.build_qr", tightened)
+        # of the four spanning trees of C4, only the one without edge 0-1
+        # leaves arc (0, 1) unpicked
+        g = cycle(4)
+        assert count_qr_feasible(bidirect_rooted(g, 0)) == 1 < spanning_tree_count(g)
+
+    def test_rejects_two_root_digraph(self):
+        with pytest.raises(InputError):
+            count_qr_feasible(build_digraph(path(4), 1, 2))
 
 
 def petersen_free_small():
