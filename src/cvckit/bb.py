@@ -184,8 +184,6 @@ class _Engine:
         self.best_mask, self.best_size = smask, ssize
 
     def warm_start(self) -> None:
-        if self.n < 2:
-            return
         cover = greedy_cvc_2approx(self.g)
         smask = self.full & ~set_to_mask(cover)
         ssize = smask.bit_count()

@@ -33,13 +33,14 @@ from .graph import (
     write_dimacs,
 )
 from .mip import (
+    PSTP_VERIFY_CAP,
     bidirect_rooted,
     build_parb,
     build_pstp,
     build_qr,
     default_roots,
-    enumerate_verify_pstp,
     find_parb_mismatch,
+    find_pstp_mismatch,
     write_lp,
 )
 from .oracle import DEFAULT_CAP, brute_force_vc
@@ -204,28 +205,34 @@ def _cmd_emit(args) -> int:
 # verify
 
 
+def _verdict(label: str, mismatch, g: Graph, out: Path) -> bool:
+    """Print one model's verdict; on a mismatch, also write the instance
+    with its mismatch set to `out`.  Returns whether it failed."""
+    if mismatch is None:
+        print(f"{label}: ok")
+        return False
+    members = " ".join(str(v) for v in sorted(mismatch))
+    _write_text(out, f"c mismatch_set {members}\n" + write_dimacs(g))
+    print(f"{label}: MISMATCH on {{{members}}}, wrote {out}")
+    return True
+
+
 def _cmd_verify(args) -> int:
     if args.model == "pstp" and (args.root is not None or args.root2 is not None):
         raise InputError("the spanning-tree model takes no roots")
     g = _read_graph(args.file)
+    out = Path(args.out or ".")
     stem = Path(args.file).stem
     failed = False
     if args.model in ("parb", "all"):
         mismatch = find_parb_mismatch(g, args.root, args.root2)
-        if mismatch is None:
-            print("parb: ok")
-        else:
-            failed = True
-            out = Path(args.out or ".") / f"{stem}.mismatch.col"
-            members = " ".join(str(v) for v in sorted(mismatch))
-            _write_text(out, f"c mismatch_set {members}\n" + write_dimacs(g))
-            print(f"parb: MISMATCH on {{{members}}}, wrote {out}")
-    if args.model in ("pstp", "all"):
-        if enumerate_verify_pstp(g):
-            print("pstp: ok")
-        else:
-            failed = True
-            print("pstp: MISMATCH")
+        failed |= _verdict("parb", mismatch, g, out / f"{stem}.mismatch.col")
+    if args.model == "all" and g.n > PSTP_VERIFY_CAP:
+        # parb's cap is higher: under "all" its verdict stands alone
+        print(f"pstp: skipped (n={g.n} is above its cap of {PSTP_VERIFY_CAP})")
+    elif args.model in ("pstp", "all"):
+        mismatch = find_pstp_mismatch(g)
+        failed |= _verdict("pstp", mismatch, g, out / f"{stem}.pstp.mismatch.col")
     return EXIT_VERIFY if failed else EXIT_OK
 
 

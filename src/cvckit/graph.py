@@ -129,11 +129,6 @@ def grow_piece(
     return piece, reach
 
 
-def reachable_mask(masks: tuple[int, ...], start: int, live: int) -> int:
-    """Vertices of the `live` induced subgraph reachable from `start`."""
-    return grow_piece(masks, 1 << start, live)[0]
-
-
 def is_connected_mask(masks: tuple[int, ...], live: int) -> bool:
     """Connectivity of the induced subgraph selected by `live`.
 

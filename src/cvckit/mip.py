@@ -20,16 +20,17 @@ Three models over a connected graph G, all minimizing the cover size:
 
 `MipModel` is a deliberately dumb IR (named variables, linear rows) with a
 deterministic LP-file writer; no solver is embedded.  The exhaustive
-verifiers below search arc picks combinatorially instead, and evaluate
-every candidate point on the model the builder returns
-(`check_integer_point`), so a wrong row shows as a mismatch.
+verifiers below build one point per vertex subset or arc pick instead (a
+breadth-first spanning forest, or an arborescence with its tree depths)
+and let `check_integer_point` on the model the builder returns decide, so
+a wrong row shows as a mismatch.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ContractError, InputError, SizeCapError
 from .graph import (
@@ -38,13 +39,13 @@ from .graph import (
     bits_of,
     is_connected,
     mask_to_set,
-    reachable_mask,
     set_to_mask,
 )
 from .oracle import check_cvc
 
 PSTP_CAP = 15
 VERIFY_CAP = 10
+PSTP_VERIFY_CAP = 8
 QR_COUNT_CAP = 10
 DEFAULT_TOL = 1e-6
 
@@ -107,9 +108,6 @@ class MipModel:
         terms = tuple(terms)
         self._check_terms(terms, None)
         self.objective = terms
-
-    def constraint_names(self) -> set[str]:
-        return set(self._row_names)
 
     def __repr__(self) -> str:
         return (
@@ -423,47 +421,6 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float], tol: f
     return True
 
 
-def feasible_d(
-    dg: RootedDigraph,
-    z: Mapping[tuple[int, int], int],
-    x: Optional[Sequence[int]] = None,
-) -> Optional[list[int]]:
-    """Depth labels satisfying the big-M rows for fixed arc picks, or None.
-
-    The rows are d_root = 0, 0 <= d_v <= n-1, and for every arc (u, v):
-    d_v >= n*(z_uv - 1) + d_u + x_v, with x defaulting to all ones.  The
-    componentwise-least solution is computed by longest-path relaxation
-    over the picked arcs only: an unpicked arc contributes
-    d_v >= d_u + x_v - n, which can never bind while every d stays within
-    [0, n-1].  Divergence past n-1 (a positive cycle among picked arcs)
-    means no labels exist.
-    """
-    n = dg.n
-    for arc in dg.arcs:
-        if arc not in z:
-            raise InputError(f"arc assignment missing arc {arc}")
-    if x is None:
-        x = [1] * n
-    chosen = [(u, v) for (u, v) in dg.arcs if z[(u, v)]]
-    d = [0] * n
-    for _ in range(n + 1):
-        changed = False
-        for u, v in chosen:
-            lo = d[u] + x[v]
-            if d[v] < lo:
-                if lo > n - 1:
-                    return None
-                d[v] = lo
-                changed = True
-        if not changed:
-            break
-    else:
-        return None
-    if d[dg.r] != 0:
-        return None
-    return d
-
-
 # ---------------------------------------------------------------------------
 # witnesses and exhaustive verification
 
@@ -500,22 +457,22 @@ def _grow_arborescence(dg: RootedDigraph, cmask: int) -> Optional[dict[int, int]
     return parent
 
 
-def _pick_witness(
-    dg: RootedDigraph, cmask: int, parent: Optional[Mapping[int, int]]
-) -> Optional[Witness]:
-    """The (z, d) of an arc pick for x = indicator of cmask, or None.
+def _pick_witness(dg: RootedDigraph, parent: Mapping[int, int]) -> Witness:
+    """The (z, d) of an arborescence given by its parent map.
 
-    z picks the arc into each vertex of `parent` from its parent; d is the
-    componentwise-least solution of the depth rows (`feasible_d`).  None
-    when there is no pick (parent None) or no such d.  On an arborescence
-    the least labels are the tree depths.
+    z picks the arc into each vertex of `parent` from its parent; d is each
+    vertex's tree depth, the parent hops up to a root (zero off the tree).
+    On an arborescence these are the least labels the depth rows allow.
     """
-    if parent is None:
-        return None
     chosen = {(u, w) for w, u in parent.items()}
     z = {arc: (1 if arc in chosen else 0) for arc in dg.arcs}
-    d = feasible_d(dg, z, [cmask >> v & 1 for v in range(dg.n)])
-    return None if d is None else Witness(z=z, d=tuple(d))
+    d = [0] * dg.n
+    for v in parent:
+        w = v
+        while w in parent:
+            w = parent[w]
+            d[v] += 1
+    return Witness(z=z, d=tuple(d))
 
 
 def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> Witness:
@@ -532,9 +489,10 @@ def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> Witness:
         raise InputError("witness_parb requires a valid connected vertex cover")
     dg = build_digraph(g, r, r1)
     cmask = set_to_mask(cover)
-    witness = _pick_witness(dg, cmask, _grow_arborescence(dg, cmask))
-    if witness is None:
+    parent = _grow_arborescence(dg, cmask)
+    if parent is None:
         raise ContractError("no arborescence spans the cover; internal bug")
+    witness = _pick_witness(dg, parent)
     model = build_parb(g, r, r1)
     if not check_integer_point(model, parb_point(dg, cover, witness)):
         raise ContractError("constructed witness fails the model; internal bug")
@@ -579,8 +537,8 @@ def find_parb_mismatch(
     inside C.  A pick that closes a directed cycle breaks the depth rows
     on it, and one that closes none is an arborescence from the root(s).
     So a feasible (z, d) exists iff a breadth-first search from the
-    root(s) reaches all of C and its tree, with the least depth labels,
-    passes every row.
+    root(s) reaches all of C and its tree, with its tree depths, passes
+    every row.
     """
     if g.n > VERIFY_CAP:
         raise SizeCapError(
@@ -591,83 +549,70 @@ def find_parb_mismatch(
     dg = build_digraph(g, r, r1)
     for cmask in range(1 << g.n):
         cover = mask_to_set(cmask)
-        witness = _pick_witness(dg, cmask, _grow_arborescence(dg, cmask))
-        feasible = witness is not None and check_integer_point(
-            model, parb_point(dg, cover, witness)
+        parent = _grow_arborescence(dg, cmask)
+        feasible = parent is not None and check_integer_point(
+            model, parb_point(dg, cover, _pick_witness(dg, parent))
         )
         if feasible != check_cvc(g, cover).valid:
             return cover
     return None
 
 
-def enumerate_verify_pstp(g: Graph) -> bool:
-    """Exhaustively confirm the spanning-tree model matches the checker.
+def find_pstp_mismatch(g: Graph) -> Optional[VertexSet]:
+    """First vertex set breaking the model/checker equivalence, or None.
 
-    For every C subseteq V of a connected graph (n <= 8): when C is a
-    connected vertex cover, an explicit spanning tree of G[C] yields a
-    point passing every row; otherwise no y can exist, certified
-    mechanically: either a covering row fails on x alone, or G[C] is
-    disconnected and the per-component forest rows (each one emitted, or
-    implied by the y bounds) cap y(E) at |C| - #components, contradicting
-    the total row y(E) = |C| - 1.
+    For every C subseteq V of a connected graph (n <= PSTP_VERIFY_CAP),
+    the spanning-tree model with x = indicator of C is feasible for some y
+    exactly when C is a connected vertex cover.  Returns the first C (by
+    bitmask order) where the sides disagree.
+
+    The model side is judged on the model `build_pstp` returns, at one
+    point per C: y picks a spanning forest of G[C], one breadth-first tree
+    per component.  The linking rows keep y on E(C), and the forest rows
+    (each one emitted, or implied by the y bounds) cap y(E(C)) at |C| - k
+    for the k components of G[C], while the total row needs |C| - 1.  So
+    a feasible y exists iff k = 1, and then the forest attains the cap.
+    The forest point stays inside the cap, so it cannot show a forest row
+    that is missing: for a disconnected cover, each component K inducing
+    at least |K| edges must therefore have its `sub_` row.
     """
-    if g.n > 8:
-        raise SizeCapError(f"enumerate_verify_pstp refuses n={g.n} (cap 8)")
+    if g.n > PSTP_VERIFY_CAP:
+        raise SizeCapError(
+            f"find_pstp_mismatch refuses n={g.n}: 2^n subsets (cap {PSTP_VERIFY_CAP})"
+        )
     if g.n < 2 or not is_connected(g):
-        raise InputError("enumerate_verify_pstp expects a connected graph, n >= 2")
+        raise InputError("find_pstp_mismatch expects a connected graph, n >= 2")
     model = build_pstp(g)
-    row_names = model.constraint_names()
+    row_names = {row.name for row in model.constraints}
     edges = sorted(g.edges)
     for cmask in range(1 << g.n):
-        cert = check_cvc(g, mask_to_set(cmask))
-        covered = all(cmask >> u & 1 or cmask >> v & 1 for u, v in edges)
-        if covered != cert.is_cover:
-            return False
-        if cert.valid:
-            # explicit spanning tree of G[C] by BFS inside the mask
-            members = list(bits_of(cmask))
-            start = members[0]
-            depth = {start: 0}
-            tree = set()
-            queue = deque([start])
+        cover = mask_to_set(cmask)
+        comps, tree = [], set()
+        rest = cmask
+        while rest:
+            comp = rest & -rest
+            queue = deque([comp.bit_length() - 1])
             while queue:
                 u = queue.popleft()
-                for w in bits_of(g.masks[u] & cmask):
-                    if w not in depth:
-                        depth[w] = depth[u] + 1
-                        tree.add((min(u, w), max(u, w)))
-                        queue.append(w)
-            if len(depth) != len(members):
-                return False  # checker said connected; tree must span
-            point = {f"x_{v}": (1 if cmask >> v & 1 else 0) for v in range(g.n)}
-            for u, v in edges:
-                point[f"y_{u}_{v}"] = 1 if (u, v) in tree else 0
-            if not check_integer_point(model, point):
-                return False
-        elif covered:
-            # cover rows hold, so infeasibility must come from the forest
-            # rows: count components of G[C] and confirm the certificate
-            comps = []
-            rest = cmask
-            while rest:
-                comp = reachable_mask(g.masks, (rest & -rest).bit_length() - 1, cmask)
-                comps.append(comp)
-                rest &= ~comp
-            if len(comps) < 2:
-                return False  # covered but invalid must mean disconnected
+                for w in bits_of(g.masks[u] & cmask & ~comp):
+                    comp |= 1 << w
+                    tree.add((min(u, w), max(u, w)))
+                    queue.append(w)
+            comps.append(comp)
+            rest &= ~comp
+        point = {f"x_{v}": cmask >> v & 1 for v in range(g.n)}
+        for u, v in edges:
+            point[f"y_{u}_{v}"] = int((u, v) in tree)
+        cert = check_cvc(g, cover)
+        if check_integer_point(model, point) != cert.valid:
+            return cover
+        if cert.is_cover and len(comps) > 1:
             for comp in comps:
-                size = comp.bit_count()
-                induced = sum(
-                    1 for u, v in edges if comp >> u & 1 and comp >> v & 1
-                )
-                if induced >= size:
-                    name = "sub_" + "_".join(str(v) for v in bits_of(comp))
-                    if name not in row_names:
-                        return False  # emission rule failed to cover the cut
-        else:
-            # x alone violates some covering row; nothing more to certify
-            pass
-    return True
+                induced = sum(1 for u, v in edges if comp >> u & 1 and comp >> v & 1)
+                name = "sub_" + "_".join(str(v) for v in bits_of(comp))
+                if induced >= comp.bit_count() and name not in row_names:
+                    return cover
+    return None
 
 
 def count_qr_feasible(dg: RootedDigraph) -> int:
@@ -678,7 +623,7 @@ def count_qr_feasible(dg: RootedDigraph) -> int:
     directed cycle is pruned: the depth rows along the cycle (each adds 1)
     are already unsatisfiable, and completions only add rows.  Every
     complete pick is then an r-arborescence, and it counts when its point
-    (z with the least depth labels) passes the model `build_qr` returns.
+    (z with its tree depths) passes the model `build_qr` returns.
     Intended for the matrix-tree cross-check; a two-root digraph raises
     InputError, as in build_qr.
     """
@@ -690,16 +635,12 @@ def count_qr_feasible(dg: RootedDigraph) -> int:
     for v in targets:
         if not dg.in_tails(v):
             return 0
-    full = (1 << dg.n) - 1
     parent: dict[int, int] = {}
 
     def count(idx: int) -> int:
         if idx == len(targets):
-            witness = _pick_witness(dg, full, parent)
-            return int(
-                witness is not None
-                and check_integer_point(model, parb_point(dg, range(dg.n), witness))
-            )
+            witness = _pick_witness(dg, parent)
+            return int(check_integer_point(model, parb_point(dg, range(dg.n), witness)))
         v = targets[idx]
         total = 0
         for u in dg.in_tails(v):

@@ -25,8 +25,8 @@ from cvckit.mip import (
     build_qr,
     check_integer_point,
     count_qr_feasible,
-    enumerate_verify_pstp,
     find_parb_mismatch,
+    find_pstp_mismatch,
     write_lp,
 )
 from cvckit.oracle import brute_force_cvc, check_cvc, feasible_stable_sets
@@ -97,7 +97,7 @@ def test_criterion_03_pstp_exhaustive():
     failures = []
     for i in range(100):
         g = connected_gnp(2 + i % 7, (0.35, 0.55, 0.8)[i % 3], 7000 + i)
-        if not enumerate_verify_pstp(g):
+        if find_pstp_mismatch(g) is not None:
             failures.append(i)
     _verdict(
         3,

@@ -21,8 +21,8 @@ from cvckit.graph import (
     bipartite_random,
     bits_of,
     gnp_random,
+    grow_piece,
     mask_to_set,
-    reachable_mask,
 )
 from cvckit.oracle import (
     brute_force_cvc,
@@ -295,7 +295,7 @@ class TestIncludeCandidates:
             g = bipartite_random(n // 2, n - n // 2, p, seed)
         else:
             g = gnp_random(n, p, seed)
-        live = reachable_mask(g.masks, 0, g.full_mask())
+        live = grow_piece(g.masks, 1, g.full_mask())[0]
         umask = live & ~articulation_points_mask(g.masks, live)
         while umask:
             v = data.draw(st.sampled_from(list(bits_of(umask))), label="v")

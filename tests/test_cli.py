@@ -234,6 +234,27 @@ class TestVerify:
         assert dump.startswith("c mismatch_set 0 2\n")
         parse_dimacs(dump)  # still a readable instance
 
+    def test_all_skips_pstp_above_its_cap(self, instance, capsys):
+        _, path = instance
+        code, out, _ = run_cli(capsys, "verify", str(path), "--model", "all")
+        assert code == 0
+        assert out == "parb: ok\npstp: skipped (n=9 is above its cap of 8)\n"
+        code, out, err = run_cli(capsys, "verify", str(path), "--model", "pstp")
+        assert code == 3 and out == "" and "refuses n=9" in err
+
+    def test_pstp_mismatch_names_its_set(self, tmp_path, capsys, monkeypatch):
+        g = connected_gnp(7, 0.45, 11)
+        path = tmp_path / "g7.col"
+        path.write_text(write_dimacs(g), encoding="ascii")
+        monkeypatch.setattr("cvckit.cli.find_pstp_mismatch", lambda g: frozenset({3, 1}))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--model", "all",
+                               "--out", str(tmp_path))
+        dump = tmp_path / "g7.pstp.mismatch.col"
+        assert code == 5
+        assert out == f"parb: ok\npstp: MISMATCH on {{1 3}}, wrote {dump}\n"
+        assert dump.read_text(encoding="ascii").startswith("c mismatch_set 1 3\n")
+        assert not (tmp_path / "g7.mismatch.col").exists()
+
     def test_unwritable_counterexample(self, instance, tmp_path, capsys, monkeypatch):
         _, path = instance
         monkeypatch.setattr(

@@ -15,9 +15,8 @@ from cvckit.mip import (
     check_integer_point,
     count_qr_feasible,
     default_roots,
-    enumerate_verify_pstp,
-    feasible_d,
     find_parb_mismatch,
+    find_pstp_mismatch,
     parb_point,
     witness_parb,
 )
@@ -192,38 +191,6 @@ class TestCheckIntegerPoint:
         assert check_integer_point(self._model(), {"a": 0, "t": 0, "junk": 9})
 
 
-class TestFeasibleD:
-    def test_simple_chain(self):
-        dg = build_digraph(path(3), 1, 2)  # arcs (1,0), (1,2)
-        d = feasible_d(dg, {(1, 0): 1, (1, 2): 1})
-        assert d == [1, 0, 1]
-
-    def test_unpicked_arcs_never_bind(self):
-        dg = build_digraph(path(3), 1, 2)
-        assert feasible_d(dg, {(1, 0): 0, (1, 2): 0}) == [0, 0, 0]
-
-    def test_cycle_is_infeasible(self):
-        dg = RootedDigraph(4, [(0, 1), (1, 2), (2, 3), (3, 1)], 0)
-        z = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (3, 1): 1}
-        assert feasible_d(dg, z) is None
-
-    def test_depth_overflow_is_infeasible(self):
-        # a picked path longer than n-1 cannot fit the bounds; build one by
-        # forcing x increments of 1 on a 3-vertex chain plus a revisit
-        dg = RootedDigraph(3, [(0, 1), (1, 2), (2, 1)], 0)
-        assert feasible_d(dg, {(0, 1): 1, (1, 2): 1, (2, 1): 1}) is None
-
-    def test_x_controls_increment(self):
-        dg = build_digraph(path(3), 1, 2)
-        d = feasible_d(dg, {(1, 0): 1, (1, 2): 1}, x=[0, 0, 1])
-        assert d == [0, 0, 1]
-
-    def test_missing_arc_raises(self):
-        dg = build_digraph(path(3), 1, 2)
-        with pytest.raises(InputError):
-            feasible_d(dg, {(1, 0): 1})
-
-
 class TestExhaustiveParb:
     def test_families(self):
         for g in (path(5), cycle(6), complete(5), Graph(5, [(0, i) for i in range(1, 5)])):
@@ -351,12 +318,59 @@ class TestBuildPstp:
 
     def test_exhaustive_families(self):
         for g in (path(4), cycle(5), complete(4), connected_gnp(7, 0.45, 3)):
-            assert enumerate_verify_pstp(g)
+            assert find_pstp_mismatch(g) is None
 
     def test_caps_and_domain(self):
         with pytest.raises(SizeCapError):
             build_pstp(Graph(16))
         with pytest.raises(SizeCapError):
-            enumerate_verify_pstp(connected_gnp(9, 0.5, 2))
+            find_pstp_mismatch(connected_gnp(9, 0.5, 2))
         with pytest.raises(InputError):
-            enumerate_verify_pstp(Graph(4, [(0, 1), (2, 3)]))
+            find_pstp_mismatch(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_judges_the_built_model(self, monkeypatch):
+        def without_first_cover_row(g):
+            model = build_pstp(g)
+            assert model.constraints[0].name == "cover_0_1"
+            del model.constraints[0]
+            return model
+
+        monkeypatch.setattr("cvckit.mip.build_pstp", without_first_cover_row)
+        # {2} covers every edge of P4 but 0-1
+        assert find_pstp_mismatch(path(4)) == frozenset({2})
+
+    def test_total_row_is_an_equation(self, monkeypatch):
+        def loosened(g):
+            model = build_pstp(g)
+            model.constraints = [
+                row._replace(sense="<=") if row.name == "total" else row
+                for row in model.constraints
+            ]
+            return model
+
+        monkeypatch.setattr("cvckit.mip.build_pstp", loosened)
+        # {0, 2} is the first disconnected cover of P4 by bitmask
+        assert find_pstp_mismatch(path(4)) == frozenset({0, 2})
+
+    def test_missing_forest_row_is_a_mismatch(self, monkeypatch):
+        def without_triangle_row(g):
+            model = build_pstp(g)
+            model.constraints = [
+                row for row in model.constraints if row.name != "sub_0_1_2"
+            ]
+            return model
+
+        monkeypatch.setattr("cvckit.mip.build_pstp", without_triangle_row)
+        # a triangle with a pendant path 2-3-4: the cover {0, 1, 2, 4} is
+        # disconnected only because the triangle's row caps its y at 2
+        g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+        assert find_pstp_mismatch(g) == frozenset({0, 1, 2, 4})
+
+    def test_linking_rows_keep_y_inside_the_cover(self):
+        # the forest point never puts y off G[C], so no exhaustive check
+        # sees these rows: C = {0, 2} covers P3, and either edge alone
+        # meets the total row but touches vertex 1, outside C
+        model = build_pstp(path(3))
+        x = {"x_0": 1, "x_1": 0, "x_2": 1}
+        assert not check_integer_point(model, {**x, "y_0_1": 0, "y_1_2": 1})
+        assert not check_integer_point(model, {**x, "y_0_1": 1, "y_1_2": 0})
