@@ -9,14 +9,12 @@ vectors and matches that count against the matrix-tree theorem.
 from cvckit import (
     Graph,
     bidirect_rooted,
-    build_digraph,
     build_parb,
     build_pstp,
     build_qr,
     check_integer_point,
     count_qr_feasible,
     default_roots,
-    parb_point,
     solve,
     spanning_tree_count,
     witness_parb,
@@ -43,9 +41,7 @@ def show_sizes(g):
 
 def certified_point(g, parb, r, r1):
     report = solve(g)
-    witness = witness_parb(g, report.cover, r, r1)
-    dg = build_digraph(g, r, r1)
-    point = parb_point(dg, report.cover, witness)
+    point = witness_parb(g, report.cover, r, r1)
     ok = check_integer_point(parb, point)
     print(f"optimal cover {sorted(report.cover)} lifts to a feasible point: {ok}")
 

@@ -27,7 +27,6 @@ from .mip import (
     check_integer_point,
     count_qr_feasible,
     default_roots,
-    parb_point,
     witness_parb,
     write_lp,
 )

@@ -38,10 +38,9 @@ searches for.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple, Optional
 
-from .graph import Graph, VertexSet, bits_of
+from .graph import Graph, VertexSet, bfs_forest, bits_of, mask_to_set
 
 RECOMPUTE_FRACTION = 0.75
 
@@ -136,28 +135,22 @@ def color_bound_cached(
 
 
 def is_bipartite(g: Graph) -> Optional[tuple[VertexSet, VertexSet]]:
-    """Two-color g by BFS; returns (side0, side1) or None on an odd cycle.
+    """Two-color g by the parity of its breadth-first depths; returns
+    (side0, side1), or None when an edge joins two vertices of one side
+    (an odd cycle).
 
     Deterministic: in every component the lowest-index vertex lands on
     side 0.  Isolated vertices land on side 0.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side0 = frozenset(v for v in range(g.n) if color[v] == 0)
-    side1 = frozenset(v for v in range(g.n) if color[v] == 1)
-    return side0, side1
+    parent, _ = bfs_forest(g.masks, g.full_mask())
+    side1 = 0
+    for v, u in parent.items():  # parents come first
+        if not side1 >> u & 1:
+            side1 |= 1 << v
+    side0 = g.full_mask() & ~side1
+    if any(g.masks[v] & (side1 if side1 >> v & 1 else side0) for v in range(g.n)):
+        return None
+    return mask_to_set(side0), mask_to_set(side1)
 
 
 class CachedMatching(NamedTuple):

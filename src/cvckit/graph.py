@@ -1,10 +1,10 @@
 """Undirected graph type, DIMACS I/O, connectivity primitives, generators.
 
-Vertices are always 0..n-1.  The module keeps two views of every graph:
-sorted neighbor tuples for readable code, and per-vertex neighbor bitmasks
-(`Graph.masks`) that the solvers and the low-level helpers below use for
-speed.  The `*_mask` functions operate on a "live" bitmask selecting an
-induced subgraph, so subgraphs never have to be materialised in hot loops.
+Vertices are always 0..n-1.  A graph keeps one adjacency view: a
+neighbor bitmask per vertex (`Graph.masks`), which the solvers, the
+models and the helpers below all read.  The `*_mask` functions and
+`bfs_forest` operate on a "live" bitmask selecting an induced subgraph,
+so subgraphs never have to be materialised in hot loops.
 """
 
 from __future__ import annotations
@@ -25,33 +25,36 @@ class Graph:
     Data members:
         n: vertex count.
         edges: frozenset of (u, v) pairs with u < v.
-        adj: tuple of sorted neighbor tuples, one per vertex.
         masks: tuple of neighbor bitmasks, one per vertex (bit v of
-            masks[u] is set iff u and v are adjacent).
+            masks[u] is set iff u and v are adjacent); the neighbors of
+            v in increasing order are bits_of(masks[v]).
+
+    Each edge must be a pair of distinct ints in range(n); anything else
+    raises InputError naming the edge.
     """
 
-    __slots__ = ("n", "edges", "adj", "masks")
+    __slots__ = ("n", "edges", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(n, int) or n < 0:
             raise InputError(f"vertex count must be a non-negative int, got {n!r}")
         normalized = set()
-        for u, v in edges:
+        masks = [0] * n
+        for edge in edges:
+            try:
+                u, v = edge
+                if 0 <= u < n and 0 <= v < n and u != v:
+                    masks[u] |= 1 << v
+                    masks[v] |= 1 << u
+                    normalized.add((u, v) if u < v else (v, u))
+                    continue
+            except (TypeError, ValueError):
+                raise InputError(f"edge {edge!r} is not a pair of ints") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"self-loop at vertex {u} is not allowed")
-            normalized.add((u, v) if u < v else (v, u))
-        adj = [[] for _ in range(n)]
-        masks = [0] * n
-        for u, v in sorted(normalized):
-            adj[u].append(v)
-            adj[v].append(u)
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            raise InputError(f"self-loop at vertex {u} is not allowed")
         self.n = n
         self.edges = frozenset(normalized)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.masks = tuple(masks)
 
     @property
@@ -59,10 +62,7 @@ class Graph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -135,6 +135,39 @@ def is_connected_mask(masks: tuple[int, ...], live: int) -> bool:
     Empty and single-vertex subgraphs count as connected.
     """
     return grow_piece(masks, live & -live, live, live)[0] == live
+
+
+def bfs_forest(
+    masks: tuple[int, ...], live: int, seeds: Iterable[int] = ()
+) -> tuple[dict[int, int], list[int]]:
+    """Breadth-first spanning forest of the `live` induced subgraph.
+
+    One FIFO search runs from all of `seeds` (vertices of live) at once;
+    then, while a vertex of live is unreached, one more tree grows from
+    the lowest such vertex.  Neighbours are taken in increasing order.
+    Returns (parent, roots): parent maps each non-root vertex to its tree
+    parent and lists each parent before its children; roots holds the
+    seeds, then each further tree's root, in the order they were taken.
+    """
+    parent: dict[int, int] = {}
+    roots = list(seeds)
+    queue = list(roots)
+    rest = live & ~set_to_mask(roots)
+    head = 0
+    while rest:
+        if head == len(queue):
+            low = rest & -rest
+            rest ^= low
+            roots.append(low.bit_length() - 1)
+            queue.append(roots[-1])
+        u = queue[head]
+        head += 1
+        new = masks[u] & rest
+        rest ^= new
+        for w in bits_of(new):
+            parent[w] = u
+            queue.append(w)
+    return parent, roots
 
 
 def articulation_points_mask(
@@ -249,29 +282,26 @@ def induced_delete(g: Graph, removed: Iterable[int]) -> InducedSubgraph:
 def dfs_tree(g: Graph, root: int) -> list[tuple[int, int]]:
     """Depth-first spanning tree edges (parent, child) in discovery order.
 
-    Neighbors are scanned in increasing label order, so the tree is
-    deterministic.  Requires g connected.
+    Each step enters the lowest unvisited neighbor of the deepest vertex
+    that has one, so the tree is deterministic.  Requires g connected.
     """
     if not 0 <= root < g.n:
         raise InputError(f"root {root} out of range for n={g.n}")
-    seen = [False] * g.n
-    seen[root] = True
+    unvisited = g.full_mask() ^ 1 << root
+    stack = [root]
     tree: list[tuple[int, int]] = []
-    # push reversed so the smallest neighbor is explored first
-    stack = [(root, iter(g.adj[root]))]
     while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if not seen[w]:
-                seen[w] = True
-                tree.append((v, w))
-                stack.append((w, iter(g.adj[w])))
-                advanced = True
-                break
-        if not advanced:
+        v = stack[-1]
+        nxt = g.masks[v] & unvisited
+        if nxt:
+            low = nxt & -nxt
+            unvisited ^= low
+            w = low.bit_length() - 1
+            tree.append((v, w))
+            stack.append(w)
+        else:
             stack.pop()
-    if len(tree) != g.n - 1:
+    if unvisited:
         raise InputError("dfs_tree requires a connected graph")
     return tree
 
@@ -388,6 +418,15 @@ def write_dimacs(g: Graph) -> str:
 # random instance generators
 
 
+def _check_draw(p, seed) -> None:
+    """Reject a p that is not a real in [0, 1] with an exact ratio (float,
+    int, Fraction, Decimal) and a seed that is not an int."""
+    if not (hasattr(p, "as_integer_ratio") and 0 <= p <= 1):
+        raise InputError(f"edge probability must be a number in [0, 1], got {p!r}")
+    if not isinstance(seed, int):
+        raise InputError(f"seed must be an int, got {seed!r}")
+
+
 def gnp_random(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) from the package's own deterministic stream.
 
@@ -398,8 +437,7 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
     """
     if not isinstance(n, int) or n < 0:
         raise InputError(f"vertex count must be a non-negative int, got {n!r}")
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"edge probability must lie in [0, 1], got {p!r}")
+    _check_draw(p, seed)
     edges = []
     # row i holds the flat offsets [row_end - (n - 1 - i), row_end)
     i, row_end = 0, n - 1
@@ -420,7 +458,6 @@ def bipartite_random(n1: int, n2: int, p: float, seed: int) -> Graph:
     """
     if not isinstance(n1, int) or not isinstance(n2, int) or n1 < 0 or n2 < 0:
         raise InputError(f"side sizes must be non-negative ints, got {n1!r}, {n2!r}")
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"edge probability must lie in [0, 1], got {p!r}")
+    _check_draw(p, seed)
     hits = Xoshiro256(seed).below(n1 * n2, p)
     return Graph(n1 + n2, [(k // n2, n1 + k % n2) for k in hits])

@@ -21,22 +21,25 @@ Three models over a connected graph G, all minimizing the cover size:
 `MipModel` is a deliberately dumb IR (named variables, linear rows) with a
 deterministic LP-file writer; no solver is embedded.  The exhaustive
 verifiers below build one point per vertex subset or arc pick instead (a
-breadth-first spanning forest, or an arborescence with its tree depths)
-and let `check_integer_point` on the model the builder returns decide, so
-a wrong row shows as a mismatch.
+breadth-first spanning forest from `graph.bfs_forest`, or an arborescence,
+with tree depths) and let `check_integer_point` on the model the builder
+returns decide, so a wrong row shows as a mismatch.  Every subset reaches
+the two-root model: a further tree's root has no in-arc, which the
+indegree and cardinality rows must reject, and the depth rows must reject
+a directed cycle; tests check both.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ContractError, InputError, SizeCapError
 from .graph import (
     Graph,
     VertexSet,
+    bfs_forest,
     bits_of,
+    grow_piece,
     is_connected,
     mask_to_set,
     set_to_mask,
@@ -126,7 +129,7 @@ class RootedDigraph:
             is (r, r1).
     """
 
-    __slots__ = ("n", "arcs", "r", "r1", "_in", "_out")
+    __slots__ = ("n", "arcs", "r", "r1", "_in")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]], r: int, r1: Optional[int] = None):
         seen = set()
@@ -147,12 +150,9 @@ class RootedDigraph:
         self.r = r
         self.r1 = r1
         incoming = [[] for _ in range(n)]
-        outgoing = [[] for _ in range(n)]
         for u, v in self.arcs:
             incoming[v].append(u)
-            outgoing[u].append(v)
         self._in = tuple(tuple(sorted(t)) for t in incoming)
-        self._out = tuple(tuple(sorted(t)) for t in outgoing)
         if self._in[r]:
             raise InputError(f"root {r} must have no entering arcs")
         if r1 is not None and self._in[r1] != (r,):
@@ -163,20 +163,8 @@ class RootedDigraph:
     def in_tails(self, v: int) -> tuple[int, ...]:
         return self._in[v]
 
-    def out_heads(self, v: int) -> tuple[int, ...]:
-        return self._out[v]
-
     def __repr__(self) -> str:
         return f"RootedDigraph(n={self.n}, arcs={len(self.arcs)}, r={self.r}, r1={self.r1})"
-
-
-@dataclass
-class Witness:
-    """Certificate that a cover is feasible in the two-root model: the
-    chosen arcs (z over every arc) and the depth labels (d per vertex)."""
-
-    z: dict
-    d: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +177,7 @@ def default_roots(g: Graph) -> tuple[int, int]:
     if g.n < 2 or g.m == 0:
         raise InputError("root selection needs at least one edge")
     r = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    r1 = max(g.adj[r], key=lambda v: (g.degree(v), -v))
+    r1 = max(bits_of(g.masks[r]), key=lambda v: (g.degree(v), -v))
     return r, r1
 
 
@@ -200,9 +188,9 @@ def _resolve_roots(g: Graph, r: Optional[int], r1: Optional[int]) -> tuple[int, 
         base = r if r is not None else r1
         if not 0 <= base < g.n:
             raise InputError(f"root {base} out of range for n={g.n}")
-        if not g.adj[base]:
+        if not g.masks[base]:
             raise InputError(f"root {base} has no neighbors to pair with")
-        other = max(g.adj[base], key=lambda v: (g.degree(v), -v))
+        other = max(bits_of(g.masks[base]), key=lambda v: (g.degree(v), -v))
         return (base, other) if r is not None else (other, base)
     return r, r1
 
@@ -402,21 +390,22 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float], tol: f
     are ignored); a missing one raises InputError.  Binary variables must
     sit within tol of 0 or 1.
     """
-    for var in model.variables:
-        if var.name not in assignment:
-            raise InputError(f"assignment missing variable {var.name!r}")
-        val = assignment[var.name]
-        if not (var.lb - tol <= val <= var.ub + tol):
+    for name, kind, lb, ub in model.variables:
+        if name not in assignment:
+            raise InputError(f"assignment missing variable {name!r}")
+        val = assignment[name]
+        if not (lb - tol <= val <= ub + tol):
             return False
-        if var.kind == "binary" and min(abs(val), abs(val - 1)) > tol:
+        # within the bounds checked above, min(|val|, |val - 1|) > tol
+        if kind == "binary" and tol < val < 1 - tol:
             return False
-    for row in model.constraints:
-        lhs = sum(coef * assignment[var] for coef, var in row.terms)
-        if row.sense == "<=" and lhs > row.rhs + tol:
+    for _, terms, sense, rhs in model.constraints:
+        lhs = sum(coef * assignment[var] for coef, var in terms)
+        if sense == "<=" and lhs > rhs + tol:
             return False
-        if row.sense == ">=" and lhs < row.rhs - tol:
+        if sense == ">=" and lhs < rhs - tol:
             return False
-        if row.sense == "=" and abs(lhs - row.rhs) > tol:
+        if sense == "=" and abs(lhs - rhs) > tol:
             return False
     return True
 
@@ -425,63 +414,59 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float], tol: f
 # witnesses and exhaustive verification
 
 
-def _grow_arborescence(dg: RootedDigraph, cmask: int) -> Optional[dict[int, int]]:
-    """Breadth-first arborescence of the digraph induced on cmask.
+def _point_builder(dg: RootedDigraph):
+    """A function (cmask, parent) -> named point of an arc pick on dg; each
+    name is formatted once, here.
 
-    Roots per membership: from r when present (with the forced arc to r1
-    when both roots are in), else from r1.  Returns the parent map, or
-    None when some member is unreachable.
+    x is the indicator of cmask, z picks the arc into each vertex of the
+    acyclic map `parent` from its parent, and d is each vertex's parent
+    hops up to a root (zero off the pick): on an arborescence, the least
+    labels the depth rows allow.  build_qr ignores the x keys.
     """
-    r, r1 = dg.r, dg.r1
-    parent: dict[int, int] = {}
-    if cmask >> r & 1:
-        seeds = [r]
-        if r1 is not None and cmask >> r1 & 1:
-            parent[r1] = r
-            seeds.append(r1)
-    elif r1 is not None and cmask >> r1 & 1:
-        seeds = [r1]
-    else:
-        return None
-    reached = set(seeds)
-    queue = deque(seeds)
-    while queue:
-        u = queue.popleft()
-        for w in dg.out_heads(u):
-            if cmask >> w & 1 and w not in reached:
-                parent[w] = u
-                reached.add(w)
-                queue.append(w)
-    if len(reached) != cmask.bit_count():
-        return None
+    n = dg.n
+    x = [f"x_{v}" for v in range(n)]
+    d = [f"d_{v}" for v in range(n)]
+    z = {(u, v): f"z_{u}_{v}" for u, v in dg.arcs}
+    unpicked = dict.fromkeys(z.values(), 0)
+
+    def point(cmask: int, parent: Mapping[int, int]) -> dict:
+        values = dict(unpicked)
+        depth = [0] * n
+        for v, u in parent.items():
+            values[z[u, v]] = 1
+            hops = 1
+            while u in parent:
+                u = parent[u]
+                hops += 1
+            depth[v] = hops
+        for v in range(n):
+            values[x[v]] = cmask >> v & 1
+            values[d[v]] = depth[v]
+        return values
+
+    return point
+
+
+def _parb_pick(masks: tuple[int, ...], r: int, r1: int, cmask: int) -> dict[int, int]:
+    """The two-root model's pick for the vertex set cmask, as a parent map:
+    the breadth-first forest of G[C] from the roots C holds, plus the arc
+    (r, r1) when C holds both.  Each tree arc is an arc of the digraph:
+    no tree arc enters a seed, and every edge off r and r1 is bidirected."""
+    seeds = [v for v in (r, r1) if cmask >> v & 1]
+    parent, _ = bfs_forest(masks, cmask, seeds)
+    if len(seeds) == 2:
+        parent[r1] = r
     return parent
 
 
-def _pick_witness(dg: RootedDigraph, parent: Mapping[int, int]) -> Witness:
-    """The (z, d) of an arborescence given by its parent map.
+def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> dict:
+    """Feasible point of build_parb(g, r, r1) for a connected vertex cover,
+    as the named assignment check_integer_point takes.
 
-    z picks the arc into each vertex of `parent` from its parent; d is each
-    vertex's tree depth, the parent hops up to a root (zero off the tree).
-    On an arborescence these are the least labels the depth rows allow.
-    """
-    chosen = {(u, w) for w, u in parent.items()}
-    z = {arc: (1 if arc in chosen else 0) for arc in dg.arcs}
-    d = [0] * dg.n
-    for v in parent:
-        w = v
-        while w in parent:
-            w = parent[w]
-            d[v] += 1
-    return Witness(z=z, d=tuple(d))
-
-
-def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> Witness:
-    """Explicit (z, d) certifying a connected vertex cover in build_parb.
-
-    The arcs are a breadth-first arborescence of the digraph induced on
-    the cover, rooted per which roots the cover contains; depths are tree
-    distances, zero outside the cover.  The witness is verified against
-    the model before being returned.
+    x is the cover's indicator, z a breadth-first arborescence of the
+    digraph induced on the cover, rooted per which roots the cover
+    contains, and d the tree depths, zero outside the cover.  The point is
+    verified against the model before being returned.
     """
     cover = frozenset(cover)
     cert = check_cvc(g, cover)
@@ -489,25 +474,9 @@ def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> Witness:
         raise InputError("witness_parb requires a valid connected vertex cover")
     dg = build_digraph(g, r, r1)
     cmask = set_to_mask(cover)
-    parent = _grow_arborescence(dg, cmask)
-    if parent is None:
-        raise ContractError("no arborescence spans the cover; internal bug")
-    witness = _pick_witness(dg, parent)
-    model = build_parb(g, r, r1)
-    if not check_integer_point(model, parb_point(dg, cover, witness)):
+    point = _point_builder(dg)(cmask, _parb_pick(g.masks, r, r1, cmask))
+    if not check_integer_point(build_parb(g, r, r1), point):
         raise ContractError("constructed witness fails the model; internal bug")
-    return witness
-
-
-def parb_point(dg: RootedDigraph, cover: Iterable[int], witness: Witness) -> dict:
-    """Merge a cover and its witness into a named assignment for the model
-    (build_qr declares no x, so it ignores those keys)."""
-    cover = frozenset(cover)
-    point = {f"x_{v}": (1 if v in cover else 0) for v in range(dg.n)}
-    for u, v in dg.arcs:
-        point[f"z_{u}_{v}"] = witness.z[(u, v)]
-    for v in range(dg.n):
-        point[f"d_{v}"] = witness.d[v]
     return point
 
 
@@ -532,13 +501,15 @@ def find_parb_mismatch(
     Returns the first C (by bitmask order) where the sides disagree.
 
     The model side is judged on the model `build_parb` returns, at one
-    point per C.  With x fixed, the linking, indegree and cardinality rows
-    allow only picks giving each member but the root(s) one in-arc from
-    inside C.  A pick that closes a directed cycle breaks the depth rows
-    on it, and one that closes none is an arborescence from the root(s).
-    So a feasible (z, d) exists iff a breadth-first search from the
-    root(s) reaches all of C and its tree, with its tree depths, passes
-    every row.
+    point per C, for every C.  With x fixed, the linking, indegree and
+    cardinality rows allow only picks giving each member but the root(s)
+    one in-arc from inside C.  A pick that closes a directed cycle breaks
+    the depth rows on it, and one that closes none is an arborescence from
+    the root(s).  So a feasible (z, d) exists iff the breadth-first forest
+    of G[C] from the roots in C, joined by the arc (r, r1) when C holds
+    both, is one tree, and then its tree depths pass every row.  Otherwise
+    a further tree's root has no in-arc, and the indegree and cardinality
+    rows must reject the point.
     """
     if g.n > VERIFY_CAP:
         raise SizeCapError(
@@ -546,13 +517,10 @@ def find_parb_mismatch(
         )
     r, r1 = _resolve_roots(g, r, r1)
     model = build_parb(g, r, r1)
-    dg = build_digraph(g, r, r1)
+    point = _point_builder(build_digraph(g, r, r1))
     for cmask in range(1 << g.n):
         cover = mask_to_set(cmask)
-        parent = _grow_arborescence(dg, cmask)
-        feasible = parent is not None and check_integer_point(
-            model, parb_point(dg, cover, _pick_witness(dg, parent))
-        )
+        feasible = check_integer_point(model, point(cmask, _parb_pick(g.masks, r, r1, cmask)))
         if feasible != check_cvc(g, cover).valid:
             return cover
     return None
@@ -587,27 +555,17 @@ def find_pstp_mismatch(g: Graph) -> Optional[VertexSet]:
     edges = sorted(g.edges)
     for cmask in range(1 << g.n):
         cover = mask_to_set(cmask)
-        comps, tree = [], set()
-        rest = cmask
-        while rest:
-            comp = rest & -rest
-            queue = deque([comp.bit_length() - 1])
-            while queue:
-                u = queue.popleft()
-                for w in bits_of(g.masks[u] & cmask & ~comp):
-                    comp |= 1 << w
-                    tree.add((min(u, w), max(u, w)))
-                    queue.append(w)
-            comps.append(comp)
-            rest &= ~comp
+        parent, roots = bfs_forest(g.masks, cmask)
+        tree = {(min(u, v), max(u, v)) for v, u in parent.items()}
         point = {f"x_{v}": cmask >> v & 1 for v in range(g.n)}
         for u, v in edges:
             point[f"y_{u}_{v}"] = int((u, v) in tree)
         cert = check_cvc(g, cover)
         if check_integer_point(model, point) != cert.valid:
             return cover
-        if cert.is_cover and len(comps) > 1:
-            for comp in comps:
+        if cert.is_cover and len(roots) > 1:
+            for root in roots:
+                comp = grow_piece(g.masks, 1 << root, cmask)[0]
                 induced = sum(1 for u, v in edges if comp >> u & 1 and comp >> v & 1)
                 name = "sub_" + "_".join(str(v) for v in bits_of(comp))
                 if induced >= comp.bit_count() and name not in row_names:
@@ -631,6 +589,7 @@ def count_qr_feasible(dg: RootedDigraph) -> int:
         raise SizeCapError(f"count_qr_feasible refuses n={dg.n} (cap {QR_COUNT_CAP})")
     r = dg.r
     model = build_qr(dg, r)
+    point = _point_builder(dg)
     targets = [v for v in range(dg.n) if v != r]
     for v in targets:
         if not dg.in_tails(v):
@@ -639,8 +598,7 @@ def count_qr_feasible(dg: RootedDigraph) -> int:
 
     def count(idx: int) -> int:
         if idx == len(targets):
-            witness = _pick_witness(dg, parent)
-            return int(check_integer_point(model, parb_point(dg, range(dg.n), witness)))
+            return int(check_integer_point(model, point(0, parent)))
         v = targets[idx]
         total = 0
         for u in dg.in_tails(v):

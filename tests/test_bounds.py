@@ -13,7 +13,14 @@ from cvckit.bounds import (
     color_bound_cached,
     is_bipartite,
 )
-from cvckit.graph import Graph, bipartite_random, bits_of, gnp_random, set_to_mask
+from cvckit.graph import (
+    Graph,
+    bipartite_random,
+    bits_of,
+    gnp_random,
+    grow_piece,
+    set_to_mask,
+)
 from cvckit.oracle import max_stable_set_size
 from tests.test_graph import complete, cycle, path
 
@@ -195,6 +202,32 @@ class TestBipartite:
         # isolated vertices and multiple components go to side 0 first
         g = Graph(4, [(2, 3)])
         assert is_bipartite(g) == (frozenset({0, 1, 2}), frozenset({3}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 10),
+        p=st.floats(0.0, 0.6),
+        seed=st.integers(0, 2**32),
+        bipartite=st.booleans(),
+    )
+    def test_matches_brute_force(self, n, p, seed, bipartite):
+        # None exactly when no 2-colouring is proper; otherwise a proper one
+        # with each component's lowest vertex on side 0
+        g = bipartite_random(n // 2, n - n // 2, p, seed) if bipartite else gnp_random(n, p, seed)
+        proper = [
+            side1
+            for side1 in range(1 << n)
+            if all((side1 >> u ^ side1 >> v) & 1 for u, v in g.edges)
+        ]
+        sides = is_bipartite(g)
+        assert (sides is None) == (not proper)
+        if sides is not None:
+            side0, side1 = sides
+            assert side0 | side1 == set(range(n)) and not side0 & side1
+            assert set_to_mask(side1) in proper
+            for v in range(n):
+                piece = grow_piece(g.masks, 1 << v, g.full_mask())[0]
+                assert (piece & -piece).bit_length() - 1 in side0
 
     def test_alpha_exact_on_random_bipartite(self):
         for seed in range(15):

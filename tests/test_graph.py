@@ -13,6 +13,7 @@ from cvckit.graph import (
     Graph,
     articulation_points,
     articulation_points_mask,
+    bfs_forest,
     bipartite_random,
     bits_of,
     dfs_tree,
@@ -56,7 +57,7 @@ def _component_count(g, skip=None, live=None):
         seen.add(s)
         while stack:
             v = stack.pop()
-            for w in g.adj[v]:
+            for w in bits_of(g.masks[v]):
                 if w in allowed and w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -68,15 +69,16 @@ class TestGraph:
         g = Graph(4, [(2, 0), (0, 2), (1, 0), (3, 2)])
         assert g.edges == frozenset({(0, 2), (0, 1), (2, 3)})
         assert g.m == 3
-        assert g.adj[0] == (1, 2)
-        assert g.adj[2] == (0, 3)
+        assert g.masks[0] == 0b110
+        assert g.masks[2] == 0b1001
         assert g.has_edge(2, 0) and not g.has_edge(1, 2)
 
     def test_masks_mirror_adjacency(self):
         g = gnp_random(12, 0.4, seed=3)
         for v in range(g.n):
-            assert g.masks[v] == set_to_mask(g.adj[v])
-            assert g.degree(v) == len(g.neighbors(v))
+            nbrs = [w for e in g.edges if v in e for w in e if w != v]
+            assert g.masks[v] == set_to_mask(nbrs)
+            assert g.degree(v) == len(nbrs)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -87,6 +89,21 @@ class TestGraph:
             Graph(-1)
         g = Graph(0)
         assert g.n == 0 and g.m == 0
+
+    @pytest.mark.parametrize(
+        "edges,match",
+        [
+            ([(0, 1.0)], r"edge \(0, 1\.0\) is not a pair of ints"),
+            ([(0,)], r"edge \(0,\) is not a pair of ints"),
+            ([(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair of ints"),
+            ([(0, "1")], r"edge \(0, '1'\) is not a pair of ints"),
+            ([(5, 5)], "out of range"),
+        ],
+        ids=["float", "one-tuple", "triple", "str", "loop-out-of-range"],
+    )
+    def test_bad_edges_raise_input_error(self, edges, match):
+        with pytest.raises(InputError, match=match):
+            Graph(3, edges)
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1), (1, 2)])
@@ -151,7 +168,10 @@ class TestMasks:
                 # one whole component of live
                 assert _component_count(g, live=piece) == 1
                 assert _component_count(g, live=live & ~piece) == _component_count(g, live=live) - 1
-                assert reach == set_to_mask(w for u in bits_of(piece) for w in g.adj[u])
+                # the neighbours of the piece, read off the edge list
+                assert reach == set_to_mask(
+                    w for e in g.edges for w, u in (e, e[::-1]) if piece >> u & 1
+                )
 
     def test_connected_after_removal_matches_naive(self):
         for seed in range(20):
@@ -161,6 +181,69 @@ class TestMasks:
                 rest = induced_delete(g, [v]).graph
                 naive = rest.n == 0 or _component_count(rest) == 1
                 assert is_connected_mask(g.masks, live & ~(1 << v)) == naive
+
+
+class TestBfsForest:
+    def test_by_hand(self):
+        g = path(5)  # 0-1-2-3-4
+        assert bfs_forest(g.masks, g.full_mask()) == ({1: 0, 2: 1, 3: 2, 4: 3}, [0])
+        assert bfs_forest(g.masks, g.full_mask(), [2]) == ({1: 2, 3: 2, 0: 1, 4: 3}, [2])
+        # two seeds search at once; vertex 3 left out of live splits off 4
+        assert bfs_forest(g.masks, 0b10111, [2, 0]) == ({1: 2}, [2, 0, 4])
+        star = Graph(5, [(0, 4), (0, 2), (0, 3), (0, 1)])
+        assert bfs_forest(star.masks, star.full_mask(), [3]) == ({0: 3, 1: 0, 2: 0, 4: 0}, [3])
+        assert bfs_forest(star.masks, 0) == ({}, [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_forest_properties(self, data):
+        n = data.draw(st.integers(0, 40), label="n")
+        p = data.draw(st.floats(0.0, 0.5), label="p")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        if data.draw(st.booleans(), label="bipartite"):
+            g = bipartite_random(n // 2, n - n // 2, p, seed)
+        else:
+            g = gnp_random(n, p, seed)
+        live = data.draw(st.integers(0, g.full_mask()) | st.just(g.full_mask()), label="live")
+        members = list(bits_of(live))
+        seeds = data.draw(
+            st.lists(st.sampled_from(members), unique=True, max_size=3) if members
+            else st.just([]),
+            label="seeds",
+        )
+        parent, roots = bfs_forest(g.masks, live, seeds)
+        assert roots[: len(seeds)] == seeds
+        # every vertex of live is a root or has a parent, never both
+        assert sorted(roots + list(parent)) == members
+        order = {v: i for i, v in enumerate(parent)}
+        for v, u in parent.items():
+            assert g.masks[v] >> u & 1 and live >> u & 1
+            assert u in roots or order[u] < order[v]
+        trees, depth = {}, {}
+        for v in members:
+            w, hops = v, 0
+            while w in parent:
+                w, hops = parent[w], hops + 1
+            trees[w] = trees.get(w, 0) | 1 << v
+            depth[v] = hops
+        # the trees are the components of G[live], the seeds' counting as
+        # one, and each vertex's depth is its distance from the tree's
+        # root, or from the nearest seed
+        groups = [set_to_mask(seeds)] if seeds else []
+        groups.extend(1 << root for root in roots[len(seeds) :])
+        for group in groups:
+            assert grow_piece(g.masks, group, live)[0] == sum(trees[r] for r in bits_of(group))
+            level, seen, frontier = 0, group, group
+            while frontier:
+                reach = 0
+                for v in bits_of(frontier):
+                    assert depth[v] == level
+                    reach |= g.masks[v]
+                frontier = reach & live & ~seen
+                seen |= frontier
+                level += 1
+        for root in roots[len(seeds) :]:
+            assert trees[root] & -trees[root] == 1 << root
 
 
 class TestArticulation:
@@ -365,6 +448,22 @@ class TestGenerators:
             gnp_random(8, 1.5, 1)
         with pytest.raises(InputError):
             gnp_random(-2, 0.5, 1)
+
+    @pytest.mark.parametrize(
+        "draw,match",
+        [
+            (lambda: gnp_random(10, "0.5", 1), "edge probability .* got '0.5'"),
+            (lambda: gnp_random(10, 1j, 1), r"edge probability .* got 1j"),
+            (lambda: gnp_random(10, 0.5, "x"), "seed must be an int, got 'x'"),
+            (lambda: gnp_random(10, 0.5, 1.0), "seed must be an int, got 1.0"),
+            (lambda: bipartite_random(3, 4, "0.5", 1), "edge probability .* got '0.5'"),
+            (lambda: bipartite_random(3, 4, 0.5, "x"), "seed must be an int, got 'x'"),
+        ],
+        ids=["gnp-str-p", "gnp-complex-p", "gnp-str-seed", "gnp-float-seed", "bip-str-p", "bip-str-seed"],
+    )
+    def test_bad_draw_arguments_raise_input_error(self, draw, match):
+        with pytest.raises(InputError, match=match):
+            draw()
 
     def test_gnp_density(self):
         g = gnp_random(60, 0.25, 11)

@@ -1,5 +1,7 @@
 """Formulations: digraph build, model rows, witnesses, exhaustive checks."""
 
+import itertools
+
 import pytest
 
 from cvckit.errors import InputError, SizeCapError
@@ -17,7 +19,6 @@ from cvckit.mip import (
     default_roots,
     find_parb_mismatch,
     find_pstp_mismatch,
-    parb_point,
     witness_parb,
 )
 from cvckit.oracle import brute_force_cvc
@@ -32,7 +33,7 @@ class TestRootedDigraph:
         dg = build_digraph(g, 1, 2)
         assert dg.arcs == ((1, 0), (1, 2), (2, 3))
         assert dg.in_tails(0) == (1,) and dg.in_tails(2) == (1,)
-        assert dg.out_heads(1) == (0, 2)
+        assert [v for u, v in dg.arcs if u == 1] == [0, 2]
         # arc count identity: 2m - deg(r) - deg(r1) + 1
         assert len(dg.arcs) == 2 * g.m - g.degree(1) - g.degree(2) + 1
 
@@ -129,32 +130,38 @@ class TestBuildParb:
                 assert (var.lb, var.ub) == (0.0, 4.0)
 
 
+def _depths(point, n):
+    return tuple(point[f"d_{v}"] for v in range(n))
+
+
 class TestWitness:
     def test_path_witness_by_hand(self):
         g = path(4)
         w = witness_parb(g, {1, 2}, 1, 2)
-        assert w.z == {(1, 0): 0, (1, 2): 1, (2, 3): 0}
-        assert w.d == (0, 0, 1, 0)
+        assert w == {
+            "x_0": 0, "x_1": 1, "x_2": 1, "x_3": 0,
+            "z_1_0": 0, "z_1_2": 1, "z_2_3": 0,
+            "d_0": 0, "d_1": 0, "d_2": 1, "d_3": 0,
+        }
 
     def test_single_root_sides(self):
         g = cycle(5)  # roots 0, 1
         # cover holding r=0 but not r1=1: tree must hang off r alone
         w = witness_parb(g, {0, 2, 3, 4}, 0, 1)
-        assert w.z[(0, 4)] == 1 and w.z[(0, 1)] == 0
-        assert w.d == (0, 0, 3, 2, 1)
+        assert w["z_0_4"] == 1 and w["z_0_1"] == 0
+        assert _depths(w, 5) == (0, 0, 3, 2, 1)
         # cover holding r1=1 but not r=0
         w = witness_parb(g, {1, 2, 3, 4}, 0, 1)
-        assert w.z[(1, 2)] == 1 and w.z[(0, 1)] == 0
-        assert w.d == (0, 0, 1, 2, 3)
+        assert w["z_1_2"] == 1 and w["z_0_1"] == 0
+        assert _depths(w, 5) == (0, 0, 1, 2, 3)
 
     def test_roundtrip_on_corpus_optima(self, corpus60):
         for name, g in corpus60[:25]:
             cover, _ = brute_force_cvc(g)
             r, r1 = default_roots(g)
             w = witness_parb(g, cover, r, r1)
-            model = build_parb(g, r, r1)
-            dg = build_digraph(g, r, r1)
-            assert check_integer_point(model, parb_point(dg, cover, w)), name
+            assert check_integer_point(build_parb(g, r, r1), w), name
+            assert {v for v in range(g.n) if w[f"x_{v}"]} == cover, name
 
     def test_rejects_invalid_cover(self):
         with pytest.raises(InputError):
@@ -218,6 +225,49 @@ class TestExhaustiveParb:
         monkeypatch.setattr("cvckit.mip.build_parb", tightened)
         # {0, 1, 2, 3} is the first connected vertex cover of C5 by bitmask
         assert find_parb_mismatch(cycle(5)) == frozenset({0, 1, 2, 3})
+
+    def test_judges_connectivity_rows(self, monkeypatch):
+        def unconnected(g, r=None, r1=None):
+            model = build_parb(g, r, r1)
+            model.constraints = [
+                row for row in model.constraints
+                if not row.name.startswith("indeg_") and row.name != "card"
+            ]
+            return model
+
+        monkeypatch.setattr("cvckit.mip.build_parb", unconnected)
+        # {1, 3} is the first disconnected cover of P5 by bitmask
+        assert find_parb_mismatch(path(5)) == frozenset({1, 3})
+
+
+def _without_depth_rows(model):
+    model.constraints = [row for row in model.constraints if not row.name.startswith("mtz_")]
+    return model
+
+
+class TestDepthRows:
+    """The depth rows are what rejects a directed cycle: both verifiers
+    rely on it (the forest point is acyclic, and count_qr_feasible prunes
+    cyclic partial picks by hand), so it is checked here on one point."""
+
+    CYCLE = {"z_0_1": 1, "z_2_3": 1, "z_3_2": 1}
+
+    def _check(self, build, base):
+        model = build()
+        zero = {v.name: 0 for v in model.variables if v.name.startswith("z_")}
+        point = {**base, **zero, **self.CYCLE}
+        for depths in itertools.product(range(4), repeat=4):
+            d = {f"d_{v}": depths[v] for v in range(4)}
+            assert not check_integer_point(model, {**point, **d}), depths
+        # every other row holds, so only the depth rows reject it
+        d0 = {f"d_{v}": 0 for v in range(4)}
+        assert check_integer_point(_without_depth_rows(build()), {**point, **d0})
+
+    def test_parb_rejects_a_cycle(self):
+        self._check(lambda: build_parb(complete(4), 0, 1), {f"x_{v}": 1 for v in range(4)})
+
+    def test_qr_rejects_a_cycle(self):
+        self._check(lambda: build_qr(bidirect_rooted(complete(4), 0), 0), {})
 
 
 class TestBuildQr:
