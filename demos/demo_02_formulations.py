@@ -28,7 +28,7 @@ PRISM = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4)
 def show_sizes(g):
     r, r1 = default_roots(g)
     parb = build_parb(g, r, r1)
-    qr = build_qr(bidirect_rooted(g, r), r)
+    qr = build_qr(bidirect_rooted(g, r))
     stp = build_pstp(g)
     print(f"roots chosen for the two-root model: r={r} r1={r1}")
     for label, model in (("two-root", parb), ("single-root", qr), ("spanning-tree", stp)):

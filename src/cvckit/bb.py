@@ -67,8 +67,8 @@ from .graph import (
     articulation_points_mask,
     dfs_tree,
     grow_piece,
-    is_connected,
     mask_to_set,
+    require,
     set_to_mask,
 )
 from .oracle import check_cvc
@@ -119,8 +119,6 @@ ALGORITHMS = ("bb", "rds", "vc-bb")
 def _validate(g: Graph, algorithm: str, cfg: SolverConfig) -> None:
     if algorithm not in ALGORITHMS:
         raise InputError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
-    if g.n == 0:
-        raise InputError("solver needs at least one vertex")
     limit = cfg.time_limit
     if limit is not None:
         # bool is an int subclass, but True is no number of seconds
@@ -129,8 +127,7 @@ def _validate(g: Graph, algorithm: str, cfg: SolverConfig) -> None:
         # written so that NaN, which fails every comparison, is rejected too
         if not limit > 0:
             raise InputError(f"time limit must be positive, got {limit!r}")
-    if not is_connected(g):
-        raise InputError("solver requires a connected graph")
+    require(g, "solver", connected=True)
 
 
 def include_candidates(masks: tuple[int, ...], live: int, rmask: int, v: int) -> int:
@@ -278,10 +275,7 @@ def greedy_cvc_2approx(g: Graph) -> VertexSet:
     touches an internal vertex, and the internal vertices form a subtree,
     hence a connected cover.
     """
-    if g.n < 2:
-        raise InputError("greedy_cvc_2approx needs at least two vertices")
-    if not is_connected(g):
-        raise InputError("greedy_cvc_2approx requires a connected graph")
+    require(g, "greedy_cvc_2approx", min_n=2, connected=True)
     root = max(range(g.n), key=lambda v: (g.degree(v), -v))
     tree = dfs_tree(g, root)
     return frozenset(parent for parent, _ in tree)

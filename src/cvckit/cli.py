@@ -190,7 +190,7 @@ def _cmd_emit(args) -> int:
         if args.root2 is not None:
             raise InputError("the single-root model takes one root")
         r = args.root if args.root is not None else default_roots(g)[0]
-        model = build_qr(bidirect_rooted(g, r), r)
+        model = build_qr(bidirect_rooted(g, r))
     else:
         model = build_parb(g, args.root, args.root2)
     text = write_lp(model)

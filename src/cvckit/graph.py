@@ -5,14 +5,20 @@ neighbor bitmask per vertex (`Graph.masks`), which the solvers, the
 models and the helpers below all read.  The `*_mask` functions and
 `bfs_forest` operate on a "live" bitmask selecting an induced subgraph,
 so subgraphs never have to be materialised in hot loops.
+
+The library checks its arguments here: `vertex_mask` each vertex or root
+(a non-int or a value outside range(n) is an InputError naming it), and
+`require` the graph (SizeCapError above a cap, InputError below a minimum
+n or when disconnected).
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import DimacsError, InputError
+from .errors import DimacsError, InputError, SizeCapError
 from .rng import Xoshiro256
 
 # Vertex sets are plain frozensets of ints with incidence semantics.
@@ -29,8 +35,8 @@ class Graph:
             masks[u] is set iff u and v are adjacent); the neighbors of
             v in increasing order are bits_of(masks[v]).
 
-    Each edge must be a pair of distinct ints in range(n); anything else
-    raises InputError naming the edge.
+    `edges` must be an iterable of pairs of distinct ints in range(n);
+    anything else raises InputError naming it.
     """
 
     __slots__ = ("n", "edges", "masks")
@@ -38,6 +44,10 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(n, int) or n < 0:
             raise InputError(f"vertex count must be a non-negative int, got {n!r}")
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise InputError(f"edges must be an iterable of pairs, got {edges!r}") from None
         normalized = set()
         masks = [0] * n
         for edge in edges:
@@ -238,6 +248,24 @@ def articulation_points_mask(
     return art
 
 
+def vertex_mask(n: int, vertices: Iterable[int], what: str = "vertex") -> int:
+    """Bitmask of `vertices`, each an int in range(n).
+
+    Anything else raises InputError naming the value as `what`, for
+    example "root 1.5 is not an int" or "root 99 out of range for n=4".
+    """
+    mask = 0
+    for v in vertices:
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise InputError(f"{what} {v!r} is not an int") from None
+        if not 0 <= v < n:
+            raise InputError(f"{what} {v} out of range for n={n}")
+        mask |= 1 << v
+    return mask
+
+
 def set_to_mask(vertices: Iterable[int]) -> int:
     mask = 0
     for v in vertices:
@@ -251,6 +279,22 @@ def mask_to_set(mask: int) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # public graph operations
+
+
+def require(
+    g: Graph, what: str, min_n: int = 1, connected: bool = False, cap: Optional[int] = None
+) -> None:
+    """Refuse g in the name of the routine `what` unless min_n <= g.n,
+    g.n <= cap (when a cap is given) and, if `connected`, g is connected.
+
+    Above the cap raises SizeCapError; every other refusal InputError.
+    """
+    if cap is not None and g.n > cap:
+        raise SizeCapError(f"{what} refuses n={g.n} above the cap of {cap}")
+    if g.n < min_n:
+        raise InputError(f"{what} needs n >= {min_n}, got n={g.n}")
+    if connected and not is_connected_mask(g.masks, g.full_mask()):
+        raise InputError(f"{what} requires a connected graph")
 
 
 def is_connected(g: Graph) -> bool:
@@ -267,15 +311,9 @@ def articulation_points(g: Graph) -> frozenset:
 
 def induced_delete(g: Graph, removed: Iterable[int]) -> InducedSubgraph:
     """Subgraph induced by deleting `removed`, with the label map back."""
-    removed = set(removed)
-    for v in removed:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    keep = [v for v in range(g.n) if v not in removed]
+    keep = list(bits_of(g.full_mask() & ~vertex_mask(g.n, removed)))
     index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v]) for (u, v) in g.edges if u not in removed and v not in removed
-    ]
+    edges = [(index[u], index[v]) for (u, v) in g.edges if u in index and v in index]
     return InducedSubgraph(Graph(len(keep), edges), tuple(keep))
 
 
@@ -285,9 +323,7 @@ def dfs_tree(g: Graph, root: int) -> list[tuple[int, int]]:
     Each step enters the lowest unvisited neighbor of the deepest vertex
     that has one, so the tree is deterministic.  Requires g connected.
     """
-    if not 0 <= root < g.n:
-        raise InputError(f"root {root} out of range for n={g.n}")
-    unvisited = g.full_mask() ^ 1 << root
+    unvisited = g.full_mask() ^ vertex_mask(g.n, (root,), "root")
     stack = [root]
     tree: list[tuple[int, int]] = []
     while stack:
@@ -314,8 +350,7 @@ def spanning_tree_count(g: Graph) -> int:
     size.  A graph with a single vertex has one spanning tree; a
     disconnected graph has zero.
     """
-    if g.n == 0:
-        raise InputError("spanning_tree_count is undefined for the empty graph")
+    require(g, "spanning_tree_count")
     # the Laplacian without vertex 0's row and column
     size = g.n - 1
     a = [

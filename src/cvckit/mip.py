@@ -40,9 +40,10 @@ from .graph import (
     bfs_forest,
     bits_of,
     grow_piece,
-    is_connected,
     mask_to_set,
+    require,
     set_to_mask,
+    vertex_mask,
 )
 from .oracle import check_cvc
 
@@ -127,32 +128,42 @@ class RootedDigraph:
         r: the root, never entered by an arc;
         r1: secondary root or None; when set, the only arc entering r1
             is (r, r1).
+
+    An arc that is not a pair of distinct ints in range(n), a repeated
+    arc and a root outside range(n) raise InputError.
     """
 
     __slots__ = ("n", "arcs", "r", "r1", "_in")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]], r: int, r1: Optional[int] = None):
         seen = set()
-        for u, v in arcs:
+        incoming = [[] for _ in range(n)]
+        outgoing = [[] for _ in range(n)]
+        for arc in arcs:
+            try:
+                u, v = arc
+                if 0 <= u < n and 0 <= v < n and u != v and (u, v) not in seen:
+                    seen.add((u, v))
+                    # a non-int endpoint fails the index, as in Graph
+                    incoming[v].append(u)
+                    outgoing[u].append(v)
+                    continue
+            except (TypeError, ValueError):
+                raise InputError(f"arc {arc!r} is not a pair of ints") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"arc ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-arc at vertex {u} is not allowed")
-            if (u, v) in seen:
-                raise InputError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
-        if not 0 <= r < n:
-            raise InputError(f"root {r} out of range for n={n}")
-        if r1 is not None and (not 0 <= r1 < n or r1 == r):
-            raise InputError(f"secondary root {r1} invalid (r={r}, n={n})")
+            raise InputError(f"duplicate arc ({u}, {v})")
+        vertex_mask(n, (r,), "root")
+        if r1 is not None:
+            # r1 == r fails the in-arc test below
+            vertex_mask(n, (r1,), "secondary root")
         self.n = n
-        self.arcs = tuple(sorted(seen))
+        self.arcs = tuple([(u, v) for u, heads in enumerate(outgoing) for v in sorted(heads)])
+        self._in = tuple(tuple(sorted(tails)) for tails in incoming)
         self.r = r
         self.r1 = r1
-        incoming = [[] for _ in range(n)]
-        for u, v in self.arcs:
-            incoming[v].append(u)
-        self._in = tuple(tuple(sorted(t)) for t in incoming)
         if self._in[r]:
             raise InputError(f"root {r} must have no entering arcs")
         if r1 is not None and self._in[r1] != (r,):
@@ -174,7 +185,7 @@ class RootedDigraph:
 def default_roots(g: Graph) -> tuple[int, int]:
     """Default root pair: a maximum-degree vertex and its maximum-degree
     neighbor, ties broken by lowest index."""
-    if g.n < 2 or g.m == 0:
+    if g.m == 0:
         raise InputError("root selection needs at least one edge")
     r = max(range(g.n), key=lambda v: (g.degree(v), -v))
     r1 = max(bits_of(g.masks[r]), key=lambda v: (g.degree(v), -v))
@@ -186,8 +197,7 @@ def _resolve_roots(g: Graph, r: Optional[int], r1: Optional[int]) -> tuple[int, 
         return default_roots(g)
     if r is None or r1 is None:
         base = r if r is not None else r1
-        if not 0 <= base < g.n:
-            raise InputError(f"root {base} out of range for n={g.n}")
+        vertex_mask(g.n, (base,), "root")
         if not g.masks[base]:
             raise InputError(f"root {base} has no neighbors to pair with")
         other = max(bits_of(g.masks[base]), key=lambda v: (g.degree(v), -v))
@@ -202,14 +212,10 @@ def build_digraph(g: Graph, r: int, r1: int) -> RootedDigraph:
     arcs leaving r1; every other edge is bidirected.  Requires g connected
     and r, r1 adjacent.
     """
-    if g.n < 2:
-        raise InputError("build_digraph needs at least two vertices")
-    if not (0 <= r < g.n and 0 <= r1 < g.n) or r == r1:
-        raise InputError(f"invalid root pair ({r}, {r1}) for n={g.n}")
+    require(g, "build_digraph", min_n=2, connected=True)
+    vertex_mask(g.n, (r, r1), "root")
     if not g.has_edge(r, r1):
         raise InputError(f"roots {r} and {r1} must be adjacent")
-    if not is_connected(g):
-        raise InputError("build_digraph requires a connected graph")
     arcs = []
     for u, v in g.edges:
         if r in (u, v):
@@ -226,8 +232,7 @@ def build_digraph(g: Graph, r: int, r1: int) -> RootedDigraph:
 
 def bidirect_rooted(g: Graph, r: int) -> RootedDigraph:
     """Bidirect g, then delete every arc entering r (single-root form)."""
-    if not 0 <= r < g.n:
-        raise InputError(f"root {r} out of range for n={g.n}")
+    vertex_mask(g.n, (r,), "root")
     arcs = []
     for u, v in g.edges:
         if v != r:
@@ -289,19 +294,17 @@ def build_parb(g: Graph, r: Optional[int] = None, r1: Optional[int] = None) -> M
     return model
 
 
-def build_qr(dg: RootedDigraph, r: int) -> MipModel:
-    """Single-root arborescence polytope over a digraph with no arcs into r.
+def build_qr(dg: RootedDigraph) -> MipModel:
+    """Single-root arborescence polytope over a digraph rooted at r = dg.r.
 
     Binary z per arc; unit indegree row per non-root vertex; depth rows
     d_v >= n*(z_uv - 1) + d_u + 1 per arc; d_r = 0; cardinality row
     z(A) = n - 1.  The feasible binary z are exactly the r-arborescences,
     and the depth bounds [0, n-1] do not change that projection.
     """
-    if r != dg.r:
-        raise InputError(f"digraph is rooted at {dg.r}, not {r}")
     if dg.r1 is not None:
         raise InputError("build_qr expects a single-root digraph (r1 must be None)")
-    n = dg.n
+    n, r = dg.n, dg.r
     model = MipModel(metadata={"formulation": "single-root-arborescence", "roots": f"r={r}"})
     for u, v in dg.arcs:
         model.add_variable(f"z_{u}_{v}", "binary")
@@ -336,13 +339,7 @@ def build_pstp(g: Graph) -> MipModel:
     from the y <= 1 bounds.  Rows are declared in increasing order of the
     subset's bitmask encoding.
     """
-    if g.n > PSTP_CAP:
-        raise SizeCapError(
-            f"build_pstp refuses n={g.n}: the forest rows grow exponentially "
-            f"(cap {PSTP_CAP})"
-        )
-    if g.n == 0:
-        raise InputError("build_pstp needs at least one vertex")
+    require(g, "build_pstp", cap=PSTP_CAP)
     n = g.n
     edges = sorted(g.edges)
     model = MipModel(metadata={"formulation": "spanning-tree"})
@@ -511,10 +508,7 @@ def find_parb_mismatch(
     a further tree's root has no in-arc, and the indegree and cardinality
     rows must reject the point.
     """
-    if g.n > VERIFY_CAP:
-        raise SizeCapError(
-            f"find_parb_mismatch refuses n={g.n}: 2^n subsets (cap {VERIFY_CAP})"
-        )
+    require(g, "find_parb_mismatch", cap=VERIFY_CAP)
     r, r1 = _resolve_roots(g, r, r1)
     model = build_parb(g, r, r1)
     point = _point_builder(build_digraph(g, r, r1))
@@ -544,12 +538,7 @@ def find_pstp_mismatch(g: Graph) -> Optional[VertexSet]:
     that is missing: for a disconnected cover, each component K inducing
     at least |K| edges must therefore have its `sub_` row.
     """
-    if g.n > PSTP_VERIFY_CAP:
-        raise SizeCapError(
-            f"find_pstp_mismatch refuses n={g.n}: 2^n subsets (cap {PSTP_VERIFY_CAP})"
-        )
-    if g.n < 2 or not is_connected(g):
-        raise InputError("find_pstp_mismatch expects a connected graph, n >= 2")
+    require(g, "find_pstp_mismatch", min_n=2, connected=True, cap=PSTP_VERIFY_CAP)
     model = build_pstp(g)
     row_names = {row.name for row in model.constraints}
     edges = sorted(g.edges)
@@ -588,7 +577,7 @@ def count_qr_feasible(dg: RootedDigraph) -> int:
     if dg.n > QR_COUNT_CAP:
         raise SizeCapError(f"count_qr_feasible refuses n={dg.n} (cap {QR_COUNT_CAP})")
     r = dg.r
-    model = build_qr(dg, r)
+    model = build_qr(dg)
     point = _point_builder(dg)
     targets = [v for v in range(dg.n) if v != r]
     for v in targets:

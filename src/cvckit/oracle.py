@@ -2,8 +2,9 @@
 
 Everything here trades speed for transparency: these routines exist so the
 branch-and-bound solver and the integer formulations have an independent
-ground truth to be checked against.  All of them refuse instances above a
-hard size cap instead of silently taking forever.
+ground truth to be checked against.  The enumerations refuse n above
+DEFAULT_CAP = 20 (SizeCapError) instead of silently taking forever, and a
+vertex that is no int in range(n) is an InputError.
 
 A vertex set C is a connected vertex cover (CVC) when every edge has an
 endpoint in C and the subgraph induced by C is connected.  Equivalently,
@@ -15,14 +16,14 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import InputError, SizeCapError
 from .graph import (
     Graph,
     VertexSet,
-    is_connected,
+    bits_of,
     is_connected_mask,
     mask_to_set,
-    set_to_mask,
+    require,
+    vertex_mask,
 )
 
 DEFAULT_CAP = 20
@@ -46,12 +47,10 @@ class CvcCertificate(NamedTuple):
 
 def check_cvc(g: Graph, cover: Iterable[int]) -> CvcCertificate:
     """Check the two defining properties of a connected vertex cover."""
-    cover = frozenset(cover)
-    for v in cover:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    is_cover = all(u in cover or v in cover for u, v in g.edges)
-    cmask = set_to_mask(cover)
+    cmask = vertex_mask(g.n, cover)
+    masks = g.masks
+    # an edge is uncovered iff it joins two vertices outside the cover
+    is_cover = not any(masks[v] & ~cmask for v in bits_of(g.full_mask() & ~cmask))
     if cmask == 0:
         connected = g.m == 0
     else:
@@ -59,14 +58,7 @@ def check_cvc(g: Graph, cover: Iterable[int]) -> CvcCertificate:
     return CvcCertificate(is_cover, connected)
 
 
-def _check_instance(g: Graph, cap: int, what: str) -> None:
-    if g.n > cap:
-        raise SizeCapError(f"{what} refuses n={g.n} above the cap of {cap}")
-    if g.n == 0:
-        raise InputError(f"{what} needs at least one vertex")
-
-
-def brute_force_cvc(g: Graph, cap: int = DEFAULT_CAP) -> tuple[VertexSet, int]:
+def brute_force_cvc(g: Graph) -> tuple[VertexSet, int]:
     """Exact minimum connected vertex cover by stable-set enumeration.
 
     Branches on the lowest-index undecided vertex.  A vertex is only added
@@ -76,11 +68,9 @@ def brute_force_cvc(g: Graph, cap: int = DEFAULT_CAP) -> tuple[VertexSet, int]:
     re-checked at every leaf anyway.  The first maximum found is kept, so
     the result is deterministic.
 
-    Returns (cover, size).  Requires g connected and n <= cap.
+    Returns (cover, size).  Requires g connected and n <= DEFAULT_CAP.
     """
-    _check_instance(g, cap, "brute_force_cvc")
-    if not is_connected(g):
-        raise InputError("brute_force_cvc requires a connected graph")
+    require(g, "brute_force_cvc", connected=True, cap=DEFAULT_CAP)
     n, masks = g.n, g.masks
     full = g.full_mask()
     best_mask = 0  # the empty stable set is always feasible for connected g
@@ -103,19 +93,19 @@ def brute_force_cvc(g: Graph, cap: int = DEFAULT_CAP) -> tuple[VertexSet, int]:
     return cover, n - best_size
 
 
-def brute_force_vc(g: Graph, cap: int = DEFAULT_CAP) -> int:
+def brute_force_vc(g: Graph) -> int:
     """Minimum vertex cover size, ignoring connectivity of the cover.
 
-    Computed as n minus the maximum stable set size.  n <= cap required.
+    Computed as n minus the maximum stable set size.  n <= DEFAULT_CAP required.
     """
-    _check_instance(g, cap, "brute_force_vc")
-    return g.n - max_stable_set_size(g, cap=cap)
+    require(g, "brute_force_vc", cap=DEFAULT_CAP)
+    return g.n - max_stable_set_size(g)
 
 
-def max_stable_set_size(g: Graph, cap: int = DEFAULT_CAP) -> int:
+def max_stable_set_size(g: Graph) -> int:
     """Maximum stable set size by include/exclude recursion with a
     cardinality prune."""
-    _check_instance(g, cap, "max_stable_set_size")
+    require(g, "max_stable_set_size", cap=DEFAULT_CAP)
     masks = g.masks
     best = 0
 
@@ -134,18 +124,17 @@ def max_stable_set_size(g: Graph, cap: int = DEFAULT_CAP) -> int:
     return best
 
 
-def is_interesting(g: Graph, cap: int = DEFAULT_CAP) -> bool:
+def is_interesting(g: Graph) -> bool:
     """True when the connectivity requirement actually costs something,
     i.e. minimum CVC is strictly larger than minimum VC."""
-    _, cvc_size = brute_force_cvc(g, cap=cap)
-    return cvc_size > brute_force_vc(g, cap=cap)
+    _, cvc_size = brute_force_cvc(g)
+    return cvc_size > brute_force_vc(g)
 
 
 def feasible_stable_sets(
     g: Graph,
     base: Iterable[int] = (),
     candidates: Optional[Iterable[int]] = None,
-    cap: int = DEFAULT_CAP,
 ) -> Iterator[VertexSet]:
     """Yield every feasible stable set S with base <= S <= base+candidates.
 
@@ -154,22 +143,15 @@ def feasible_stable_sets(
     connectivity test at each leaf, nothing else) so it can serve as an
     independent check of cleverer pruning logic.
     """
-    _check_instance(g, cap, "feasible_stable_sets")
+    require(g, "feasible_stable_sets", cap=DEFAULT_CAP)
     masks = g.masks
     full = g.full_mask()
-    base = frozenset(base)
-    pool = base if candidates is None else base | set(candidates)
-    for v in pool:
-        if not 0 <= v < g.n:
-            raise InputError(f"vertex {v} out of range for n={g.n}")
-    base_mask = set_to_mask(base)
-    for v in base:
+    base_mask = vertex_mask(g.n, base)
+    pool = full if candidates is None else vertex_mask(g.n, candidates)
+    for v in bits_of(base_mask):
         if masks[v] & base_mask:
             return  # base is not stable: no S containing it can be
-    if candidates is None:
-        cand = [v for v in range(g.n) if not base_mask >> v & 1]
-    else:
-        cand = sorted(set(candidates) - base)
+    cand = list(bits_of(pool & ~base_mask))
 
     def rec(idx: int, smask: int) -> Iterator[int]:
         if idx == len(cand):
@@ -189,12 +171,11 @@ def max_feasible_stable(
     g: Graph,
     base: Iterable[int] = (),
     candidates: Optional[Iterable[int]] = None,
-    cap: int = DEFAULT_CAP,
 ) -> int:
     """Size of the largest feasible stable set within base+candidates,
     by exhaustive enumeration; -1 when none exists (infeasible base)."""
     best = -1
-    for s in feasible_stable_sets(g, base, candidates, cap=cap):
+    for s in feasible_stable_sets(g, base, candidates):
         if len(s) > best:
             best = len(s)
     return best

@@ -235,7 +235,7 @@ def test_criterion_10_lp_goldens_and_reparse():
     ]
     models = [
         build_parb(path(4)),
-        build_qr(bidirect_rooted(cycle(5), 0), 0),
+        build_qr(bidirect_rooted(cycle(5), 0)),
         build_pstp(complete(4)),
     ]
     rng = Xoshiro256(424242)

@@ -171,7 +171,7 @@ class TestEmit:
         code, out, _ = run_cli(capsys, "emit", str(path), "--model", "parb")
         assert code == 0 and out == write_lp(build_parb(g))
         code, out, _ = run_cli(capsys, "emit", str(path), "--model", "qr", "--root", "3")
-        assert out == write_lp(build_qr(bidirect_rooted(g, 3), 3))
+        assert out == write_lp(build_qr(bidirect_rooted(g, 3)))
 
     def test_output_file_and_root_validation(self, instance, tmp_path, capsys):
         _, path = instance

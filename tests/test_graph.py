@@ -98,8 +98,10 @@ class TestGraph:
             ([(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair of ints"),
             ([(0, "1")], r"edge \(0, '1'\) is not a pair of ints"),
             ([(5, 5)], "out of range"),
+            (None, "edges must be an iterable of pairs, got None"),
+            (5, "edges must be an iterable of pairs, got 5"),
         ],
-        ids=["float", "one-tuple", "triple", "str", "loop-out-of-range"],
+        ids=["float", "one-tuple", "triple", "str", "loop-out-of-range", "none", "int"],
     )
     def test_bad_edges_raise_input_error(self, edges, match):
         with pytest.raises(InputError, match=match):

@@ -76,7 +76,7 @@ class TestDialect:
 
     def test_empty_objective_convention(self):
         dg = bidirect_rooted(path(3), 1)
-        text = write_lp(build_qr(dg, 1))
+        text = write_lp(build_qr(dg))
         assert "\n obj: 0 z_1_0\n" in text
 
     def test_empty_row_convention(self):
@@ -137,7 +137,7 @@ class TestIndependentReparse:
     def models(self):
         yield build_parb(path(4))
         yield build_parb(k33())
-        yield build_qr(bidirect_rooted(cycle(5), 0), 0)
+        yield build_qr(bidirect_rooted(cycle(5), 0))
         yield build_pstp(complete(4))
 
     def test_rows_survive_reparse(self):

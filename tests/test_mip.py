@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from cvckit.errors import InputError, SizeCapError
-from cvckit.graph import Graph, gnp_random, spanning_tree_count
+from cvckit.graph import Graph, dfs_tree, gnp_random, induced_delete, spanning_tree_count
 from cvckit.mip import (
     MipModel,
     RootedDigraph,
@@ -21,9 +21,39 @@ from cvckit.mip import (
     find_pstp_mismatch,
     witness_parb,
 )
-from cvckit.oracle import brute_force_cvc
+from cvckit.oracle import brute_force_cvc, check_cvc, feasible_stable_sets, max_feasible_stable
 from tests.conftest import connected_gnp
 from tests.test_graph import complete, cycle, path
+
+
+# each call takes one bad vertex or root v of P4 (n=4)
+BAD_VERTEX_CALLS = {
+    "check_cvc": lambda v: check_cvc(path(4), [1, v]),
+    "induced_delete": lambda v: induced_delete(path(4), [v]),
+    "dfs_tree": lambda v: dfs_tree(path(4), v),
+    "feasible_stable_sets-base": lambda v: list(feasible_stable_sets(path(4), [v])),
+    "feasible_stable_sets-candidates": lambda v: list(feasible_stable_sets(path(4), (), [0, v])),
+    "max_feasible_stable-base": lambda v: max_feasible_stable(path(4), [v]),
+    "max_feasible_stable-candidates": lambda v: max_feasible_stable(path(4), (), [0, v]),
+    "build_parb-r": lambda v: build_parb(path(4), v),
+    "build_parb-r1": lambda v: build_parb(path(4), None, v),
+    "build_parb-pair": lambda v: build_parb(path(4), 1, v),
+    "build_digraph-r": lambda v: build_digraph(path(4), v, 1),
+    "build_digraph-r1": lambda v: build_digraph(path(4), 1, v),
+    "bidirect_rooted": lambda v: bidirect_rooted(path(4), v),
+    "witness_parb-r": lambda v: witness_parb(path(4), {1, 2}, v, 1),
+    "witness_parb-r1": lambda v: witness_parb(path(4), {1, 2}, 1, v),
+    "RootedDigraph-r": lambda v: RootedDigraph(4, [(0, 1)], v),
+    "RootedDigraph-r1": lambda v: RootedDigraph(4, [(0, 1)], 0, v),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, "a", -1, 4], ids=["float", "str", "negative", "n"])
+@pytest.mark.parametrize("call", BAD_VERTEX_CALLS.values(), ids=BAD_VERTEX_CALLS.keys())
+def test_bad_vertex_argument_raises_input_error(call, value):
+    match = "out of range for n=4" if isinstance(value, int) else "is not an int"
+    with pytest.raises(InputError, match=match):
+        call(value)
 
 
 class TestRootedDigraph:
@@ -61,6 +91,9 @@ class TestRootedDigraph:
             RootedDigraph(3, [(0, 1), (2, 1)], 0, 1)  # extra arc into r1
         with pytest.raises(InputError):
             RootedDigraph(3, [(1, 1)], 0)
+        for arc in [(0, 1.5), (1.5, 0), (0, "1"), (0,)]:
+            with pytest.raises(InputError, match="is not a pair of ints"):
+                RootedDigraph(3, [arc], 0)
 
     def test_bidirect_rooted(self):
         dg = bidirect_rooted(path(3), 1)
@@ -267,7 +300,7 @@ class TestDepthRows:
         self._check(lambda: build_parb(complete(4), 0, 1), {f"x_{v}": 1 for v in range(4)})
 
     def test_qr_rejects_a_cycle(self):
-        self._check(lambda: build_qr(bidirect_rooted(complete(4), 0), 0), {})
+        self._check(lambda: build_qr(bidirect_rooted(complete(4), 0)), {})
 
 
 class TestBuildQr:
@@ -275,14 +308,11 @@ class TestBuildQr:
         g = path(4)
         two_root = build_digraph(g, 1, 2)
         with pytest.raises(InputError):
-            build_qr(two_root, 1)
-        single = bidirect_rooted(g, 1)
-        with pytest.raises(InputError):
-            build_qr(single, 0)  # digraph is rooted at 1
+            build_qr(two_root)
 
     def test_row_structure(self):
         dg = bidirect_rooted(path(3), 0)
-        model = build_qr(dg, 0)
+        model = build_qr(dg)
         names = [c.name for c in model.constraints]
         assert names == ["indeg_1", "indeg_2", "mtz_0_1", "mtz_1_2", "mtz_2_1", "root", "card"]
         assert model.objective == ()
@@ -317,8 +347,8 @@ class TestBuildQr:
             count_qr_feasible(bidirect_rooted(complete(11), 0))
 
     def test_judges_the_built_model(self, monkeypatch):
-        def tightened(dg, r):
-            model = build_qr(dg, r)
+        def tightened(dg):
+            model = build_qr(dg)
             model.add_constraint("extra", ((1, "z_0_1"),), "=", 0)
             return model
 

@@ -170,6 +170,6 @@ class TestFeasibleStableSets:
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
-            brute_force_cvc(Graph(25), cap=20)
+            brute_force_cvc(Graph(25))
         with pytest.raises(SizeCapError):
             list(feasible_stable_sets(Graph(25)))
