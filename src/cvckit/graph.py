@@ -6,8 +6,9 @@ models and the helpers below all read.  The `*_mask` functions and
 `bfs_forest` operate on a "live" bitmask selecting an induced subgraph,
 so subgraphs never have to be materialised in hot loops.
 
-The library checks its arguments here: `vertex_mask` each vertex or root
-(a non-int or a value outside range(n) is an InputError naming it), and
+The library checks its arguments here: `vertex_index` each vertex or root
+and `vertex_mask` each vertex set (a non-int or a value outside range(n)
+is an InputError naming it; the checked int is what the callers use), and
 `require` the graph (SizeCapError above a cap, InputError below a minimum
 n or when disconnected).
 """
@@ -23,6 +24,11 @@ from .rng import Xoshiro256
 
 # Vertex sets are plain frozensets of ints with incidence semantics.
 VertexSet = frozenset
+
+
+def _is_count(n) -> bool:
+    """n is a non-negative int and not a bool."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
 class Graph:
@@ -42,7 +48,7 @@ class Graph:
     __slots__ = ("n", "edges", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not isinstance(n, int) or n < 0:
+        if not _is_count(n):
             raise InputError(f"vertex count must be a non-negative int, got {n!r}")
         try:
             edges = iter(edges)
@@ -248,21 +254,26 @@ def articulation_points_mask(
     return art
 
 
-def vertex_mask(n: int, vertices: Iterable[int], what: str = "vertex") -> int:
-    """Bitmask of `vertices`, each an int in range(n).
+def vertex_index(n: int, v, what: str = "vertex") -> int:
+    """The int in range(n) that v stands for (`True` stands for 1).
 
     Anything else raises InputError naming the value as `what`, for
     example "root 1.5 is not an int" or "root 99 out of range for n=4".
     """
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise InputError(f"{what} {v!r} is not an int") from None
+    if not 0 <= i < n:
+        raise InputError(f"{what} {i} out of range for n={n}")
+    return i
+
+
+def vertex_mask(n: int, vertices: Iterable[int], what: str = "vertex") -> int:
+    """Bitmask of `vertices`, each checked by `vertex_index`."""
     mask = 0
     for v in vertices:
-        try:
-            v = operator.index(v)
-        except TypeError:
-            raise InputError(f"{what} {v!r} is not an int") from None
-        if not 0 <= v < n:
-            raise InputError(f"{what} {v} out of range for n={n}")
-        mask |= 1 << v
+        mask |= 1 << vertex_index(n, v, what)
     return mask
 
 
@@ -323,7 +334,8 @@ def dfs_tree(g: Graph, root: int) -> list[tuple[int, int]]:
     Each step enters the lowest unvisited neighbor of the deepest vertex
     that has one, so the tree is deterministic.  Requires g connected.
     """
-    unvisited = g.full_mask() ^ vertex_mask(g.n, (root,), "root")
+    root = vertex_index(g.n, root, "root")
+    unvisited = g.full_mask() ^ 1 << root
     stack = [root]
     tree: list[tuple[int, int]] = []
     while stack:
@@ -470,7 +482,7 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
     never retries for connectivity; callers decide how to handle
     disconnected samples.
     """
-    if not isinstance(n, int) or n < 0:
+    if not _is_count(n):
         raise InputError(f"vertex count must be a non-negative int, got {n!r}")
     _check_draw(p, seed)
     edges = []
@@ -491,7 +503,7 @@ def bipartite_random(n1: int, n2: int, p: float, seed: int) -> Graph:
     edge iff draw < p.  Side membership is fixed by the construction:
     the first n1 labels are the left side.
     """
-    if not isinstance(n1, int) or not isinstance(n2, int) or n1 < 0 or n2 < 0:
+    if not (_is_count(n1) and _is_count(n2)):
         raise InputError(f"side sizes must be non-negative ints, got {n1!r}, {n2!r}")
     _check_draw(p, seed)
     hits = Xoshiro256(seed).below(n1 * n2, p)

@@ -31,6 +31,7 @@ a directed cycle; tests check both.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ContractError, InputError, SizeCapError
@@ -43,7 +44,7 @@ from .graph import (
     mask_to_set,
     require,
     set_to_mask,
-    vertex_mask,
+    vertex_index,
 )
 from .oracle import check_cvc
 
@@ -139,26 +140,27 @@ class RootedDigraph:
         seen = set()
         incoming = [[] for _ in range(n)]
         outgoing = [[] for _ in range(n)]
+        index = operator.index
         for arc in arcs:
             try:
                 u, v = arc
-                if 0 <= u < n and 0 <= v < n and u != v and (u, v) not in seen:
-                    seen.add((u, v))
-                    # a non-int endpoint fails the index, as in Graph
-                    incoming[v].append(u)
-                    outgoing[u].append(v)
-                    continue
+                # the arcs keep the ints the endpoints stand for
+                u, v = index(u), index(v)
             except (TypeError, ValueError):
                 raise InputError(f"arc {arc!r} is not a pair of ints") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"arc ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-arc at vertex {u} is not allowed")
-            raise InputError(f"duplicate arc ({u}, {v})")
-        vertex_mask(n, (r,), "root")
+            if (u, v) in seen:
+                raise InputError(f"duplicate arc ({u}, {v})")
+            seen.add((u, v))
+            incoming[v].append(u)
+            outgoing[u].append(v)
+        r = vertex_index(n, r, "root")
         if r1 is not None:
             # r1 == r fails the in-arc test below
-            vertex_mask(n, (r1,), "secondary root")
+            r1 = vertex_index(n, r1, "secondary root")
         self.n = n
         self.arcs = tuple([(u, v) for u, heads in enumerate(outgoing) for v in sorted(heads)])
         self._in = tuple(tuple(sorted(tails)) for tails in incoming)
@@ -196,13 +198,12 @@ def _resolve_roots(g: Graph, r: Optional[int], r1: Optional[int]) -> tuple[int, 
     if r is None and r1 is None:
         return default_roots(g)
     if r is None or r1 is None:
-        base = r if r is not None else r1
-        vertex_mask(g.n, (base,), "root")
+        base = vertex_index(g.n, r if r is not None else r1, "root")
         if not g.masks[base]:
             raise InputError(f"root {base} has no neighbors to pair with")
         other = max(bits_of(g.masks[base]), key=lambda v: (g.degree(v), -v))
         return (base, other) if r is not None else (other, base)
-    return r, r1
+    return vertex_index(g.n, r, "root"), vertex_index(g.n, r1, "root")
 
 
 def build_digraph(g: Graph, r: int, r1: int) -> RootedDigraph:
@@ -213,7 +214,7 @@ def build_digraph(g: Graph, r: int, r1: int) -> RootedDigraph:
     and r, r1 adjacent.
     """
     require(g, "build_digraph", min_n=2, connected=True)
-    vertex_mask(g.n, (r, r1), "root")
+    r, r1 = vertex_index(g.n, r, "root"), vertex_index(g.n, r1, "root")
     if not g.has_edge(r, r1):
         raise InputError(f"roots {r} and {r1} must be adjacent")
     arcs = []
@@ -232,7 +233,7 @@ def build_digraph(g: Graph, r: int, r1: int) -> RootedDigraph:
 
 def bidirect_rooted(g: Graph, r: int) -> RootedDigraph:
     """Bidirect g, then delete every arc entering r (single-root form)."""
-    vertex_mask(g.n, (r,), "root")
+    r = vertex_index(g.n, r, "root")
     arcs = []
     for u, v in g.edges:
         if v != r:
@@ -471,7 +472,7 @@ def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> dict:
         raise InputError("witness_parb requires a valid connected vertex cover")
     dg = build_digraph(g, r, r1)
     cmask = set_to_mask(cover)
-    point = _point_builder(dg)(cmask, _parb_pick(g.masks, r, r1, cmask))
+    point = _point_builder(dg)(cmask, _parb_pick(g.masks, dg.r, dg.r1, cmask))
     if not check_integer_point(build_parb(g, r, r1), point):
         raise ContractError("constructed witness fails the model; internal bug")
     return point

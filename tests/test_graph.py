@@ -1,6 +1,7 @@
 """Graph type, connectivity helpers, DIMACS I/O, generators, RNG."""
 
 import hashlib
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvckit import rng as rng_module
 from cvckit.errors import DimacsError, InputError
 from cvckit.graph import (
     Graph,
@@ -87,6 +89,8 @@ class TestGraph:
             Graph(3, [(1, 1)])
         with pytest.raises(InputError):
             Graph(-1)
+        with pytest.raises(InputError, match="got True"):
+            Graph(True)
         g = Graph(0)
         assert g.n == 0 and g.m == 0
 
@@ -460,8 +464,21 @@ class TestGenerators:
             (lambda: gnp_random(10, 0.5, 1.0), "seed must be an int, got 1.0"),
             (lambda: bipartite_random(3, 4, "0.5", 1), "edge probability .* got '0.5'"),
             (lambda: bipartite_random(3, 4, 0.5, "x"), "seed must be an int, got 'x'"),
+            (lambda: gnp_random(True, 0.5, 1), "vertex count .* got True"),
+            (lambda: bipartite_random(True, 4, 0.5, 1), "side sizes .* got True, 4"),
+            (lambda: bipartite_random(3, False, 0.5, 1), "side sizes .* got 3, False"),
         ],
-        ids=["gnp-str-p", "gnp-complex-p", "gnp-str-seed", "gnp-float-seed", "bip-str-p", "bip-str-seed"],
+        ids=[
+            "gnp-str-p",
+            "gnp-complex-p",
+            "gnp-str-seed",
+            "gnp-float-seed",
+            "bip-str-p",
+            "bip-str-seed",
+            "gnp-bool-n",
+            "bip-bool-n1",
+            "bip-bool-n2",
+        ],
     )
     def test_bad_draw_arguments_raise_input_error(self, draw, match):
         with pytest.raises(InputError, match=match):
@@ -488,6 +505,9 @@ class TestGenerators:
             (gnp_random(200, 0.05, 101), "7b37ff71e89d7a48ce2cf7a3ef6ae15c11158c0a3e50e128a1c22e01e715f000"),
             (gnp_random(60, 0.1, 101), "21c0a4001fa6458b84bdf5d0e500519e88970f1fdd3b6d8f4f408c9e694e044b"),
             (bipartite_random(30, 30, 0.2, 11), "5d4c6afc3eb8176e49cc3520d82b95dfaa4f445722d1c09367db23ca7e6ff5d3"),
+            # above the lane crossover, recorded from the one-draw-at-a-time loop
+            (gnp_random(500, 0.02, 101), "88ae81a112531e2c1ee414b3a0aa16f6fa3bb5b8d31823c3572a5cb46bb32aca"),
+            (bipartite_random(200, 200, 0.05, 11), "db870e0f60280401d577705dae2065be7b470f10d7ecd508a24719de79fe65a7"),
         ]
         for g, digest in pins:
             text = "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
@@ -543,6 +563,22 @@ def _reference_stream(seed):
         s0 ^= s3
         s2 ^= t
         state = [s0, s1, s2, rot(s3, 45)]
+
+
+LANE_COUNTS = (1, 2, 3, 7, 16)
+
+
+def _state(rng):
+    return rng._s0, rng._s1, rng._s2, rng._s3
+
+
+def _lane_below(rng, count, p, lanes):
+    """`rng.below(count, p)` through the lane kernel with `lanes` lanes,
+    whatever the count."""
+    threshold = math.ceil(Fraction(p) * 2**53) << 11
+    hits, state = rng_module._below_lanes(_state(rng), count, threshold, lanes)
+    rng._s0, rng._s1, rng._s2, rng._s3 = state
+    return hits
 
 
 class TestRng:
@@ -603,9 +639,74 @@ class TestRng:
         ]
         reference = Xoshiro256(0)
         float_k = [reference.random() for _ in range(k + 1)][k]
+        # three lanes of k // 2 + 1 draws put draw k in lane 1
+        lanes, chunk = 3, k // 2 + 1
+        assert k // chunk == 1
         for p, hit in cases:
             assert (float_k < p) == hit
             assert (k in Xoshiro256(0).below(k + 1, p)) == hit
+            assert (k in _lane_below(Xoshiro256(0), lanes * chunk, p, lanes)) == hit
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        count=st.integers(0, 300),
+        lanes=st.sampled_from(LANE_COUNTS),
+        p=PROBABILITIES,
+        seed=st.integers(-(2**64), 2**64),
+    )
+    def test_lanes_match_random_calls(self, count, lanes, p, seed):
+        self._check_lanes(count, lanes, p, seed)
+
+    @pytest.mark.parametrize("lanes", LANE_COUNTS)
+    def test_lanes_at_small_and_uneven_counts(self, lanes):
+        # below one draw per lane, exact multiples, and one to a few over
+        counts = {0, 1, lanes - 1, lanes, lanes + 1, 3 * lanes + 2, 5 * lanes - 1, 97}
+        for count in sorted(counts):
+            for p in (0, 1, 5e-324, 2.0**-53, 1 - 2.0**-53, Fraction(1, 3), Decimal("0.3"), 0.05):
+                self._check_lanes(count, lanes, p, seed=count * 31 + lanes)
+
+    @pytest.mark.parametrize("lanes", LANE_COUNTS)
+    def test_lanes_exact_at_every_threshold(self, lanes):
+        # thresholds at and one above a draw of each lane: a garbage bit
+        # that leaks into a lane's low draw bits flips one of them, while
+        # the float thresholds (multiples of 2**11) almost never see it
+        count = 5 * lanes + 3
+        for seed in (1, 2, 3):
+            stream = Xoshiro256(seed)
+            start = _state(stream)
+            draws = [stream.next_u64() for _ in range(count)]
+            for k in range(0, count, count // lanes):
+                for threshold in (draws[k], draws[k] + 1):
+                    hits, end = rng_module._below_lanes(start, count, threshold, lanes)
+                    assert hits == [i for i, d in enumerate(draws) if d < threshold]
+                    assert end == _state(stream)
+
+    def test_below_above_the_crossover(self):
+        # the public path from the crossover on, against random() calls
+        count = rng_module._LANE_CROSSOVER + 37
+        for seed, p in ((3, 0.02), (4, Fraction(2, 3)), (5, 1), (6, 0)):
+            fast, slow = Xoshiro256(seed), Xoshiro256(seed)
+            assert fast.below(count, p) == [k for k in range(count) if slow.random() < p]
+            assert fast.next_u64() == slow.next_u64()
+
+    @staticmethod
+    def _check_lanes(count, lanes, p, seed):
+        fast, slow = Xoshiro256(seed), Xoshiro256(seed)
+        assert _lane_below(fast, count, p, lanes) == [k for k in range(count) if slow.random() < p]
+        assert fast.next_u64() == slow.next_u64()
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_jump_equals_single_steps(self, seed):
+        for k in (0, 1, 63, 255, 256, 257, 10007):
+            stepped = Xoshiro256(seed)
+            start = _state(stepped)
+            for _ in range(k):
+                stepped.next_u64()
+            jumped = rng_module._apply_poly(rng_module._jump_poly(k), start, 1)
+            assert jumped == _state(stepped)
+
+    def test_charpoly_degree(self):
+        assert rng_module._CHARPOLY.bit_length() - 1 == 256
 
     def test_randrange(self):
         rng = Xoshiro256(5)

@@ -20,6 +20,7 @@ from cvckit.mip import (
     find_parb_mismatch,
     find_pstp_mismatch,
     witness_parb,
+    write_lp,
 )
 from cvckit.oracle import brute_force_cvc, check_cvc, feasible_stable_sets, max_feasible_stable
 from tests.conftest import connected_gnp
@@ -54,6 +55,39 @@ def test_bad_vertex_argument_raises_input_error(call, value):
     match = "out of range for n=4" if isinstance(value, int) else "is not an int"
     with pytest.raises(InputError, match=match):
         call(value)
+
+
+class _Index:
+    """An int stand-in through `__index__` only, as numpy integers are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def _all_ints(pairs):
+    return all(type(u) is int and type(v) is int for u, v in pairs)
+
+
+@pytest.mark.parametrize("one", [True, _Index(1)], ids=["bool", "index"])
+def test_index_vertex_argument_is_used_as_int(one):
+    g = path(4)
+    tree = dfs_tree(g, one)
+    assert tree == dfs_tree(g, 1) and _all_ints(tree)
+    for r, r1 in [(one, 2), (one, None), (None, one)]:
+        plain = (1 if r is one else r, 1 if r1 is one else r1)
+        # the LP text carries the roots, as "roots: r=1 r1=2"
+        assert write_lp(build_parb(g, r, r1)) == write_lp(build_parb(g, *plain))
+    assert witness_parb(g, {1, 2}, one, 2) == witness_parb(g, {1, 2}, 1, 2)
+    for dg in (
+        build_digraph(g, one, 2),
+        bidirect_rooted(g, one),
+        RootedDigraph(4, [(one, 0), (one, 2), (2, 3)], one),
+    ):
+        assert type(dg.r) is int and dg.r == 1 and _all_ints(dg.arcs)
+        assert all(type(u) is int for v in range(4) for u in dg.in_tails(v))
 
 
 class TestRootedDigraph:
