@@ -11,7 +11,7 @@ Branching on v in U splits the node into an include child
 (S + v, the nonneighbors of v within U minus the new cut vertices) and an exclude
 child (S, U - v).  A node is pruned when |S| plus an upper bound on
 alpha(G[U]) cannot beat the incumbent.  U is kept only as a bitmask.  The
-engine splits V into one mask per degree, highest degree first, and
+search splits V into one mask per degree, highest degree first, and
 branches on the lowest bit of the first of these levels that meets U: the
 candidate of highest degree, ties by lowest index.
 
@@ -31,12 +31,14 @@ each component of (G - S - v) - W as one DFS node, starting from the one
 the BFS grew: contracting a connected set that holds no vertex of W
 does not change whether a vertex of W is a cut vertex.
 
-One entry point, solve(g, algorithm, cfg), runs the engine on the roots
-of one of three algorithms: "bb" (a single root), "rds" (russian doll
-search: one restricted root per vertex, smallest subproblem first, the
-incumbent carried across), and "vc-bb" (connectivity pruning disabled,
-yielding a classical maximum-stable-set solver used for plain vertex
-cover numbers).
+The whole search is one function, solve(g, algorithm, cfg).  It picks
+the bound once from the input, builds the roots of one of three
+algorithms as plain stack entries, and drains them from one stack with
+its state in locals.  The algorithms are "bb" (a single root), "rds"
+(russian doll search: one restricted root per vertex, smallest
+subproblem first, the incumbent carried across), and "vc-bb"
+(connectivity pruning disabled, yielding a classical maximum-stable-set
+solver used for plain vertex cover numbers).
 
 The bound cache (a coloring, or a maximum matching on bipartite inputs) is
 threaded through the search per node: children inherit the parent's cache
@@ -53,13 +55,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import (
-    CachedColoring,
-    CachedMatching,
-    bipartite_alpha,
-    color_bound_cached,
-    is_bipartite,
-)
+from .bounds import bipartite_alpha, color_bound_cached, is_bipartite
 from .errors import ContractError, InputError
 from .graph import (
     Graph,
@@ -150,121 +146,12 @@ def include_candidates(masks: tuple[int, ...], live: int, rmask: int, v: int) ->
     return w
 
 
-class _Engine:
-    """Shared search machinery; one instance per solver run."""
-
-    def __init__(self, g: Graph, cfg: SolverConfig, connected: bool, prune_log=None):
-        self.g = g
-        self.cfg = cfg
-        self.connected = connected
-        self.prune_log = prune_log
-        self.n = g.n
-        self.masks = g.masks
-        self.full = g.full_mask()
-        # branch order: one vertex mask per degree, highest degree first;
-        # the lowest bit of the first level that meets U is the branch vertex
-        by_degree = [0] * g.n
-        for v in range(g.n):
-            by_degree[g.degree(v)] |= 1 << v
-        self.levels = [level for level in reversed(by_degree) if level]
-        self.bipartite = is_bipartite(g) is not None
-        self.best_mask = 0
-        self.best_size = 0
-        self.visits = 0
-
-    def set_incumbent(self, smask: int, ssize: int) -> None:
-        if __debug__:
-            cert = check_cvc(self.g, mask_to_set(self.full & ~smask))
-            assert cert.is_cover, "incumbent stable set is not stable"
-            if self.connected:
-                assert cert.valid, "incumbent leaves the graph disconnected"
-        self.best_mask, self.best_size = smask, ssize
-
-    def warm_start(self) -> None:
-        cover = greedy_cvc_2approx(self.g)
-        smask = self.full & ~set_to_mask(cover)
-        ssize = smask.bit_count()
-        if ssize > self.best_size:
-            self.set_incumbent(smask, ssize)
-
-    def _bound(self, umask: int, cache: Optional[CachedColoring | CachedMatching]):
-        if self.bipartite:
-            return bipartite_alpha(self.masks, umask, cache)
-        return color_bound_cached(self.masks, umask, cache)
-
-    def make_root(self, smask: int, umask: int):
-        return (smask, smask.bit_count(), umask, None)
-
-    def run(self, roots: list) -> tuple[str, int]:
-        """Drain each root's subtree in turn; returns (status, best_bound)."""
-        deadline = None
-        if self.cfg.time_limit is not None:
-            deadline = time.perf_counter() + self.cfg.time_limit
-        timed_out = False
-        stack: list = []
-        started = 0
-        for root in roots:
-            started += 1
-            if root[1] > self.best_size:
-                self.set_incumbent(root[0], root[1])
-            stack.append(root)
-            while stack:
-                if deadline is not None and time.perf_counter() > deadline:
-                    timed_out = True
-                    break
-                smask, ssize, umask, cache = stack.pop()
-                self.visits += 1
-                while umask:
-                    bound, cache = self._bound(umask, cache)
-                    if self.best_size >= ssize + bound:
-                        if self.prune_log is not None:
-                            self.prune_log.append((smask, umask, self.best_size))
-                        break
-                    for level in self.levels:
-                        low = level & umask
-                        if low:
-                            break
-                    low &= -low
-                    v = low.bit_length() - 1
-                    rmask = umask ^ low
-                    stack.append((smask, ssize, rmask, cache))
-                    smask |= low
-                    ssize += 1
-                    if self.connected:
-                        umask = include_candidates(self.masks, self.full & ~smask, rmask, v)
-                    else:
-                        umask = rmask & ~self.masks[v]
-                    self.visits += 1
-                    if ssize > self.best_size:
-                        self.set_incumbent(smask, ssize)
-            if timed_out:
-                break
-        if not timed_out:
-            return "optimal", self.best_size
-        # an inherited coloring or matching bounds an open entry's
-        # candidates without a fresh bound call; an entry with none (an
-        # unstarted rds root) gets one
-        open_bound = self.best_size
-        for smask, ssize, umask, cache in stack + roots[started:]:
-            bound = self._bound(umask, None)[0] if cache is None else cache.bound(umask)
-            open_bound = max(open_bound, ssize + bound)
-        return "time_limit", open_bound
-
-    def report(self, algorithm: str, t0: float, status: str, best_bound: int) -> SolveReport:
-        cover = mask_to_set(self.full & ~self.best_mask)
-        cert = check_cvc(self.g, cover)
-        ok = cert.valid if self.connected else cert.is_cover
-        if not ok:
-            raise ContractError("solver produced an invalid cover; internal bug")
-        return SolveReport(
-            cover=cover,
-            cover_size=self.n - self.best_size,
-            node_count=self.visits,
-            wall_time=time.perf_counter() - t0,
-            status=status,
-            best_bound=best_bound,
-            algorithm=algorithm,
-        )
+def _feasible(g: Graph, smask: int, connected: bool) -> bool:
+    """Whether V - smask is a vertex cover of g, and connected if
+    `connected`: the debug check of each incumbent and the final
+    certificate."""
+    cert = check_cvc(g, mask_to_set(g.full_mask() & ~smask))
+    return cert.valid if connected else cert.is_cover
 
 
 def greedy_cvc_2approx(g: Graph) -> VertexSet:
@@ -281,26 +168,26 @@ def greedy_cvc_2approx(g: Graph) -> VertexSet:
     return frozenset(parent for parent, _ in tree)
 
 
-def _roots(eng: _Engine, algorithm: str) -> list:
-    """The roots the engine searches for one algorithm; see solve."""
-    g, full = eng.g, eng.full
+def _roots(g: Graph, algorithm: str) -> list:
+    """The (S, |S|, U, None) stack entries one algorithm starts from, in
+    the order they are searched; see solve."""
+    full = g.full_mask()
     if algorithm == "vc-bb":
-        return [eng.make_root(0, full)]
+        return [(0, 0, full, None)]
     # no feasible stable set contains a cut vertex of G
     cut = articulation_points_mask(g.masks, full)
     if algorithm == "bb":
-        return [eng.make_root(0, full & ~cut)]
-    seq = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        return [(0, 0, full & ~cut, None)]
     roots = []
-    for i in range(g.n - 1, -1, -1):
-        v = seq[i]
+    later = 0  # the non-cut vertices after v in the degree order
+    for v in sorted(range(g.n), key=lambda v: (-g.degree(v), v), reverse=True):
         if cut >> v & 1:
             continue
         # a cut vertex of G not adjacent to v stays one in G - v, so
         # removing G's cut vertices first leaves the same root candidates
-        later = set_to_mask(seq[i + 1 :]) & ~cut
         umask = include_candidates(g.masks, full & ~(1 << v), later, v)
-        roots.append(eng.make_root(1 << v, umask))
+        roots.append((1 << v, 1, umask, None))
+        later |= 1 << v
     return roots
 
 
@@ -333,11 +220,84 @@ def solve(
     if g.n == 1:
         # one isolated vertex: the empty cover is valid, S = {0}
         return SolveReport(frozenset(), 0, 0, time.perf_counter() - t0, "optimal", 1, algorithm)
-    eng = _Engine(g, cfg, connected=algorithm != "vc-bb", prune_log=prune_log)
+    connected = algorithm != "vc-bb"
+    masks, full = g.masks, g.full_mask()
+    # read per solve, not at import: bench/tracing.py and the tests patch
+    # the module attribute
+    bound_of = bipartite_alpha if is_bipartite(g) is not None else color_bound_cached
+    # branch order: one vertex mask per degree, highest degree first;
+    # the lowest bit of the first level that meets U is the branch vertex
+    by_degree = [0] * g.n
+    for v in range(g.n):
+        by_degree[g.degree(v)] |= 1 << v
+    levels = [level for level in reversed(by_degree) if level]
+    best_mask = best_size = 0
     if cfg.warm_start:
-        eng.warm_start()
-    status, best_bound = eng.run(_roots(eng, algorithm))
-    return eng.report(algorithm, t0, status, best_bound)
+        best_mask = full & ~set_to_mask(greedy_cvc_2approx(g))
+        best_size = best_mask.bit_count()
+        assert _feasible(g, best_mask, connected), "warm start is no feasible stable set"
+    roots = _roots(g, algorithm)
+    # a root's S is feasible too; only the first rds root (|S| = 1) can
+    # beat an incumbent, as at the start of its search
+    for smask, ssize, _, _ in roots:
+        if ssize > best_size:
+            assert _feasible(g, smask, connected), "root is no feasible stable set"
+            best_mask, best_size = smask, ssize
+    deadline = None
+    if cfg.time_limit is not None:
+        deadline = time.perf_counter() + cfg.time_limit
+    # the roots go on the stack in reverse, so each root's subtree is
+    # drained before the next root is popped
+    stack = roots[::-1]
+    visits = 0
+    status, best_bound = "optimal", 0
+    while stack:
+        if deadline is not None and time.perf_counter() > deadline:
+            # an inherited coloring or matching bounds an open entry's
+            # candidates without a fresh bound call; an entry with none (an
+            # unstarted rds root) gets one
+            status = "time_limit"
+            for smask, ssize, umask, cache in stack:
+                bound = bound_of(masks, umask, None)[0] if cache is None else cache.bound(umask)
+                best_bound = max(best_bound, ssize + bound)
+            break
+        smask, ssize, umask, cache = stack.pop()
+        visits += 1
+        while umask:
+            bound, cache = bound_of(masks, umask, cache)
+            if best_size >= ssize + bound:
+                if prune_log is not None:
+                    prune_log.append((smask, umask, best_size))
+                break
+            for level in levels:
+                low = level & umask
+                if low:
+                    break
+            low &= -low
+            v = low.bit_length() - 1
+            rmask = umask ^ low
+            stack.append((smask, ssize, rmask, cache))
+            smask |= low
+            ssize += 1
+            if connected:
+                umask = include_candidates(masks, full & ~smask, rmask, v)
+            else:
+                umask = rmask & ~masks[v]
+            visits += 1
+            if ssize > best_size:
+                assert _feasible(g, smask, connected), "incumbent is no feasible stable set"
+                best_mask, best_size = smask, ssize
+    if not _feasible(g, best_mask, connected):
+        raise ContractError("solver produced an invalid cover; internal bug")
+    return SolveReport(
+        cover=mask_to_set(full & ~best_mask),
+        cover_size=g.n - best_size,
+        node_count=visits,
+        wall_time=time.perf_counter() - t0,
+        status=status,
+        best_bound=max(best_bound, best_size),
+        algorithm=algorithm,
+    )
 
 
 # bench/corpus.py calls the solvers by these names; they go once it calls

@@ -106,22 +106,34 @@ def _solver_config(args) -> SolverConfig:
 # gen
 
 
-def _generate(kind: str, params: dict, seed: int) -> Graph:
-    if kind == "gnp":
-        return gnp_random(params["n"], params["p"], seed)
-    return bipartite_random(params["n1"], params["n2"], params["p"], seed)
+# generator kind -> (generator, its parameters in the order it takes them
+# before the seed, the tag in instance names); the last parameter is the
+# edge probability p, the others are vertex counts
+GEN_KINDS = {
+    "gnp": (gnp_random, ("n", "p"), "gnp"),
+    "bipartite": (bipartite_random, ("n1", "n2", "p"), "bip"),
+}
 
 
-def _instance_name(kind: str, params: dict, seed: int) -> str:
-    if kind == "gnp":
-        return f"G_gnp_{params['n']}_{_pct(params['p'])}_s{seed}"
-    return f"G_bip_{params['n1']}_{params['n2']}_{_pct(params['p'])}_s{seed}"
+def _param_type(name: str) -> type:
+    return float if name == "p" else int
 
 
-def _gen_connected(kind: str, params: dict, seed: int, max_reseeds: int) -> tuple[Graph, int]:
+def _spec_form(kind: str) -> str:
+    """The bench spec of a kind, as "N1,N2,P,SEED"."""
+    return ",".join([*map(str.upper, GEN_KINDS[kind][1]), "SEED"])
+
+
+def _instance_name(kind: str, params: tuple, seed: int) -> str:
+    *sizes, p = params
+    return "_".join(["G", GEN_KINDS[kind][2], *map(str, sizes), _pct(p), f"s{seed}"])
+
+
+def _gen_connected(kind: str, params: tuple, seed: int, max_reseeds: int) -> tuple[Graph, int]:
     """Scan seeds upward from `seed` until the sample is connected."""
+    generate = GEN_KINDS[kind][0]
     for offset in range(max_reseeds + 1):
-        g = _generate(kind, params, seed + offset)
+        g = generate(*params, seed + offset)
         if is_connected(g):
             return g, seed + offset
     raise InputError(
@@ -134,10 +146,8 @@ def _cmd_gen(args) -> int:
         raise InputError(f"--count must be at least 1, got {args.count}")
     if args.max_reseeds < 0:
         raise InputError(f"--max-reseeds must be non-negative, got {args.max_reseeds}")
-    if args.kind == "gnp":
-        params = {"n": args.n, "p": args.p}
-    else:
-        params = {"n1": args.n1, "n2": args.n2, "p": args.p}
+    generate, names, _ = GEN_KINDS[args.kind]
+    params = tuple(getattr(args, name) for name in names)
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -148,7 +158,7 @@ def _cmd_gen(args) -> int:
         if args.connected:
             g, used = _gen_connected(args.kind, params, cursor, args.max_reseeds)
         else:
-            g, used = _generate(args.kind, params, cursor), cursor
+            g, used = generate(*params, cursor), cursor
         path = outdir / (_instance_name(args.kind, params, used) + ".col")
         _write_text(path, write_dimacs(g))
         print(path)
@@ -290,28 +300,14 @@ def _bench_rows(task: dict) -> list[dict]:
     return rows
 
 
-def _parse_gnp_spec(spec: str) -> dict:
+def _parse_spec(kind: str, spec: str) -> dict:
+    """A bench task from one --gnp or --bipartite spec."""
+    names = GEN_KINDS[kind][1]
     parts = spec.split(",")
-    if len(parts) != 3:
-        raise InputError(f"--gnp wants N,P,SEED, got {spec!r}")
-    return {
-        "source": "gen",
-        "kind": "gnp",
-        "params": {"n": int(parts[0]), "p": float(parts[1])},
-        "seed": int(parts[2]),
-    }
-
-
-def _parse_bip_spec(spec: str) -> dict:
-    parts = spec.split(",")
-    if len(parts) != 4:
-        raise InputError(f"--bipartite wants N1,N2,P,SEED, got {spec!r}")
-    return {
-        "source": "gen",
-        "kind": "bipartite",
-        "params": {"n1": int(parts[0]), "n2": int(parts[1]), "p": float(parts[2])},
-        "seed": int(parts[3]),
-    }
+    if len(parts) != len(names) + 1:
+        raise InputError(f"--{kind} wants {_spec_form(kind)}, got {spec!r}")
+    params = tuple(_param_type(name)(x) for name, x in zip(names, parts))
+    return {"source": "gen", "kind": kind, "params": params, "seed": int(parts[-1])}
 
 
 def _cmd_bench(args) -> int:
@@ -321,10 +317,8 @@ def _cmd_bench(args) -> int:
         raise InputError(f"--jobs must lie in [1, {os.cpu_count() or 1}], got {args.jobs}")
     tasks = []
     try:
-        for spec in args.gnp or ():
-            tasks.append(_parse_gnp_spec(spec))
-        for spec in args.bipartite or ():
-            tasks.append(_parse_bip_spec(spec))
+        for kind in GEN_KINDS:
+            tasks.extend(_parse_spec(kind, spec) for spec in getattr(args, kind) or ())
     except ValueError as exc:
         raise InputError(f"bad instance spec: {exc}")
     for path in args.files:
@@ -374,14 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen", help="write random DIMACS instances")
     genkind = gen.add_subparsers(dest="kind", required=True)
-    gnp = genkind.add_parser("gnp", help="Erdos-Renyi G(n, p)")
-    gnp.add_argument("--n", type=int, required=True)
-    gnp.add_argument("--p", type=float, required=True)
-    bip = genkind.add_parser("bipartite", help="bipartite G(n1, n2, p)")
-    bip.add_argument("--n1", type=int, required=True)
-    bip.add_argument("--n2", type=int, required=True)
-    bip.add_argument("--p", type=float, required=True)
-    for sub in (gnp, bip):
+    for kind, about in (("gnp", "Erdos-Renyi G(n, p)"), ("bipartite", "bipartite G(n1, n2, p)")):
+        sub = genkind.add_parser(kind, help=about)
+        for name in GEN_KINDS[kind][1]:
+            sub.add_argument(f"--{name}", type=_param_type(name), required=True)
         sub.add_argument("--seed", type=int, required=True)
         sub.add_argument("--count", type=int, default=1)
         sub.add_argument("--connected", action="store_true",
@@ -417,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = subs.add_parser("bench", help="benchmark solvers to CSV")
     ben.add_argument("files", nargs="*", metavar="FILE")
-    ben.add_argument("--gnp", action="append", metavar="N,P,SEED")
-    ben.add_argument("--bipartite", action="append", metavar="N1,N2,P,SEED")
+    for kind in GEN_KINDS:
+        ben.add_argument(f"--{kind}", action="append", metavar=_spec_form(kind))
     ben.add_argument("--algorithm", choices=("bb", "rds", "both"), default="bb")
     ben.add_argument("--repeats", type=int, default=1)
     ben.add_argument("--jobs", type=int, default=1)

@@ -42,7 +42,8 @@ class Graph:
             v in increasing order are bits_of(masks[v]).
 
     `edges` must be an iterable of pairs of distinct ints in range(n);
-    anything else raises InputError naming it.
+    anything else raises InputError naming it.  An endpoint given as a
+    bool or another `__index__` type is stored as the int it stands for.
     """
 
     __slots__ = ("n", "edges", "masks")
@@ -56,9 +57,11 @@ class Graph:
             raise InputError(f"edges must be an iterable of pairs, got {edges!r}") from None
         normalized = set()
         masks = [0] * n
+        index = operator.index
         for edge in edges:
             try:
                 u, v = edge
+                u, v = index(u), index(v)
                 if 0 <= u < n and 0 <= v < n and u != v:
                     masks[u] |= 1 << v
                     masks[v] |= 1 << u

@@ -257,6 +257,40 @@ class TestEngineBehavior:
         report = solve(connected_gnp(60, 0.1, 101), algorithm)
         assert (report.node_count, len(calls)) == (nodes, passes)
 
+    @pytest.mark.parametrize(
+        "graph,algorithm,nodes,calls,fresh",
+        [
+            (("gnp", 60, 0.1, 101), "bb", 1557, 1537, 637),
+            (("gnp", 60, 0.1, 101), "rds", 816, 787, 342),
+            (("gnp", 60, 0.1, 101), "vc-bb", 1031, 1011, 437),
+            (("bip", 30, 30, 0.2, 11), "bb", 11487, 11460, 761),
+            (("bip", 30, 30, 0.2, 11), "rds", 6640, 6473, 1695),
+            (("bip", 30, 30, 0.2, 11), "vc-bb", 61, 59, 12),
+        ],
+        ids=solver_id,
+    )
+    def test_bound_calls(self, monkeypatch, graph, algorithm, nodes, calls, fresh):
+        # one bound call per tested node, of the one kind the input picks;
+        # `fresh` counts the calls that return a cache other than the one
+        # passed in (a new coloring, or a repaired matching)
+        seen = []
+        for name in ("color_bound_cached", "bipartite_alpha"):
+            original = getattr(bb_module, name)
+
+            def counted(masks, umask, cache, original=original, name=name):
+                bound, out = original(masks, umask, cache)
+                seen.append((name, out is not cache))
+                return bound, out
+
+            monkeypatch.setattr(bb_module, name, counted)
+        kind, *params = graph
+        g = connected_gnp(*params) if kind == "gnp" else connected_bipartite(*params)
+        report = solve(g, algorithm)
+        expected = "bipartite_alpha" if kind == "bip" else "color_bound_cached"
+        assert {name for name, _ in seen} == {expected}
+        assert (report.node_count, len(seen), sum(new for _, new in seen)) == (
+            nodes, calls, fresh)
+
     def test_generous_limit_still_optimal(self):
         g = connected_gnp(10, 0.4, 2)
         for limit in (60.0, float("inf")):

@@ -317,8 +317,12 @@ class TestBench:
     def test_bad_specs(self, capsys):
         code, _, err = run_cli(capsys, "bench")
         assert code == 3 and "at least one" in err
-        code, _, err = run_cli(capsys, "bench", "--gnp", "8,0.4")
-        assert code == 3 and "N,P,SEED" in err
+        # a spec of the wrong length names the form its kind wants
+        code, _, err = run_cli(capsys, "bench", "--gnp", "30,0.1")
+        assert (code, err) == (3, "error: bad instance spec: --gnp wants N,P,SEED, got '30,0.1'\n")
+        code, _, err = run_cli(capsys, "bench", "--bipartite", "3,4,0.5")
+        assert (code, err) == (
+            3, "error: bad instance spec: --bipartite wants N1,N2,P,SEED, got '3,4,0.5'\n")
         code, _, err = run_cli(capsys, "bench", "--gnp", "8,x,1")
         assert code == 3
 

@@ -90,6 +90,15 @@ def test_index_vertex_argument_is_used_as_int(one):
         assert all(type(u) is int for v in range(4) for u in dg.in_tails(v))
 
 
+@pytest.mark.parametrize("one", [True, _Index(1)], ids=["bool", "index"])
+def test_index_edge_endpoint_is_stored_as_int(one):
+    g = Graph(3, [(one, 2), (0, one)])
+    assert g.edges == {(0, 1), (1, 2)} and _all_ints(g.edges)
+    # pstp names its variables after the stored endpoints
+    text = write_lp(build_pstp(g))
+    assert "x_1" in text and text == write_lp(build_pstp(path(3)))
+
+
 class TestRootedDigraph:
     def test_build_digraph_orientation(self):
         g = path(4)  # default roots are the two middle vertices
