@@ -19,8 +19,7 @@ from .graph import (
     write_dimacs,
 )
 from .mip import (
-    bidirect_rooted,
-    build_digraph,
+    arborescence_arcs,
     build_parb,
     build_pstp,
     build_qr,

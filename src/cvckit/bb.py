@@ -64,6 +64,7 @@ from .graph import (
     dfs_tree,
     grow_piece,
     mask_to_set,
+    max_degree_vertex,
     require,
     set_to_mask,
 )
@@ -75,8 +76,8 @@ class SolverConfig:
     """Solver settings.
 
     time_limit: wall-clock seconds; None or inf means no limit.
-    warm_start: seed the incumbent with the complement of the greedy
-        2-approximate cover before searching.
+    warm_start: a bool; seed the incumbent with the complement of the
+        greedy 2-approximate cover before searching.
 
     The bound follows the input: on bipartite graphs the exact stable-set
     bound |U| - nu(G[U]) (Koenig), from a maximum matching each node
@@ -113,6 +114,8 @@ ALGORITHMS = ("bb", "rds", "vc-bb")
 
 
 def _validate(g: Graph, algorithm: str, cfg: SolverConfig) -> None:
+    if not isinstance(cfg, SolverConfig):
+        raise InputError(f"cfg must be a SolverConfig, got {type(cfg).__name__}")
     if algorithm not in ALGORITHMS:
         raise InputError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
     limit = cfg.time_limit
@@ -123,6 +126,8 @@ def _validate(g: Graph, algorithm: str, cfg: SolverConfig) -> None:
         # written so that NaN, which fails every comparison, is rejected too
         if not limit > 0:
             raise InputError(f"time limit must be positive, got {limit!r}")
+    if not isinstance(cfg.warm_start, bool):
+        raise InputError(f"warm_start must be True or False, got {cfg.warm_start!r}")
     require(g, "solver", connected=True)
 
 
@@ -163,8 +168,7 @@ def greedy_cvc_2approx(g: Graph) -> VertexSet:
     hence a connected cover.
     """
     require(g, "greedy_cvc_2approx", min_n=2, connected=True)
-    root = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    tree = dfs_tree(g, root)
+    tree = dfs_tree(g, max_degree_vertex(g, g.full_mask()))
     return frozenset(parent for parent, _ in tree)
 
 

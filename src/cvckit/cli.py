@@ -34,7 +34,6 @@ from .graph import (
 )
 from .mip import (
     PSTP_VERIFY_CAP,
-    bidirect_rooted,
     build_parb,
     build_pstp,
     build_qr,
@@ -200,7 +199,7 @@ def _cmd_emit(args) -> int:
         if args.root2 is not None:
             raise InputError("the single-root model takes one root")
         r = args.root if args.root is not None else default_roots(g)[0]
-        model = build_qr(bidirect_rooted(g, r))
+        model = build_qr(g, r)
     else:
         model = build_parb(g, args.root, args.root2)
     text = write_lp(model)

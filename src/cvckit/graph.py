@@ -301,14 +301,24 @@ def require(
     """Refuse g in the name of the routine `what` unless min_n <= g.n,
     g.n <= cap (when a cap is given) and, if `connected`, g is connected.
 
-    Above the cap raises SizeCapError; every other refusal InputError.
+    Above the cap raises SizeCapError; every other refusal, a g that is
+    not a Graph included, InputError.
     """
+    if not isinstance(g, Graph):
+        raise InputError(f"{what} needs a Graph, got {type(g).__name__}")
     if cap is not None and g.n > cap:
         raise SizeCapError(f"{what} refuses n={g.n} above the cap of {cap}")
     if g.n < min_n:
         raise InputError(f"{what} needs n >= {min_n}, got n={g.n}")
     if connected and not is_connected_mask(g.masks, g.full_mask()):
         raise InputError(f"{what} requires a connected graph")
+
+
+def max_degree_vertex(g: Graph, mask: int) -> int:
+    """The vertex of the nonempty `mask` of highest degree in g, ties by
+    lowest index."""
+    # max keeps the first of equal keys, and bits_of counts upward
+    return max(bits_of(mask), key=g.degree)
 
 
 def is_connected(g: Graph) -> bool:

@@ -7,16 +7,17 @@ Three models over a connected graph G, all minimizing the cover size:
   total row y(E) = x(V) - 1 forcing the picked edges to hold a spanning
   tree of the cover.  Exponentially many rows, so it is capped small and
   exists for exhaustive study, not for solving.
-* single-root arborescence form (`build_qr`): over a digraph whose root r
-  has no entering arcs, binary z per arc with unit-indegree rows, big-M
-  depth-ordering rows (Miller-Tucker-Zemlin style), and a cardinality row;
-  the feasible binary z are exactly the r-arborescences.
 * two-root arborescence form (`build_parb`): the polynomial CVC model.
-  The digraph fixes adjacent roots r, r1 (arcs into r deleted, the only
-  arc into r1 comes from r, everything else bidirected); binary x and z
-  with indegree rows tied to x, depth rows weighted by x, and a
-  cardinality row z(A) = x(V) - 1.  Integral x is feasible iff x picks a
-  connected vertex cover.
+  For adjacent roots r, r1 it orients G (`arborescence_arcs`): every
+  edge in both directions, minus the arcs into r and every arc into r1
+  but (r, r1).  Binary x and z with indegree rows tied to x, depth rows
+  weighted by x (Miller-Tucker-Zemlin style, big-M), and a cardinality
+  row z(A) = x(V) - 1.  Integral x is feasible iff x picks a connected
+  vertex cover.
+* single-root arborescence form (`build_qr`): the same arborescence rows
+  with every x_v fixed to 1, over G in both directions minus the arcs
+  into one root r; the feasible binary z are exactly the
+  r-arborescences.
 
 `MipModel` is a deliberately dumb IR (named variables, linear rows) with a
 deterministic LP-file writer; no solver is embedded.  The exhaustive
@@ -31,10 +32,9 @@ a directed cycle; tests check both.
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import ContractError, InputError, SizeCapError
+from .errors import ContractError, InputError
 from .graph import (
     Graph,
     VertexSet,
@@ -42,6 +42,7 @@ from .graph import (
     bits_of,
     grow_piece,
     mask_to_set,
+    max_degree_vertex,
     require,
     set_to_mask,
     vertex_index,
@@ -121,67 +122,8 @@ class MipModel:
         )
 
 
-class RootedDigraph:
-    """Directed graph with designated root(s) for the arborescence models.
-
-    Data members:
-        n: vertex count; arcs: sorted tuple of (tail, head) pairs;
-        r: the root, never entered by an arc;
-        r1: secondary root or None; when set, the only arc entering r1
-            is (r, r1).
-
-    An arc that is not a pair of distinct ints in range(n), a repeated
-    arc and a root outside range(n) raise InputError.
-    """
-
-    __slots__ = ("n", "arcs", "r", "r1", "_in")
-
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]], r: int, r1: Optional[int] = None):
-        seen = set()
-        incoming = [[] for _ in range(n)]
-        outgoing = [[] for _ in range(n)]
-        index = operator.index
-        for arc in arcs:
-            try:
-                u, v = arc
-                # the arcs keep the ints the endpoints stand for
-                u, v = index(u), index(v)
-            except (TypeError, ValueError):
-                raise InputError(f"arc {arc!r} is not a pair of ints") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"arc ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"self-arc at vertex {u} is not allowed")
-            if (u, v) in seen:
-                raise InputError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
-            incoming[v].append(u)
-            outgoing[u].append(v)
-        r = vertex_index(n, r, "root")
-        if r1 is not None:
-            # r1 == r fails the in-arc test below
-            r1 = vertex_index(n, r1, "secondary root")
-        self.n = n
-        self.arcs = tuple([(u, v) for u, heads in enumerate(outgoing) for v in sorted(heads)])
-        self._in = tuple(tuple(sorted(tails)) for tails in incoming)
-        self.r = r
-        self.r1 = r1
-        if self._in[r]:
-            raise InputError(f"root {r} must have no entering arcs")
-        if r1 is not None and self._in[r1] != (r,):
-            raise InputError(
-                f"secondary root {r1} must be entered exactly by the arc from {r}"
-            )
-
-    def in_tails(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
-
-    def __repr__(self) -> str:
-        return f"RootedDigraph(n={self.n}, arcs={len(self.arcs)}, r={self.r}, r1={self.r1})"
-
-
 # ---------------------------------------------------------------------------
-# digraph construction
+# roots and arcs
 
 
 def default_roots(g: Graph) -> tuple[int, int]:
@@ -189,62 +131,81 @@ def default_roots(g: Graph) -> tuple[int, int]:
     neighbor, ties broken by lowest index."""
     if g.m == 0:
         raise InputError("root selection needs at least one edge")
-    r = max(range(g.n), key=lambda v: (g.degree(v), -v))
-    r1 = max(bits_of(g.masks[r]), key=lambda v: (g.degree(v), -v))
-    return r, r1
+    r = max_degree_vertex(g, g.full_mask())
+    return r, max_degree_vertex(g, g.masks[r])
 
 
-def _resolve_roots(g: Graph, r: Optional[int], r1: Optional[int]) -> tuple[int, int]:
+def _parb_roots(g: Graph, r: Optional[int], r1: Optional[int]) -> tuple[int, int]:
+    """The two-root model's roots, as `build_parb` documents them; g must
+    be connected with n >= 2, and the roots ints in range(n) and adjacent."""
+    require(g, "build_parb", min_n=2, connected=True)
     if r is None and r1 is None:
         return default_roots(g)
     if r is None or r1 is None:
         base = vertex_index(g.n, r if r is not None else r1, "root")
-        if not g.masks[base]:
-            raise InputError(f"root {base} has no neighbors to pair with")
-        other = max(bits_of(g.masks[base]), key=lambda v: (g.degree(v), -v))
+        # g is connected with n >= 2, so base has a neighbor
+        other = max_degree_vertex(g, g.masks[base])
         return (base, other) if r is not None else (other, base)
-    return vertex_index(g.n, r, "root"), vertex_index(g.n, r1, "root")
-
-
-def build_digraph(g: Graph, r: int, r1: int) -> RootedDigraph:
-    """Orient g for the two-root model.
-
-    Edges at r become arcs leaving r; edges at r1 (other than r-r1) become
-    arcs leaving r1; every other edge is bidirected.  Requires g connected
-    and r, r1 adjacent.
-    """
-    require(g, "build_digraph", min_n=2, connected=True)
     r, r1 = vertex_index(g.n, r, "root"), vertex_index(g.n, r1, "root")
     if not g.has_edge(r, r1):
         raise InputError(f"roots {r} and {r1} must be adjacent")
-    arcs = []
-    for u, v in g.edges:
-        if r in (u, v):
-            arcs.append((r, v if u == r else u))
-        elif r1 in (u, v):
-            arcs.append((r1, v if u == r1 else u))
-        else:
-            arcs.append((u, v))
-            arcs.append((v, u))
-    dg = RootedDigraph(g.n, arcs, r, r1)
-    assert len(dg.arcs) == 2 * g.m - g.degree(r) - g.degree(r1) + 1
-    return dg
+    return r, r1
 
 
-def bidirect_rooted(g: Graph, r: int) -> RootedDigraph:
-    """Bidirect g, then delete every arc entering r (single-root form)."""
+def arborescence_arcs(g: Graph, r: int, r1: Optional[int] = None) -> list[tuple[int, int]]:
+    """The arcs (u, v) the arborescence models pick from, sorted.
+
+    Every edge of g in both directions, minus the arcs into r and, when
+    r1 is given, the arcs into r1 other than (r, r1): the in-arcs of a
+    vertex come from its neighbours, or none for r, or only r for r1.
+    A root that is not an int in range(n) raises InputError.
+    """
+    require(g, "arborescence_arcs")
     r = vertex_index(g.n, r, "root")
-    arcs = []
-    for u, v in g.edges:
-        if v != r:
-            arcs.append((u, v))
-        if u != r:
-            arcs.append((v, u))
-    return RootedDigraph(g.n, arcs, r, None)
+    if r1 is not None:
+        r1 = vertex_index(g.n, r1, "root")
+    return [
+        (u, v)
+        for u, nbrs in enumerate(g.masks)
+        for v in bits_of(nbrs)
+        if v != r and (v != r1 or u == r)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # model builders
+
+
+def _arborescence(model: MipModel, n: int, arcs, r: int, r1: Optional[int], x) -> list[str]:
+    """Declare z per arc and d per vertex, and add the indegree, depth,
+    root and cardinality rows `build_parb` lists.  x is the list of x
+    names, or None for x fixed to 1 (`build_qr`): each -x_v term is then
+    left out and its row's right-hand side shifted by 1.  Returns each
+    arc's row-name suffix "_u_v"."""
+    tails = [f"_{u}_{v}" for u, v in arcs]
+    z = ["z" + tail for tail in tails]
+    d = [f"d_{v}" for v in range(n)]
+    for name in z:
+        model.add_variable(name, "binary")
+    for name in d:
+        model.add_variable(name, "continuous", 0.0, float(n - 1))
+    minus_x = [((-1, name),) for name in x] if x is not None else [()] * n
+    shift = 0 if x is not None else 1
+    into = [[] for _ in range(n)]
+    for (_, v), zuv in zip(arcs, z):
+        into[v].append((1, zuv))
+    for v in range(n):
+        if v != r and v != r1:
+            model.add_constraint(f"indeg_{v}", (*into[v], *minus_x[v]), "=", shift)
+    for (u, v), tail, zuv in zip(arcs, tails, z):
+        model.add_constraint(
+            "mtz" + tail, ((1, d[v]), (-n, zuv), (-1, d[u]), *minus_x[v]), ">=", shift - n
+        )
+    model.add_constraint("root", ((1, d[r]),), "=", 0)
+    card = [(1, name) for name in z]
+    card.extend(term for terms in minus_x for term in terms)
+    model.add_constraint("card", card, "=", n * shift - 1)
+    return tails
 
 
 def build_parb(g: Graph, r: Optional[int] = None, r1: Optional[int] = None) -> MipModel:
@@ -255,80 +216,41 @@ def build_parb(g: Graph, r: Optional[int] = None, r1: Optional[int] = None) -> M
     arc d_v >= n*(z_uv - 1) + d_u + x_v, the root row d_r = 0, the
     cardinality row z(A) = x(V) - 1, and two linking rows per arc.
     Depth variables carry explicit bounds [0, n-1]; the big-M is exactly n.
+    The arcs are `arborescence_arcs(g, r, r1)`.  g must be connected, and
+    r, r1 adjacent: by default `default_roots(g)`, and a single given
+    root is paired with its maximum-degree neighbor.
     """
-    r, r1 = _resolve_roots(g, r, r1)
-    dg = build_digraph(g, r, r1)
+    r, r1 = _parb_roots(g, r, r1)
     n = g.n
+    arcs = arborescence_arcs(g, r, r1)
     model = MipModel(metadata={"formulation": "arborescence", "roots": f"r={r} r1={r1}"})
-    # every name is formatted once; arc (u, v) also carries its row-name
-    # suffix "_u_v"
     x = [f"x_{v}" for v in range(n)]
-    d = [f"d_{v}" for v in range(n)]
-    arcs = [(u, v, f"_{u}_{v}", f"z_{u}_{v}") for u, v in dg.arcs]
-    z = {(u, v): zuv for u, v, _, zuv in arcs}
     for name in x:
         model.add_variable(name, "binary")
-    for name in z.values():
-        model.add_variable(name, "binary")
-    for name in d:
-        model.add_variable(name, "continuous", 0.0, float(n - 1))
     model.set_objective(tuple((1, name) for name in x))
     for u, v in sorted(g.edges):
         model.add_constraint(f"cover_{u}_{v}", ((1, x[u]), (1, x[v])), ">=", 1)
-    for v in range(n):
-        if v in (r, r1):
-            continue
-        terms = [(1, z[u, v]) for u in dg.in_tails(v)]
-        terms.append((-1, x[v]))
-        model.add_constraint(f"indeg_{v}", terms, "=", 0)
-    for u, v, tail, zuv in arcs:
-        model.add_constraint(
-            "mtz" + tail, ((1, d[v]), (-n, zuv), (-1, d[u]), (-1, x[v])), ">=", -n
-        )
-    model.add_constraint("root", ((1, d[r]),), "=", 0)
-    card = [(1, name) for name in z.values()]
-    card.extend((-1, name) for name in x)
-    model.add_constraint("card", card, "=", -1)
-    for u, v, tail, zuv in arcs:
+    tails = _arborescence(model, n, arcs, r, r1, x)
+    for (u, v), tail in zip(arcs, tails):
+        zuv = "z" + tail
         model.add_constraint("lnka" + tail, ((1, zuv), (-1, x[u])), "<=", 0)
         model.add_constraint("lnkb" + tail, ((1, zuv), (-1, x[v])), "<=", 0)
     return model
 
 
-def build_qr(dg: RootedDigraph) -> MipModel:
-    """Single-root arborescence polytope over a digraph rooted at r = dg.r.
+def build_qr(g: Graph, r: int) -> MipModel:
+    """Single-root arborescence polytope Q_r over g rooted at r.
 
-    Binary z per arc; unit indegree row per non-root vertex; depth rows
-    d_v >= n*(z_uv - 1) + d_u + 1 per arc; d_r = 0; cardinality row
-    z(A) = n - 1.  The feasible binary z are exactly the r-arborescences,
-    and the depth bounds [0, n-1] do not change that projection.
+    The two-root model's arborescence rows with every x_v fixed to 1,
+    over `arborescence_arcs(g, r)`: unit indegree row per non-root vertex,
+    depth rows d_v >= n*(z_uv - 1) + d_u + 1, d_r = 0 and z(A) = n - 1.
+    The feasible binary z are exactly the r-arborescences of g (none when
+    g is disconnected); the depth bounds [0, n-1] do not change that.
     """
-    if dg.r1 is not None:
-        raise InputError("build_qr expects a single-root digraph (r1 must be None)")
-    n, r = dg.n, dg.r
+    arcs = arborescence_arcs(g, r)
+    r = vertex_index(g.n, r, "root")
     model = MipModel(metadata={"formulation": "single-root-arborescence", "roots": f"r={r}"})
-    for u, v in dg.arcs:
-        model.add_variable(f"z_{u}_{v}", "binary")
-    for v in range(n):
-        model.add_variable(f"d_{v}", "continuous", 0.0, float(max(n - 1, 0)))
-    model.set_objective(())
-    for v in range(n):
-        if v == r:
-            continue
-        model.add_constraint(
-            f"indeg_{v}", tuple((1, f"z_{u}_{v}") for u in dg.in_tails(v)), "=", 1
-        )
-    for u, v in dg.arcs:
-        model.add_constraint(
-            f"mtz_{u}_{v}",
-            ((1, f"d_{v}"), (-n, f"z_{u}_{v}"), (-1, f"d_{u}")),
-            ">=",
-            1 - n,
-        )
-    model.add_constraint("root", ((1, f"d_{r}"),), "=", 0)
-    model.add_constraint(
-        "card", tuple((1, f"z_{u}_{v}") for u, v in dg.arcs), "=", n - 1
-    )
+    _arborescence(model, g.n, arcs, r, None, None)
     return model
 
 
@@ -412,19 +334,18 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float], tol: f
 # witnesses and exhaustive verification
 
 
-def _point_builder(dg: RootedDigraph):
-    """A function (cmask, parent) -> named point of an arc pick on dg; each
-    name is formatted once, here.
+def _point_builder(n: int, arcs):
+    """A function (cmask, parent) -> named point of an arc pick from
+    `arcs`; each name is formatted once, here.
 
     x is the indicator of cmask, z picks the arc into each vertex of the
     acyclic map `parent` from its parent, and d is each vertex's parent
     hops up to a root (zero off the pick): on an arborescence, the least
     labels the depth rows allow.  build_qr ignores the x keys.
     """
-    n = dg.n
     x = [f"x_{v}" for v in range(n)]
     d = [f"d_{v}" for v in range(n)]
-    z = {(u, v): f"z_{u}_{v}" for u, v in dg.arcs}
+    z = {(u, v): f"z_{u}_{v}" for u, v in arcs}
     unpicked = dict.fromkeys(z.values(), 0)
 
     def point(cmask: int, parent: Mapping[int, int]) -> dict:
@@ -448,8 +369,8 @@ def _point_builder(dg: RootedDigraph):
 def _parb_pick(masks: tuple[int, ...], r: int, r1: int, cmask: int) -> dict[int, int]:
     """The two-root model's pick for the vertex set cmask, as a parent map:
     the breadth-first forest of G[C] from the roots C holds, plus the arc
-    (r, r1) when C holds both.  Each tree arc is an arc of the digraph:
-    no tree arc enters a seed, and every edge off r and r1 is bidirected."""
+    (r, r1) when C holds both.  Each tree arc is one of
+    `arborescence_arcs(g, r, r1)`: no tree arc enters a seed."""
     seeds = [v for v in (r, r1) if cmask >> v & 1]
     parent, _ = bfs_forest(masks, cmask, seeds)
     if len(seeds) == 2:
@@ -462,7 +383,7 @@ def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> dict:
     as the named assignment check_integer_point takes.
 
     x is the cover's indicator, z a breadth-first arborescence of the
-    digraph induced on the cover, rooted per which roots the cover
+    model's arcs inside the cover, rooted per which roots the cover
     contains, and d the tree depths, zero outside the cover.  The point is
     verified against the model before being returned.
     """
@@ -470,9 +391,10 @@ def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> dict:
     cert = check_cvc(g, cover)
     if not cert.valid:
         raise InputError("witness_parb requires a valid connected vertex cover")
-    dg = build_digraph(g, r, r1)
+    r, r1 = _parb_roots(g, r, r1)
     cmask = set_to_mask(cover)
-    point = _point_builder(dg)(cmask, _parb_pick(g.masks, dg.r, dg.r1, cmask))
+    point = _point_builder(g.n, arborescence_arcs(g, r, r1))
+    point = point(cmask, _parb_pick(g.masks, r, r1, cmask))
     if not check_integer_point(build_parb(g, r, r1), point):
         raise ContractError("constructed witness fails the model; internal bug")
     return point
@@ -510,9 +432,9 @@ def find_parb_mismatch(
     rows must reject the point.
     """
     require(g, "find_parb_mismatch", cap=VERIFY_CAP)
-    r, r1 = _resolve_roots(g, r, r1)
+    r, r1 = _parb_roots(g, r, r1)
     model = build_parb(g, r, r1)
-    point = _point_builder(build_digraph(g, r, r1))
+    point = _point_builder(g.n, arborescence_arcs(g, r, r1))
     for cmask in range(1 << g.n):
         cover = mask_to_set(cmask)
         feasible = check_integer_point(model, point(cmask, _parb_pick(g.masks, r, r1, cmask)))
@@ -563,27 +485,23 @@ def find_pstp_mismatch(g: Graph) -> Optional[VertexSet]:
     return None
 
 
-def count_qr_feasible(dg: RootedDigraph) -> int:
-    """Count the binary arc picks feasible in the single-root model.
+def count_qr_feasible(g: Graph, r: int) -> int:
+    """Count the binary arc picks feasible in `build_qr(g, r)`.
 
-    Enumerates the solution set of the indegree rows (one picked in-arc
-    per non-root vertex) depth-first.  A partial pick that closes a
-    directed cycle is pruned: the depth rows along the cycle (each adds 1)
-    are already unsatisfiable, and completions only add rows.  Every
-    complete pick is then an r-arborescence, and it counts when its point
-    (z with its tree depths) passes the model `build_qr` returns.
-    Intended for the matrix-tree cross-check; a two-root digraph raises
-    InputError, as in build_qr.
+    Enumerates the solution set of the indegree rows (one picked in-arc,
+    from a neighbour, per non-root vertex) depth-first.  A partial pick
+    that closes a directed cycle is pruned: the depth rows along the cycle
+    (each adds 1) are already unsatisfiable, and completions only add
+    rows.  Every complete pick is then an r-arborescence, and it counts
+    when its point (z with its tree depths) passes the model `build_qr`
+    returns.  Intended for the matrix-tree cross-check; refuses n above
+    QR_COUNT_CAP with SizeCapError.
     """
-    if dg.n > QR_COUNT_CAP:
-        raise SizeCapError(f"count_qr_feasible refuses n={dg.n} (cap {QR_COUNT_CAP})")
-    r = dg.r
-    model = build_qr(dg)
-    point = _point_builder(dg)
-    targets = [v for v in range(dg.n) if v != r]
-    for v in targets:
-        if not dg.in_tails(v):
-            return 0
+    require(g, "count_qr_feasible", cap=QR_COUNT_CAP)
+    r = vertex_index(g.n, r, "root")
+    model = build_qr(g, r)
+    point = _point_builder(g.n, arborescence_arcs(g, r))
+    targets = [v for v in range(g.n) if v != r]
     parent: dict[int, int] = {}
 
     def count(idx: int) -> int:
@@ -591,7 +509,7 @@ def count_qr_feasible(dg: RootedDigraph) -> int:
             return int(check_integer_point(model, point(0, parent)))
         v = targets[idx]
         total = 0
-        for u in dg.in_tails(v):
+        for u in bits_of(g.masks[v]):
             if not _closes_cycle(parent, u, v):
                 parent[v] = u
                 total += count(idx + 1)

@@ -19,7 +19,6 @@ from cvckit.graph import (
     spanning_tree_count,
 )
 from cvckit.mip import (
-    bidirect_rooted,
     build_parb,
     build_pstp,
     build_qr,
@@ -34,7 +33,7 @@ from cvckit.rng import Xoshiro256
 from tests.conftest import connected_bipartite, connected_gnp
 from tests.lpcheck import parse_lp
 from tests.test_graph import complete, cycle, path
-from tests.test_lp_format import _random_point
+from tests.test_lp_format import GOLDENS, _random_point
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -118,13 +117,13 @@ def test_criterion_04_qr_count_is_tree_count():
     bad = []
     for idx, g in enumerate(cases):
         root = idx % g.n
-        if count_qr_feasible(bidirect_rooted(g, root)) != spanning_tree_count(g):
+        if count_qr_feasible(g, root) != spanning_tree_count(g):
             bad.append(idx)
     _verdict(
         4,
         not bad and len(cases) == 30,
         f"single-root model's feasible picks equal the matrix-tree count "
-        f"on {len(cases)} digraphs; failures: {bad[:3]}",
+        f"on {len(cases)} rooted graphs; failures: {bad[:3]}",
     )
 
 
@@ -222,20 +221,14 @@ def test_criterion_09_warm_start_node_monotonicity(corpus500):
 
 
 def test_criterion_10_lp_goldens_and_reparse():
-    k33 = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    goldens = [
-        ("parb_k2.lp", build_parb(Graph(2, [(0, 1)]))),
-        ("parb_p4.lp", build_parb(path(4))),
-        ("parb_k33.lp", build_parb(k33)),
-    ]
     byte_bad = [
         fname
-        for fname, model in goldens
-        if write_lp(model).encode("ascii") != (GOLDEN / fname).read_bytes()
+        for fname, graph, build in GOLDENS
+        if write_lp(build(graph)).encode("ascii") != (GOLDEN / fname).read_bytes()
     ]
     models = [
         build_parb(path(4)),
-        build_qr(bidirect_rooted(cycle(5), 0)),
+        build_qr(cycle(5), 0),
         build_pstp(complete(4)),
     ]
     rng = Xoshiro256(424242)
@@ -249,7 +242,7 @@ def test_criterion_10_lp_goldens_and_reparse():
     _verdict(
         10,
         not byte_bad and verdict_bad == 0,
-        f"three golden LP files byte-identical and an independent reader "
+        f"{len(GOLDENS)} golden LP files byte-identical and an independent reader "
         f"agrees with the model checker on 100 random points per "
         f"formulation; byte mismatches: {byte_bad}, verdict "
         f"disagreements: {verdict_bad}",

@@ -169,6 +169,14 @@ class TestEngineBehavior:
         # NaN fails every comparison, so it would never trip the deadline
         with pytest.raises(InputError):
             solve(cycle(5), "bb", SolverConfig(time_limit=float("nan")))
+        with pytest.raises(InputError, match="needs a Graph"):
+            solve("x")
+        with pytest.raises(InputError, match="must be a SolverConfig"):
+            solve(cycle(5), "bb", {"time_limit": 1})
+        # a truthy non-bool must not switch the warm start on
+        for flag in ("no", 1, None):
+            with pytest.raises(InputError, match="warm_start must be True or False"):
+                solve(cycle(5), "bb", SolverConfig(warm_start=flag))
 
     @pytest.mark.parametrize("limit", ["5", [1], 1j, True, False])
     def test_time_limit_must_be_a_number(self, limit):

@@ -8,7 +8,7 @@ import pytest
 
 from cvckit.cli import main
 from cvckit.graph import parse_dimacs, write_dimacs
-from cvckit.mip import bidirect_rooted, build_parb, build_qr, write_lp
+from cvckit.mip import build_parb, build_pstp, build_qr, default_roots, write_lp
 from tests.conftest import connected_gnp
 
 
@@ -168,10 +168,17 @@ class TestSolve:
 class TestEmit:
     def test_matches_library_output(self, instance, capsys):
         g, path = instance
-        code, out, _ = run_cli(capsys, "emit", str(path), "--model", "parb")
-        assert code == 0 and out == write_lp(build_parb(g))
-        code, out, _ = run_cli(capsys, "emit", str(path), "--model", "qr", "--root", "3")
-        assert out == write_lp(build_qr(bidirect_rooted(g, 3)))
+        # qr with no root takes the first default root
+        r = default_roots(g)[0]
+        assert r != 0
+        for args, model in [
+            (("--model", "parb"), build_parb(g)),
+            (("--model", "qr", "--root", "0"), build_qr(g, 0)),
+            (("--model", "qr"), build_qr(g, r)),
+            (("--model", "pstp"), build_pstp(g)),
+        ]:
+            code, out, _ = run_cli(capsys, "emit", str(path), *args)
+            assert code == 0 and out == write_lp(model), args
 
     def test_output_file_and_root_validation(self, instance, tmp_path, capsys):
         _, path = instance

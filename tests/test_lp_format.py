@@ -9,7 +9,6 @@ from cvckit.errors import InputError
 from cvckit.graph import Graph
 from cvckit.mip import (
     MipModel,
-    bidirect_rooted,
     build_parb,
     build_pstp,
     build_qr,
@@ -27,18 +26,23 @@ def k33():
     return Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
 
 
+# each golden file with the graph and the model builder that write it
+GOLDENS = [
+    ("parb_k2.lp", Graph(2, [(0, 1)]), build_parb),
+    ("parb_p4.lp", path(4), build_parb),
+    ("parb_k33.lp", k33(), build_parb),
+    ("qr_c5_r0.lp", cycle(5), lambda g: build_qr(g, 0)),
+    ("pstp_k4.lp", complete(4), build_pstp),
+]
+
+
 class TestGolden:
     @pytest.mark.parametrize(
-        "fname,graph",
-        [
-            ("parb_k2.lp", Graph(2, [(0, 1)])),
-            ("parb_p4.lp", path(4)),
-            ("parb_k33.lp", k33()),
-        ],
+        "fname,graph,build", GOLDENS, ids=[f"{f}-graph{i}" for i, (f, _, _) in enumerate(GOLDENS)]
     )
-    def test_byte_equal(self, fname, graph):
+    def test_byte_equal(self, fname, graph, build):
         expected = (GOLDEN / fname).read_bytes()
-        assert write_lp(build_parb(graph)).encode("ascii") == expected
+        assert write_lp(build(graph)).encode("ascii") == expected
 
 
 class TestDialect:
@@ -75,8 +79,7 @@ class TestDialect:
         assert "- 4 z_1_0" in text  # non-unit magnitudes keep the number
 
     def test_empty_objective_convention(self):
-        dg = bidirect_rooted(path(3), 1)
-        text = write_lp(build_qr(dg))
+        text = write_lp(build_qr(path(3), 1))
         assert "\n obj: 0 z_1_0\n" in text
 
     def test_empty_row_convention(self):
@@ -137,7 +140,7 @@ class TestIndependentReparse:
     def models(self):
         yield build_parb(path(4))
         yield build_parb(k33())
-        yield build_qr(bidirect_rooted(cycle(5), 0))
+        yield build_qr(cycle(5), 0)
         yield build_pstp(complete(4))
 
     def test_rows_survive_reparse(self):

@@ -1,4 +1,4 @@
-"""Formulations: digraph build, model rows, witnesses, exhaustive checks."""
+"""Formulations: arborescence arcs, model rows, witnesses, exhaustive checks."""
 
 import itertools
 
@@ -8,9 +8,7 @@ from cvckit.errors import InputError, SizeCapError
 from cvckit.graph import Graph, dfs_tree, gnp_random, induced_delete, spanning_tree_count
 from cvckit.mip import (
     MipModel,
-    RootedDigraph,
-    bidirect_rooted,
-    build_digraph,
+    arborescence_arcs,
     build_parb,
     build_pstp,
     build_qr,
@@ -39,13 +37,12 @@ BAD_VERTEX_CALLS = {
     "build_parb-r": lambda v: build_parb(path(4), v),
     "build_parb-r1": lambda v: build_parb(path(4), None, v),
     "build_parb-pair": lambda v: build_parb(path(4), 1, v),
-    "build_digraph-r": lambda v: build_digraph(path(4), v, 1),
-    "build_digraph-r1": lambda v: build_digraph(path(4), 1, v),
-    "bidirect_rooted": lambda v: bidirect_rooted(path(4), v),
+    "arborescence_arcs-r": lambda v: arborescence_arcs(path(4), v, 1),
+    "arborescence_arcs-r1": lambda v: arborescence_arcs(path(4), 1, v),
     "witness_parb-r": lambda v: witness_parb(path(4), {1, 2}, v, 1),
     "witness_parb-r1": lambda v: witness_parb(path(4), {1, 2}, 1, v),
-    "RootedDigraph-r": lambda v: RootedDigraph(4, [(0, 1)], v),
-    "RootedDigraph-r1": lambda v: RootedDigraph(4, [(0, 1)], 0, v),
+    "build_qr": lambda v: build_qr(path(4), v),
+    "count_qr_feasible": lambda v: count_qr_feasible(path(4), v),
 }
 
 
@@ -81,13 +78,11 @@ def test_index_vertex_argument_is_used_as_int(one):
         # the LP text carries the roots, as "roots: r=1 r1=2"
         assert write_lp(build_parb(g, r, r1)) == write_lp(build_parb(g, *plain))
     assert witness_parb(g, {1, 2}, one, 2) == witness_parb(g, {1, 2}, 1, 2)
-    for dg in (
-        build_digraph(g, one, 2),
-        bidirect_rooted(g, one),
-        RootedDigraph(4, [(one, 0), (one, 2), (2, 3)], one),
-    ):
-        assert type(dg.r) is int and dg.r == 1 and _all_ints(dg.arcs)
-        assert all(type(u) is int for v in range(4) for u in dg.in_tails(v))
+    for r1 in (2, None):
+        arcs = arborescence_arcs(g, one, r1)
+        assert arcs == arborescence_arcs(g, 1, r1) and _all_ints(arcs)
+    assert write_lp(build_qr(g, one)) == write_lp(build_qr(g, 1))
+    assert count_qr_feasible(g, one) == count_qr_feasible(g, 1) == 1
 
 
 @pytest.mark.parametrize("one", [True, _Index(1)], ids=["bool", "index"])
@@ -99,51 +94,42 @@ def test_index_edge_endpoint_is_stored_as_int(one):
     assert "x_1" in text and text == write_lp(build_pstp(path(3)))
 
 
-class TestRootedDigraph:
-    def test_build_digraph_orientation(self):
+class TestArborescenceArcs:
+    def test_two_root_orientation(self):
         g = path(4)  # default roots are the two middle vertices
         assert default_roots(g) == (1, 2)
-        dg = build_digraph(g, 1, 2)
-        assert dg.arcs == ((1, 0), (1, 2), (2, 3))
-        assert dg.in_tails(0) == (1,) and dg.in_tails(2) == (1,)
-        assert [v for u, v in dg.arcs if u == 1] == [0, 2]
+        arcs = arborescence_arcs(g, 1, 2)
+        assert arcs == [(1, 0), (1, 2), (2, 3)]
         # arc count identity: 2m - deg(r) - deg(r1) + 1
-        assert len(dg.arcs) == 2 * g.m - g.degree(1) - g.degree(2) + 1
+        assert len(arcs) == 2 * g.m - g.degree(1) - g.degree(2) + 1
 
     def test_inner_edges_bidirected(self):
-        g = cycle(5)
-        dg = build_digraph(g, 0, 1)
-        assert (2, 3) in dg.arcs and (3, 2) in dg.arcs
-        assert (1, 0) not in dg.arcs  # nothing enters the root
-        assert dg.in_tails(1) == (0,)
+        arcs = arborescence_arcs(cycle(5), 0, 1)
+        assert (2, 3) in arcs and (3, 2) in arcs
+        assert (1, 0) not in arcs  # nothing enters the root
+        assert [u for u, v in arcs if v == 1] == [0]  # r1 is entered from r only
 
     def test_arc_count_on_corpus(self, corpus60):
         for name, g in corpus60[:20]:
             r, r1 = default_roots(g)
-            dg = build_digraph(g, r, r1)
-            assert len(dg.arcs) == 2 * g.m - g.degree(r) - g.degree(r1) + 1, name
+            arcs = arborescence_arcs(g, r, r1)
+            assert arcs == sorted(set(arcs)), name
+            assert len(arcs) == 2 * g.m - g.degree(r) - g.degree(r1) + 1, name
 
     def test_invariant_validation(self):
-        with pytest.raises(InputError):
-            build_digraph(path(4), 0, 2)  # roots not adjacent
-        with pytest.raises(InputError):
-            build_digraph(Graph(4, [(0, 1), (2, 3)]), 0, 1)  # disconnected
-        with pytest.raises(InputError):
-            RootedDigraph(3, [(0, 1), (1, 0)], 0)  # arc enters the root
-        with pytest.raises(InputError):
-            RootedDigraph(3, [(0, 1), (2, 1)], 0, 1)  # extra arc into r1
-        with pytest.raises(InputError):
-            RootedDigraph(3, [(1, 1)], 0)
-        for arc in [(0, 1.5), (1.5, 0), (0, "1"), (0,)]:
-            with pytest.raises(InputError, match="is not a pair of ints"):
-                RootedDigraph(3, [arc], 0)
+        with pytest.raises(InputError, match="must be adjacent"):
+            build_parb(path(4), 0, 2)
+        with pytest.raises(InputError, match="requires a connected graph"):
+            build_parb(Graph(4, [(0, 1), (2, 3)]), 0, 1)
+        with pytest.raises(InputError, match="needs n >= 2"):
+            build_parb(Graph(1), 0, 0)
+        for call in (build_parb, build_qr, arborescence_arcs, count_qr_feasible):
+            with pytest.raises(InputError, match="needs a Graph"):
+                call([(0, 1)], 0)
 
-    def test_bidirect_rooted(self):
-        dg = bidirect_rooted(path(3), 1)
-        assert dg.arcs == ((1, 0), (1, 2))
-        assert dg.r1 is None
-        dg2 = bidirect_rooted(cycle(4), 0)
-        assert len(dg2.arcs) == 2 * 4 - 2
+    def test_single_root(self):
+        assert arborescence_arcs(path(3), 1) == [(1, 0), (1, 2)]
+        assert len(arborescence_arcs(cycle(4), 0)) == 2 * 4 - 2
 
     def test_default_roots_tiebreak(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)])  # degrees 2,3,2,1
@@ -343,19 +329,12 @@ class TestDepthRows:
         self._check(lambda: build_parb(complete(4), 0, 1), {f"x_{v}": 1 for v in range(4)})
 
     def test_qr_rejects_a_cycle(self):
-        self._check(lambda: build_qr(bidirect_rooted(complete(4), 0)), {})
+        self._check(lambda: build_qr(complete(4), 0), {})
 
 
 class TestBuildQr:
-    def test_rejects_wrong_digraph(self):
-        g = path(4)
-        two_root = build_digraph(g, 1, 2)
-        with pytest.raises(InputError):
-            build_qr(two_root)
-
     def test_row_structure(self):
-        dg = bidirect_rooted(path(3), 0)
-        model = build_qr(dg)
+        model = build_qr(path(3), 0)
         names = [c.name for c in model.constraints]
         assert names == ["indeg_1", "indeg_2", "mtz_0_1", "mtz_1_2", "mtz_2_1", "root", "card"]
         assert model.objective == ()
@@ -366,8 +345,7 @@ class TestBuildQr:
         cases = [path(5), cycle(6), complete(4), petersen_free_small()]
         for g in cases:
             for r in range(min(g.n, 3)):
-                dg = bidirect_rooted(g, r)
-                assert count_qr_feasible(dg) == spanning_tree_count(g), (g, r)
+                assert count_qr_feasible(g, r) == spanning_tree_count(g), (g, r)
 
     def test_count_on_random_graphs(self):
         done = 0
@@ -376,22 +354,21 @@ class TestBuildQr:
             if spanning_tree_count(g) == 0:
                 continue  # disconnected: the count must then be zero too
             done += 1
-            dg = bidirect_rooted(g, 0)
-            assert count_qr_feasible(dg) == spanning_tree_count(g), seed
+            assert count_qr_feasible(g, 0) == spanning_tree_count(g), seed
         assert done >= 15
 
     def test_disconnected_counts_zero(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert count_qr_feasible(bidirect_rooted(g, 0)) == 0
+        assert count_qr_feasible(g, 0) == 0
         assert spanning_tree_count(g) == 0
 
     def test_size_cap(self):
         with pytest.raises(SizeCapError):
-            count_qr_feasible(bidirect_rooted(complete(11), 0))
+            count_qr_feasible(complete(11), 0)
 
     def test_judges_the_built_model(self, monkeypatch):
-        def tightened(dg):
-            model = build_qr(dg)
+        def tightened(g, r):
+            model = build_qr(g, r)
             model.add_constraint("extra", ((1, "z_0_1"),), "=", 0)
             return model
 
@@ -399,11 +376,7 @@ class TestBuildQr:
         # of the four spanning trees of C4, only the one without edge 0-1
         # leaves arc (0, 1) unpicked
         g = cycle(4)
-        assert count_qr_feasible(bidirect_rooted(g, 0)) == 1 < spanning_tree_count(g)
-
-    def test_rejects_two_root_digraph(self):
-        with pytest.raises(InputError):
-            count_qr_feasible(build_digraph(path(4), 1, 2))
+        assert count_qr_feasible(g, 0) == 1 < spanning_tree_count(g)
 
 
 def petersen_free_small():
