@@ -19,8 +19,11 @@ Three models over a connected graph G, all minimizing the cover size:
   into one root r; the feasible binary z are exactly the
   r-arborescences.
 
-`MipModel` is a deliberately dumb IR (named variables, linear rows) with a
-deterministic LP-file writer; no solver is embedded.  The exhaustive
+`MipModel` stores a model columns-first: parallel column lists and one
+CSR row table, read back through name views, handed to a sparse solver
+interface by `to_arrays()`, and written by a deterministic LP-file
+writer; no solver is embedded.  It refuses, as they are added, names,
+numbers and bounds that would make broken LP text.  The exhaustive
 verifiers below build one point per vertex subset or arc pick instead (a
 breadth-first spanning forest from `graph.bfs_forest`, or an arborescence,
 with tree depths) and let `check_integer_point` on the model the builder
@@ -32,6 +35,11 @@ a directed cycle; tests check both.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Sequence
+from itertools import accumulate
+from math import inf
+from numbers import Real
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import ContractError, InputError
@@ -70,56 +78,198 @@ class Constraint(NamedTuple):
     rhs: float
 
 
+# an LP name: no whitespace or ':', and no leading digit, '.', '+' or '-'
+_NAME = re.compile(r"(?![\d.+-])[^\s:]+\Z")
+
+
+def _check_name(name, what: str) -> None:
+    if not isinstance(name, str) or not _NAME.match(name):
+        raise InputError(
+            f"{what} name {name!r} is not an LP name: a non-empty str with no "
+            "whitespace or ':' that does not start with a digit, '.', '+' or '-'"
+        )
+
+
+def _finite(value) -> bool:
+    """Whether value is a real number other than NaN and the infinities."""
+    return isinstance(value, Real) and -inf < value < inf
+
+
+class _View(Sequence):
+    """Read-only sequence of item(i) for i in range(len(backing))."""
+
+    __slots__ = ("_backing", "_item")
+
+    def __init__(self, backing: list, item):
+        self._backing = backing
+        self._item = item
+
+    def __len__(self) -> int:
+        return len(self._backing)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(len(self._backing))[i]]
+        return self._item(range(len(self._backing))[i])
+
+    def __iter__(self):
+        return map(self._item, range(len(self._backing)))
+
+
 class MipModel:
-    """Solver-agnostic integer model: named variables, linear rows, a
-    minimize objective, and metadata emitted as LP comment lines."""
+    """Solver-agnostic integer model with a minimize objective and
+    metadata emitted as LP comment lines, stored columns-first.
+
+    Columns are parallel lists (name, kind, lb, ub) with one name ->
+    column dict; rows are one CSR table: name, sense and rhs per row, and
+    `indptr` into column indices and coefficients.  The table holds only
+    ints, floats and strs, which the cyclic garbage collector does not
+    track.  `variables`, `constraints` and `objective` read it back as
+    `Variable` and `Constraint` tuples and (coef, varname) terms.
+    """
 
     def __init__(self, metadata: Optional[Mapping[str, str]] = None):
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-        self.objective: tuple = ()  # ((coef, varname), ...), minimized
         self.metadata: dict[str, str] = dict(metadata or {})
-        self._var_names: set[str] = set()
-        self._row_names: set[str] = set()
+        self._names: list[str] = []
+        self._kinds: list[str] = []
+        self._lb: list = []
+        self._ub: list = []
+        self._col: dict[str, int] = {}
+        self._row_names: list[str] = []
+        self._row_set: set[str] = set()
+        self._senses: list[str] = []
+        self._rhs: list = []
+        self._indptr: list[int] = [0]
+        self._indices: list[int] = []
+        self._data: list = []
+        self._objective: tuple[list, list] = ([], [])  # (columns, coefficients)
 
     def add_variable(self, name: str, kind: str, lb: float = 0.0, ub: float = 1.0):
         if kind not in ("binary", "continuous"):
             raise InputError(f"unknown variable kind {kind!r}")
-        if name in self._var_names:
+        _check_name(name, "variable")
+        if name in self._col:
             raise InputError(f"duplicate variable name {name!r}")
         if kind == "binary":
             lb, ub = 0.0, 1.0
-        self._var_names.add(name)
-        self.variables.append(Variable(name, kind, lb, ub))
-
-    def _check_terms(self, terms, row: Optional[str]):
-        """Reject a term on an undeclared variable; `row` names the
-        constraint, None the objective."""
-        for _, var in terms:
-            if var not in self._var_names:
-                where = "objective" if row is None else f"constraint {row!r}"
-                raise InputError(f"{where} references undeclared variable {var!r}")
+        elif not (isinstance(lb, Real) and isinstance(ub, Real) and lb <= ub):
+            raise InputError(f"variable {name!r} needs real bounds lb <= ub, got {lb!r}, {ub!r}")
+        self._add_columns([name], kind, lb, ub)
 
     def add_constraint(self, name: str, terms, sense: str, rhs: float):
         if sense not in ("<=", "=", ">="):
             raise InputError(f"unknown sense {sense!r}")
-        if name in self._row_names:
+        _check_name(name, "constraint")
+        if name in self._row_set:
             raise InputError(f"duplicate constraint name {name!r}")
-        terms = tuple(terms)
-        self._check_terms(terms, name)
-        self._row_names.add(name)
-        self.constraints.append(Constraint(name, terms, sense, rhs))
+        cols, coefs = self._columns(terms, f"constraint {name!r}")
+        if not _finite(rhs):
+            raise InputError(f"constraint {name!r} has right-hand side {rhs!r}, not a finite real")
+        self._add_rows([name], sense, [rhs], [len(cols)], cols, coefs)
 
     def set_objective(self, terms):
-        terms = tuple(terms)
-        self._check_terms(terms, None)
-        self.objective = terms
+        self._objective = self._columns(terms, "objective")
+
+    def _columns(self, terms, where: str) -> tuple[list[int], list]:
+        """The columns and coefficients of (coef, varname) terms; `where`
+        names the row or objective in a refusal."""
+        cols, coefs = [], []
+        for coef, var in terms:
+            col = self._col.get(var)
+            if col is None:
+                raise InputError(f"{where} references undeclared variable {var!r}")
+            if not _finite(coef):
+                raise InputError(f"{where} has coefficient {coef!r} on {var!r}, not a finite real")
+            cols.append(col)
+            coefs.append(coef)
+        return cols, coefs
+
+    def _add_columns(self, names: list[str], kind: str, lb, ub) -> int:
+        """Append a block of columns of one kind and bounds; returns the
+        first one's index.  The builders' names need no per-name check."""
+        first = len(self._names)
+        self._col.update(zip(names, range(first, first + len(names))))
+        if len(self._col) != first + len(names):
+            raise ContractError("duplicate variable name in a block; internal bug")
+        self._names += names
+        self._kinds += [kind] * len(names)
+        self._lb += [lb] * len(names)
+        self._ub += [ub] * len(names)
+        return first
+
+    def _add_rows(self, names: list[str], sense: str, rhs: list, sizes: list[int], indices: list[int], data: list):
+        """Append a block of rows of one sense: row i is names[i] with
+        right-hand side rhs[i] over the next sizes[i] entries of indices
+        (columns) and data (coefficients).  The builders' rows need no
+        per-row check."""
+        if indices and (min(indices) < 0 or max(indices) >= len(self._names)):
+            raise ContractError("row references a column out of range; internal bug")
+        known = len(self._row_set)
+        self._row_set.update(names)
+        if len(self._row_set) != known + len(names):
+            raise ContractError("duplicate constraint name in a block; internal bug")
+        self._row_names += names
+        self._senses += [sense] * len(names)
+        self._rhs += rhs
+        ptr = self._indptr
+        ptr += accumulate(sizes, initial=ptr.pop())
+        self._indices += indices
+        self._data += data
+
+    @property
+    def variables(self) -> Sequence[Variable]:
+        return _View(self._names, self._variable)
+
+    @property
+    def constraints(self) -> Sequence[Constraint]:
+        return _View(self._row_names, self._constraint)
+
+    @property
+    def objective(self) -> tuple:
+        """((coef, varname), ...), minimized."""
+        cols, coefs = self._objective
+        return tuple(zip(coefs, map(self._names.__getitem__, cols)))
+
+    def _variable(self, col: int) -> Variable:
+        return Variable(self._names[col], self._kinds[col], self._lb[col], self._ub[col])
+
+    def _constraint(self, row: int) -> Constraint:
+        start, end = self._indptr[row], self._indptr[row + 1]
+        names = self._names
+        terms = tuple(
+            (coef, names[col]) for col, coef in zip(self._indices[start:end], self._data[start:end])
+        )
+        return Constraint(self._row_names[row], terms, self._senses[row], self._rhs[row])
+
+    def to_arrays(self) -> dict[str, list]:
+        """The model as plain lists, in the shape sparse MIP interfaces
+        such as scipy's `milp` (HiGHS) take.
+
+        "c": objective coefficient per column (repeated terms add);
+        "indptr", "indices", "data": the rows as a CSR matrix (repeated
+        terms are kept, and a CSR reader adds them); "row_lo", "row_hi":
+        each row's range, rhs on the bounded side(s) and -inf or inf on
+        the other; "col_lb", "col_ub": column bounds; "integrality": 1
+        for a binary column, 0 for a continuous one.  Numbers are floats.
+        """
+        c = [0.0] * len(self._names)
+        for col, coef in zip(*self._objective):
+            c[col] += float(coef)
+        rhs = [float(value) for value in self._rhs]
+        return {
+            "c": c,
+            "indptr": list(self._indptr),
+            "indices": list(self._indices),
+            "data": [float(coef) for coef in self._data],
+            "row_lo": [-inf if sense == "<=" else b for sense, b in zip(self._senses, rhs)],
+            "row_hi": [inf if sense == ">=" else b for sense, b in zip(self._senses, rhs)],
+            "col_lb": [float(lb) for lb in self._lb],
+            "col_ub": [float(ub) for ub in self._ub],
+            "integrality": [int(kind == "binary") for kind in self._kinds],
+        }
 
     def __repr__(self) -> str:
-        return (
-            f"MipModel({len(self.variables)} vars, "
-            f"{len(self.constraints)} rows)"
-        )
+        return f"MipModel({len(self._names)} vars, {len(self._row_names)} rows)"
 
 
 # ---------------------------------------------------------------------------
@@ -176,36 +326,72 @@ def arborescence_arcs(g: Graph, r: int, r1: Optional[int] = None) -> list[tuple[
 # model builders
 
 
-def _arborescence(model: MipModel, n: int, arcs, r: int, r1: Optional[int], x) -> list[str]:
+def _cover_rows(model: MipModel, edges) -> None:
+    """One covering row x_u + x_v >= 1 per edge, x_v being column v."""
+    m = len(edges)
+    model._add_rows(
+        [f"cover_{u}_{v}" for u, v in edges], ">=", [1] * m, [2] * m,
+        [w for edge in edges for w in edge], [1] * (2 * m),
+    )
+
+
+def _link_rows(model: MipModel, a: str, b: str, first: int, pairs, tails: list[str]) -> None:
+    """Two rows w - x_u <= 0 (named a + tail) and w - x_v <= 0 (b + tail)
+    per pair (u, v), w its column from `first` on and x_v column v."""
+    k = len(pairs)
+    names = [""] * (2 * k)
+    names[0::2] = [a + tail for tail in tails]
+    names[1::2] = [b + tail for tail in tails]
+    indices = [0] * (4 * k)
+    indices[0::4] = indices[2::4] = range(first, first + k)
+    indices[1::4] = [u for u, _ in pairs]
+    indices[3::4] = [v for _, v in pairs]
+    model._add_rows(names, "<=", [0] * (2 * k), [2] * (2 * k), indices, [1, -1] * (2 * k))
+
+
+def _arborescence(model: MipModel, n: int, arcs, r: int, r1: Optional[int], with_x: bool) -> tuple[list[str], int]:
     """Declare z per arc and d per vertex, and add the indegree, depth,
-    root and cardinality rows `build_parb` lists.  x is the list of x
-    names, or None for x fixed to 1 (`build_qr`): each -x_v term is then
+    root and cardinality rows `build_parb` lists.  with_x: x_v is column
+    v (`build_parb`), or fixed to 1 (`build_qr`): each -x_v term is then
     left out and its row's right-hand side shifted by 1.  Returns each
-    arc's row-name suffix "_u_v"."""
+    arc's row-name suffix "_u_v" and the first z column."""
+    k = len(arcs)
     tails = [f"_{u}_{v}" for u, v in arcs]
-    z = ["z" + tail for tail in tails]
-    d = [f"d_{v}" for v in range(n)]
-    for name in z:
-        model.add_variable(name, "binary")
-    for name in d:
-        model.add_variable(name, "continuous", 0.0, float(n - 1))
-    minus_x = [((-1, name),) for name in x] if x is not None else [()] * n
-    shift = 0 if x is not None else 1
+    heads = [v for _, v in arcs]
+    z0 = model._add_columns(["z" + tail for tail in tails], "binary", 0.0, 1.0)
+    d0 = model._add_columns([f"d_{v}" for v in range(n)], "continuous", 0.0, float(n - 1))
+    shift = 0 if with_x else 1
     into = [[] for _ in range(n)]
-    for (_, v), zuv in zip(arcs, z):
-        into[v].append((1, zuv))
-    for v in range(n):
-        if v != r and v != r1:
-            model.add_constraint(f"indeg_{v}", (*into[v], *minus_x[v]), "=", shift)
-    for (u, v), tail, zuv in zip(arcs, tails, z):
-        model.add_constraint(
-            "mtz" + tail, ((1, d[v]), (-n, zuv), (-1, d[u]), *minus_x[v]), ">=", shift - n
-        )
-    model.add_constraint("root", ((1, d[r]),), "=", 0)
-    card = [(1, name) for name in z]
-    card.extend(term for terms in minus_x for term in terms)
-    model.add_constraint("card", card, "=", n * shift - 1)
-    return tails
+    for z, v in enumerate(heads, z0):
+        into[v].append(z)
+    targets = [v for v in range(n) if v != r and v != r1]
+    indices, data = [], []
+    for v in targets:
+        indices += into[v]
+        data += [1] * len(into[v])
+        if with_x:
+            indices.append(v)
+            data.append(-1)
+    sizes = [len(into[v]) + with_x for v in targets]
+    model._add_rows([f"indeg_{v}" for v in targets], "=", [shift] * len(targets), sizes, indices, data)
+    width = 3 + with_x
+    indices = [0] * (width * k)
+    indices[0::width] = [d0 + v for v in heads]
+    indices[1::width] = range(z0, z0 + k)
+    indices[2::width] = [d0 + u for u, _ in arcs]
+    if with_x:
+        indices[3::width] = heads
+    model._add_rows(
+        ["mtz" + tail for tail in tails], ">=", [shift - n] * k, [width] * k,
+        indices, [1, -n, -1, -1][:width] * k,
+    )
+    model._add_rows(["root"], "=", [0], [1], [d0 + r], [1])
+    x = list(range(n)) if with_x else []
+    model._add_rows(
+        ["card"], "=", [n * shift - 1], [k + len(x)],
+        [*range(z0, z0 + k), *x], [1] * k + [-1] * len(x),
+    )
+    return tails, z0
 
 
 def build_parb(g: Graph, r: Optional[int] = None, r1: Optional[int] = None) -> MipModel:
@@ -225,16 +411,11 @@ def build_parb(g: Graph, r: Optional[int] = None, r1: Optional[int] = None) -> M
     arcs = arborescence_arcs(g, r, r1)
     model = MipModel(metadata={"formulation": "arborescence", "roots": f"r={r} r1={r1}"})
     x = [f"x_{v}" for v in range(n)]
-    for name in x:
-        model.add_variable(name, "binary")
-    model.set_objective(tuple((1, name) for name in x))
-    for u, v in sorted(g.edges):
-        model.add_constraint(f"cover_{u}_{v}", ((1, x[u]), (1, x[v])), ">=", 1)
-    tails = _arborescence(model, n, arcs, r, r1, x)
-    for (u, v), tail in zip(arcs, tails):
-        zuv = "z" + tail
-        model.add_constraint("lnka" + tail, ((1, zuv), (-1, x[u])), "<=", 0)
-        model.add_constraint("lnkb" + tail, ((1, zuv), (-1, x[v])), "<=", 0)
+    model._add_columns(x, "binary", 0.0, 1.0)
+    model.set_objective([(1, name) for name in x])
+    _cover_rows(model, sorted(g.edges))
+    tails, z0 = _arborescence(model, n, arcs, r, r1, True)
+    _link_rows(model, "lnka", "lnkb", z0, arcs, tails)
     return model
 
 
@@ -250,7 +431,7 @@ def build_qr(g: Graph, r: int) -> MipModel:
     arcs = arborescence_arcs(g, r)
     r = vertex_index(g.n, r, "root")
     model = MipModel(metadata={"formulation": "single-root-arborescence", "roots": f"r={r}"})
-    _arborescence(model, g.n, arcs, r, None, None)
+    _arborescence(model, g.n, arcs, r, None, False)
     return model
 
 
@@ -265,14 +446,14 @@ def build_pstp(g: Graph) -> MipModel:
     require(g, "build_pstp", cap=PSTP_CAP)
     n = g.n
     edges = sorted(g.edges)
+    m = len(edges)
+    tails = [f"_{u}_{v}" for u, v in edges]
     model = MipModel(metadata={"formulation": "spanning-tree"})
-    for v in range(n):
-        model.add_variable(f"x_{v}", "binary")
-    for u, v in edges:
-        model.add_variable(f"y_{u}_{v}", "continuous", 0.0, 1.0)
-    model.set_objective(tuple((1, f"x_{v}") for v in range(n)))
-    for u, v in edges:
-        model.add_constraint(f"cover_{u}_{v}", ((1, f"x_{u}"), (1, f"x_{v}")), ">=", 1)
+    x = [f"x_{v}" for v in range(n)]
+    model._add_columns(x, "binary", 0.0, 1.0)
+    y0 = model._add_columns(["y" + tail for tail in tails], "continuous", 0.0, 1.0)
+    model.set_objective([(1, name) for name in x])
+    _cover_rows(model, edges)
     # induced-edge counts for all subsets, by peeling the lowest vertex
     ecount = [0] * (1 << n)
     for mask in range(1, 1 << n):
@@ -280,22 +461,18 @@ def build_pstp(g: Graph) -> MipModel:
         v = low.bit_length() - 1
         rest = mask ^ low
         ecount[mask] = ecount[rest] + (g.masks[v] & rest).bit_count()
+    names, rhs, sizes, indices = [], [], [], []
     for mask in range(1, 1 << n):
         size = mask.bit_count()
         if ecount[mask] < size:
             continue
-        members = list(bits_of(mask))
-        name = "sub_" + "_".join(str(v) for v in members)
-        inner = tuple(
-            (1, f"y_{u}_{v}") for u, v in edges if mask >> u & 1 and mask >> v & 1
-        )
-        model.add_constraint(name, inner, "<=", size - 1)
-    total = [(1, f"y_{u}_{v}") for u, v in edges]
-    total.extend((-1, f"x_{v}") for v in range(n))
-    model.add_constraint("total", total, "=", -1)
-    for u, v in edges:
-        model.add_constraint(f"ya_{u}_{v}", ((1, f"y_{u}_{v}"), (-1, f"x_{u}")), "<=", 0)
-        model.add_constraint(f"yb_{u}_{v}", ((1, f"y_{u}_{v}"), (-1, f"x_{v}")), "<=", 0)
+        names.append("sub_" + "_".join(str(v) for v in bits_of(mask)))
+        rhs.append(size - 1)
+        sizes.append(ecount[mask])
+        indices += [y for y, (u, v) in enumerate(edges, y0) if mask >> u & 1 and mask >> v & 1]
+    model._add_rows(names, "<=", rhs, sizes, indices, [1] * len(indices))
+    model._add_rows(["total"], "=", [-1], [m + n], [*range(y0, y0 + m), *range(n)], [1] * m + [-1] * n)
+    _link_rows(model, "ya", "yb", y0, edges, tails)
     return model
 
 
@@ -310,22 +487,29 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float], tol: f
     are ignored); a missing one raises InputError.  Binary variables must
     sit within tol of 0 or 1.
     """
-    for name, kind, lb, ub in model.variables:
-        if name not in assignment:
-            raise InputError(f"assignment missing variable {name!r}")
-        val = assignment[name]
+    try:
+        values = [assignment[name] for name in model._names]
+    except KeyError as missing:
+        raise InputError(f"assignment missing variable {missing.args[0]!r}") from None
+    # rows first: a point the verifiers build mostly fails an early row
+    indices, data, ptr = model._indices, model._data, model._indptr
+    for sense, rhs, start, end in zip(model._senses, model._rhs, ptr, ptr[1:]):
+        lhs = 0
+        for k in range(start, end):
+            lhs += data[k] * values[indices[k]]
+        if sense == "<=":
+            if lhs > rhs + tol:
+                return False
+        elif sense == ">=":
+            if lhs < rhs - tol:
+                return False
+        elif abs(lhs - rhs) > tol:
+            return False
+    for val, kind, lb, ub in zip(values, model._kinds, model._lb, model._ub):
         if not (lb - tol <= val <= ub + tol):
             return False
         # within the bounds checked above, min(|val|, |val - 1|) > tol
         if kind == "binary" and tol < val < 1 - tol:
-            return False
-    for _, terms, sense, rhs in model.constraints:
-        lhs = sum(coef * assignment[var] for coef, var in terms)
-        if sense == "<=" and lhs > rhs + tol:
-            return False
-        if sense == ">=" and lhs < rhs - tol:
-            return False
-        if sense == "=" and abs(lhs - rhs) > tol:
             return False
     return True
 
@@ -463,7 +647,6 @@ def find_pstp_mismatch(g: Graph) -> Optional[VertexSet]:
     """
     require(g, "find_pstp_mismatch", min_n=2, connected=True, cap=PSTP_VERIFY_CAP)
     model = build_pstp(g)
-    row_names = {row.name for row in model.constraints}
     edges = sorted(g.edges)
     for cmask in range(1 << g.n):
         cover = mask_to_set(cmask)
@@ -480,7 +663,7 @@ def find_pstp_mismatch(g: Graph) -> Optional[VertexSet]:
                 comp = grow_piece(g.masks, 1 << root, cmask)[0]
                 induced = sum(1 for u, v in edges if comp >> u & 1 and comp >> v & 1)
                 name = "sub_" + "_".join(str(v) for v in bits_of(comp))
-                if induced >= comp.bit_count() and name not in row_names:
+                if induced >= comp.bit_count() and name not in model._row_set:
                     return cover
     return None
 
@@ -529,13 +712,11 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
-def _term_prefix(coef, first: bool) -> str:
-    """The text written before a term's variable name."""
-    mag = abs(coef)
-    body = "" if mag == 1 else f"{_num(mag)} "
-    if coef < 0:
-        return "- " + body
-    return body if first else "+ " + body
+def _term_prefix(coef) -> str:
+    """The text written before the variable name of a row's second or
+    later term; a row's first term drops a leading "+ "."""
+    body = "" if abs(coef) == 1 else f"{_num(abs(coef))} "
+    return ("- " if coef < 0 else "+ ") + body
 
 
 class _Memo(dict):
@@ -566,39 +747,55 @@ def write_lp(model: MipModel) -> str:
     An empty linear expression is written as the first variable with
     coefficient zero.  Long expressions wrap at eight terms per line.
     """
-    if not model.variables:
+    names = model._names
+    if not names:
         raise InputError("cannot write a model with no variables")
-    empty = ((0, model.variables[0].name),)
-    # a model repeats few coefficients and numbers: format each once
-    first = _Memo(lambda coef: _term_prefix(coef, True))
-    later = _Memo(lambda coef: _term_prefix(coef, False))
+    # each column's "x", "+ x" and "- x" token is formatted once, and each
+    # other coefficient's prefix once
+    plus = ["+ " + name for name in names]
+    minus = ["- " + name for name in names]
+    prefix = _Memo(_term_prefix)
     num = _Memo(_num)
 
-    def tokens_of(terms) -> list[str]:
-        terms = terms or empty
-        tokens = [later[coef] + var for coef, var in terms]
-        coef, var = terms[0]
-        tokens[0] = first[coef] + var
-        return tokens
+    def tokens(indices, data) -> list[str]:
+        """Each term's token as a row's second or later term."""
+        return [
+            plus[col] if coef == 1 else minus[col] if coef == -1 else prefix[coef] + names[col]
+            for col, coef in zip(indices, data)
+        ]
+
+    def expression(toks: list[str], data, start: int, end: int) -> list[str]:
+        if start == end:
+            return ["0 " + names[0]]
+        row = toks[start:end]
+        if not data[start] < 0:
+            row[0] = row[0][2:]  # a leading term drops its "+ "
+        return row
 
     lines = [f"\\ {k}: {v}" for k, v in model.metadata.items()]
     lines.append("Minimize")
-    lines.extend(_wrap(" obj: ", tokens_of(model.objective)))
+    cols, coefs = model._objective
+    lines.extend(_wrap(" obj: ", expression(tokens(cols, coefs), coefs, 0, len(coefs))))
     lines.append("Subject To")
-    for row in model.constraints:
-        tokens = tokens_of(row.terms)
-        tokens.append(row.sense)
-        tokens.append(num[row.rhs])
-        if len(tokens) <= 8:
-            lines.append(f" {row.name}: {' '.join(tokens)}")
+    data, ptr = model._data, model._indptr
+    toks = tokens(model._indices, data)
+    for name, sense, rhs, start, end in zip(model._row_names, model._senses, model._rhs, ptr, ptr[1:]):
+        row = expression(toks, data, start, end)
+        if len(row) <= 6:
+            lines.append(f" {name}: {' '.join(row)} {sense} {num[rhs]}")
         else:
-            lines.extend(_wrap(f" {row.name}: ", tokens))
-    bounded = [v for v in model.variables if v.kind == "continuous"]
+            row += (sense, num[rhs])
+            lines.extend(_wrap(f" {name}: ", row))
+    kinds = model._kinds
+    bounded = [
+        f" {num[lb]} <= {name} <= {num[ub]}"
+        for name, kind, lb, ub in zip(names, kinds, model._lb, model._ub)
+        if kind == "continuous"
+    ]
     if bounded:
         lines.append("Bounds")
-        for v in bounded:
-            lines.append(f" {num[v.lb]} <= {v.name} <= {num[v.ub]}")
-    binaries = [v.name for v in model.variables if v.kind == "binary"]
+        lines.extend(bounded)
+    binaries = [name for name, kind in zip(names, kinds) if kind == "binary"]
     if binaries:
         lines.append("Binaries")
         for start in range(0, len(binaries), 10):

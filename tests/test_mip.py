@@ -1,6 +1,8 @@
 """Formulations: arborescence arcs, model rows, witnesses, exhaustive checks."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -153,6 +155,66 @@ class TestMipModel:
             model.add_constraint("row", ((1, "x_0"),), ">=", 0)
         with pytest.raises(InputError):
             model.add_constraint("row2", ((1, "x_0"),), "<<", 0)
+        # numbers and bounds that would write broken LP text
+        bad_rows = [
+            [((math.nan, "x_0"),), 1], [((math.inf, "x_0"),), 1], [(("2", "x_0"),), 1],
+            [((1, "x_0"),), math.inf], [((1, "x_0"),), math.nan], [((1, "x_0"),), "1"],
+        ]
+        for terms, rhs in bad_rows:
+            with pytest.raises(InputError, match="not a finite real"):
+                model.add_constraint("row3", terms, "<=", rhs)
+        with pytest.raises(InputError, match="not a finite real"):
+            model.set_objective(((math.nan, "x_0"),))
+        for lb, ub in [(2.0, 1.0), (math.nan, 1.0), (0.0, math.nan), ("0", 1.0)]:
+            with pytest.raises(InputError, match="needs real bounds"):
+                model.add_variable("t", "continuous", lb, ub)
+        # names that LP text cannot carry as one token
+        for name in ["", "a b", "a\tb", "a:b", "1a", ".a", "+a", "-a", 5, None]:
+            with pytest.raises(InputError, match="is not an LP name"):
+                model.add_variable(name, "binary")
+            with pytest.raises(InputError, match="is not an LP name"):
+                model.add_constraint(name, ((1, "x_0"),), "<=", 1)
+        # the refusals left the model as it was
+        assert len(model.variables) == len(model.constraints) == 1
+        model.add_variable("t", "continuous", -math.inf, math.inf)
+        model.add_constraint("row3", ((0.5, "x_0"), (-2, "t")), ">=", -1.5)
+        assert write_lp(model).endswith(
+            " row: x_0 <= 1\n row3: 0.5 x_0 - 2 t >= -1.5\n"
+            "Bounds\n -inf <= t <= inf\nBinaries\n x_0\nEnd\n"
+        )
+
+    def test_views_are_read_only(self):
+        model = build_parb(path(4))
+        with pytest.raises(AttributeError):
+            model.constraints = []
+        with pytest.raises(TypeError):
+            model.constraints[0] = model.constraints[1]
+        with pytest.raises(TypeError):
+            del model.variables[0]
+        rows = model.constraints
+        assert rows[-1] == rows[len(rows) - 1] and rows[-2:] == list(rows)[-2:]
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+
+    def test_to_arrays(self):
+        model = MipModel()
+        model.add_variable("a", "binary")
+        model.add_variable("t", "continuous", -1, 2.5)
+        model.set_objective(((1, "a"), (2, "t"), (Fraction(1, 2), "a")))
+        model.add_constraint("le", ((2, "a"), (-1, "t")), "<=", 1)
+        model.add_constraint("eq", (), "=", 0)
+        model.add_constraint("ge", ((1, "t"), (3, "t")), ">=", Fraction(-1, 4))
+        assert model.to_arrays() == {
+            "c": [1.5, 2.0],
+            "indptr": [0, 2, 2, 4],
+            "indices": [0, 1, 1, 1],
+            "data": [2.0, -1.0, 1.0, 3.0],
+            "row_lo": [-math.inf, 0.0, -0.25],
+            "row_hi": [1.0, 0.0, math.inf],
+            "col_lb": [0.0, -1.0],
+            "col_ub": [1.0, 2.5],
+            "integrality": [1, 0],
+        }
 
 
 class TestBuildParb:
@@ -291,20 +353,31 @@ class TestExhaustiveParb:
     def test_judges_connectivity_rows(self, monkeypatch):
         def unconnected(g, r=None, r1=None):
             model = build_parb(g, r, r1)
-            model.constraints = [
+            return _rebuilt(model, [
                 row for row in model.constraints
                 if not row.name.startswith("indeg_") and row.name != "card"
-            ]
-            return model
+            ])
 
         monkeypatch.setattr("cvckit.mip.build_parb", unconnected)
         # {1, 3} is the first disconnected cover of P5 by bitmask
         assert find_parb_mismatch(path(5)) == frozenset({1, 3})
 
 
+def _rebuilt(model, rows):
+    """A copy of model with `rows` as its constraints, made through the
+    public API: the variables, objective and metadata, then each row
+    added again."""
+    copy = MipModel(model.metadata)
+    for var in model.variables:
+        copy.add_variable(*var)
+    copy.set_objective(model.objective)
+    for row in rows:
+        copy.add_constraint(*row)
+    return copy
+
+
 def _without_depth_rows(model):
-    model.constraints = [row for row in model.constraints if not row.name.startswith("mtz_")]
-    return model
+    return _rebuilt(model, [row for row in model.constraints if not row.name.startswith("mtz_")])
 
 
 class TestDepthRows:
@@ -428,8 +501,7 @@ class TestBuildPstp:
         def without_first_cover_row(g):
             model = build_pstp(g)
             assert model.constraints[0].name == "cover_0_1"
-            del model.constraints[0]
-            return model
+            return _rebuilt(model, model.constraints[1:])
 
         monkeypatch.setattr("cvckit.mip.build_pstp", without_first_cover_row)
         # {2} covers every edge of P4 but 0-1
@@ -438,11 +510,10 @@ class TestBuildPstp:
     def test_total_row_is_an_equation(self, monkeypatch):
         def loosened(g):
             model = build_pstp(g)
-            model.constraints = [
+            return _rebuilt(model, [
                 row._replace(sense="<=") if row.name == "total" else row
                 for row in model.constraints
-            ]
-            return model
+            ])
 
         monkeypatch.setattr("cvckit.mip.build_pstp", loosened)
         # {0, 2} is the first disconnected cover of P4 by bitmask
@@ -451,10 +522,7 @@ class TestBuildPstp:
     def test_missing_forest_row_is_a_mismatch(self, monkeypatch):
         def without_triangle_row(g):
             model = build_pstp(g)
-            model.constraints = [
-                row for row in model.constraints if row.name != "sub_0_1_2"
-            ]
-            return model
+            return _rebuilt(model, [row for row in model.constraints if row.name != "sub_0_1_2"])
 
         monkeypatch.setattr("cvckit.mip.build_pstp", without_triangle_row)
         # a triangle with a pendant path 2-3-4: the cover {0, 1, 2, 4} is
