@@ -26,10 +26,10 @@ include_candidates tests this with a BFS (grow_piece) from one vertex of
 N in (G - S - v) - W that stops once it has reached all of N.  When it
 does not, it has grown that vertex's whole component of (G - S - v) - W
 and the component's neighbour union, and the pass that follows
-(articulation_points_mask) looks for cut vertices in W only.  It treats
-each component of (G - S - v) - W as one DFS node, starting from the one
-the BFS grew: contracting a connected set that holds no vertex of W
-does not change whether a vertex of W is a cut vertex.
+(articulation_points_mask) looks for cut vertices in W only.  It starts
+from the component the BFS grew, as one DFS node: contracting a
+connected set that holds no vertex of W does not change whether a vertex
+of W is a cut vertex.
 
 The whole search is one function, solve(g, algorithm, cfg).  It picks
 the bound once from the input, builds the roots of one of three

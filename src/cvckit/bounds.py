@@ -17,7 +17,9 @@ Rodriguez-Losada and Jimenez (Computers & OR 38(2), 2011): it extracts one
 class at a time with mask intersections instead of testing each vertex
 against every open class.  Extracting greedy maximal cliques in the scan
 order gives exactly the classes of first-fit coloring in that order, so
-the bound and its witness are those of plain first-fit.
+the bound and its witness are those of plain first-fit.  The scan order
+is one bitmask per degree, never cleared as vertices are placed, and a
+class whose candidates narrow to one vertex takes it without a search.
 
 The matching is carried down the search the same way, as a
 `CachedMatching`, and repaired rather than rebuilt.  From scratch it is a
@@ -79,6 +81,8 @@ def _greedy_classes(masks: tuple[int, ...], umask: int) -> tuple[int, ...]:
     and it opens at the first of them.  pi is kept as one bitmask per
     degree; the next member is the lowest bit of the first level that
     meets the candidates (unplaced common neighbors of the members).
+    Placed vertices stay in the levels, as every read is masked by
+    unplaced or by the candidates; a lone candidate joins with no walk.
     """
     size = umask.bit_count()
     buckets = [0] * size  # a degree inside umask is below its size
@@ -92,27 +96,26 @@ def _greedy_classes(masks: tuple[int, ...], umask: int) -> tuple[int, ...]:
     unplaced = umask
     first = 0
     while unplaced:
-        while not levels[first]:
+        level = levels[first] & unplaced
+        while not level:
             first += 1
-        level = levels[first]
-        low = level & -level
-        levels[first] = level ^ low
-        members = low
-        cand = masks[low.bit_length() - 1] & unplaced
+            level = levels[first] & unplaced
+        members = level & -level
+        cand = masks[members.bit_length() - 1] & unplaced
         # cand only shrinks, so a level it misses never meets it again
         j = first
-        while cand:
+        while cand & (cand - 1):
             hit = levels[j] & cand
-            if hit:
-                low = hit & -hit
-                levels[j] ^= low
-                members |= low
-                cand &= masks[low.bit_length() - 1]
-            else:
+            while not hit:
                 j += 1
+                hit = levels[j] & cand
+            low = hit & -hit
+            members |= low
+            cand &= masks[low.bit_length() - 1]
+        members |= cand  # none left, or the one that joins last
         unplaced ^= members
         classes.append(members)
-    assert sum(cm.bit_count() for cm in classes) == size
+    assert sum(map(int.bit_count, classes)) == size
     return tuple(classes)
 
 

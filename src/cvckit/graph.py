@@ -199,13 +199,11 @@ def articulation_points_mask(
     `among` (default: every vertex), as a mask.
 
     One DFS per connected component, so the result is meaningful for
-    disconnected subgraphs too.  Each connected piece of live - among is
-    one DFS node, grown by grow_piece when the DFS first reaches it: a
-    connected set that holds no vertex of among can be contracted without
-    changing whether any vertex of among is a cut vertex.  `start`, a
-    (piece, reach) pair as grow_piece returns it for one whole piece of
-    live - among, is taken as the first root, so a caller that has grown
-    that piece already does not grow it again.
+    disconnected subgraphs too.  `start`, a (piece, reach) pair as
+    grow_piece returns it for one whole piece of live - among, is taken
+    as the first root and one DFS node: a connected set that holds no
+    vertex of among can be contracted without changing whether any vertex
+    of among is a cut vertex.  Every other vertex is a node of its own.
 
     Every non-tree edge of an undirected DFS joins a node to an ancestor,
     so a non-root u is a cut vertex iff some child's subtree has a
@@ -214,7 +212,6 @@ def articulation_points_mask(
     The DFS enters and leaves each node once, so a call costs O(n)
     big-int operations, with no per-edge step.
     """
-    pieces = live & ~among
     art = 0
     unvisited = live
     while unvisited:
@@ -223,10 +220,7 @@ def articulation_points_mask(
             start = None
         else:
             vbit = unvisited & -unvisited
-            if vbit & pieces:
-                vbit, vmask = grow_piece(masks, vbit, pieces)
-            else:
-                vmask = masks[vbit.bit_length() - 1]
+            vmask = masks[vbit.bit_length() - 1]
         unvisited ^= vbit
         path = vbit
         reach = vmask
@@ -237,10 +231,7 @@ def articulation_points_mask(
             if nxt:
                 frames.append((vbit, vmask, reach))
                 vbit = nxt & -nxt
-                if vbit & pieces:
-                    vbit, vmask = grow_piece(masks, vbit, pieces)
-                else:
-                    vmask = masks[vbit.bit_length() - 1]
+                vmask = masks[vbit.bit_length() - 1]
                 unvisited ^= vbit
                 path |= vbit
                 reach = vmask

@@ -173,9 +173,13 @@ class MipModel:
     def _columns(self, terms, where: str) -> tuple[list[int], list]:
         """The columns and coefficients of (coef, varname) terms; `where`
         names the row or objective in a refusal."""
+        try:
+            pairs = [(coef, var) for coef, var in terms]
+        except (TypeError, ValueError):
+            raise InputError(f"{where} needs (coef, varname) terms, got {terms!r}") from None
         cols, coefs = [], []
-        for coef, var in terms:
-            col = self._col.get(var)
+        for coef, var in pairs:
+            col = self._col.get(var) if isinstance(var, str) else None
             if col is None:
                 raise InputError(f"{where} references undeclared variable {var!r}")
             if not _finite(coef):
@@ -773,6 +777,8 @@ def write_lp(model: MipModel) -> str:
         return row
 
     lines = [f"\\ {k}: {v}" for k, v in model.metadata.items()]
+    if any("\n" in line or "\r" in line for line in lines):
+        raise InputError(f"metadata {model.metadata!r} holds a line break, which ends an LP comment")
     lines.append("Minimize")
     cols, coefs = model._objective
     lines.extend(_wrap(" obj: ", expression(tokens(cols, coefs), coefs, 0, len(coefs))))

@@ -2,9 +2,12 @@
 
 from collections import deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvckit import bb as bb_module
+from cvckit.bb import solve
 from cvckit.bounds import (
     RECOMPUTE_FRACTION,
     CachedMatching,
@@ -22,6 +25,7 @@ from cvckit.graph import (
     set_to_mask,
 )
 from cvckit.oracle import max_stable_set_size
+from tests.conftest import connected_gnp
 from tests.test_graph import complete, cycle, path
 
 
@@ -122,7 +126,45 @@ class TestGreedyColorBound:
         assert len(_greedy_classes(Graph(5).masks, 0b11111)) == 5
         assert len(_greedy_classes(path(4).masks, 0b1111)) == 2
         assert len(_greedy_classes(cycle(5).masks, 0b11111)) == 3
-        assert _greedy_classes(path(4).masks, 0) == ()
+        # classes whose candidates narrow to a single vertex, which joins
+        # directly: the centre of a star joins the first leaf, each end of
+        # a path its neighbour, each disjoint edge stays a pair, and the
+        # last vertex of a clique joins once the others have
+        star = Graph(5, [(0, v) for v in range(1, 5)])
+        edges = Graph(6, [(0, 1), (2, 3), (4, 5)])
+        cases = [
+            (star, 0b11111, (0b00011, 0b00100, 0b01000, 0b10000)),
+            (star, 0b11101, (0b00101, 0b01000, 0b10000)),
+            (path(5), 0b11111, (0b00011, 0b11000, 0b00100)),
+            (path(5), 0b01110, (0b00110, 0b01000)),
+            (edges, 0b111111, (0b000011, 0b001100, 0b110000)),
+            (edges, 0b101110, (0b000010, 0b100000, 0b001100)),
+            (complete(4), 0b1111, (0b1111,)),
+        ]
+        for g, umask, expected in cases:
+            assert _greedy_classes(g.masks, umask) == expected
+            assert first_fit_classes(g.masks, umask) == expected
+        for g in (Graph(0), Graph(3), path(4), star, edges, complete(4)):
+            assert _greedy_classes(g.masks, 0) == ()
+
+    @pytest.mark.parametrize("algorithm", ["vc-bb", "bb"])
+    def test_search_colorings_match_first_fit(self, monkeypatch, algorithm):
+        # every fresh coloring the search makes, on the sets it asks for
+        seen = []
+        original = bb_module.color_bound_cached
+
+        def recorded(masks, umask, cache):
+            bound, out = original(masks, umask, cache)
+            if out is not cache:
+                seen.append((masks, umask, out.classes))
+            return bound, out
+
+        monkeypatch.setattr(bb_module, "color_bound_cached", recorded)
+        for seed in (1, 2, 4, 5):  # four distinct graphs
+            solve(connected_gnp(40, 0.1, seed), algorithm)
+        assert len(seen) > 300
+        for masks, umask, classes in seen:
+            assert classes == first_fit_classes(masks, umask)
 
     def test_classes_are_cliques(self):
         for seed in range(15):

@@ -174,6 +174,14 @@ class TestMipModel:
                 model.add_variable(name, "binary")
             with pytest.raises(InputError, match="is not an LP name"):
                 model.add_constraint(name, ((1, "x_0"),), "<=", 1)
+        # terms that are not (coef, varname) pairs
+        for terms in ([1], [(1,)], [(1, "x_0", 2)], 5):
+            with pytest.raises(InputError, match=r"constraint 'row4' needs \(coef, varname\) terms"):
+                model.add_constraint("row4", terms, "<=", 0)
+            with pytest.raises(InputError, match=r"objective needs \(coef, varname\) terms"):
+                model.set_objective(terms)
+        with pytest.raises(InputError, match=r"references undeclared variable \['a'\]"):
+            model.add_constraint("row4", [(1, ["a"])], "<=", 0)
         # the refusals left the model as it was
         assert len(model.variables) == len(model.constraints) == 1
         model.add_variable("t", "continuous", -math.inf, math.inf)
@@ -182,6 +190,16 @@ class TestMipModel:
             " row: x_0 <= 1\n row3: 0.5 x_0 - 2 t >= -1.5\n"
             "Bounds\n -inf <= t <= inf\nBinaries\n x_0\nEnd\n"
         )
+
+    def test_metadata_line_breaks_are_refused(self):
+        for metadata in ({"note": "a\nEnd"}, {"note": "a\rb"}, {"a\nb": "c"}):
+            model = MipModel(metadata)
+            model.add_variable("x_0", "binary")
+            with pytest.raises(InputError, match="holds a line break"):
+                write_lp(model)
+        model = MipModel({"note": "one line"})
+        model.add_variable("x_0", "binary")
+        assert write_lp(model).startswith("\\ note: one line\nMinimize\n")
 
     def test_views_are_read_only(self):
         model = build_parb(path(4))
