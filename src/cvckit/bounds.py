@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .graph import Graph, VertexSet, bfs_forest, bits_of, mask_to_set
+from .graph import Graph, VertexSet, bfs_forest, bits_of, mask_to_set, require
 
 RECOMPUTE_FRACTION = 0.75
 
@@ -145,6 +145,7 @@ def is_bipartite(g: Graph) -> Optional[tuple[VertexSet, VertexSet]]:
     Deterministic: in every component the lowest-index vertex lands on
     side 0.  Isolated vertices land on side 0.
     """
+    require(g, "is_bipartite", min_n=0)
     parent, _ = bfs_forest(g.masks, g.full_mask())
     side1 = 0
     for v, u in parent.items():  # parents come first

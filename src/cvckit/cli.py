@@ -19,10 +19,11 @@ import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .bb import SolverConfig, solve
+from .bb import ALGORITHMS, SolverConfig, solve
 from .errors import CvcKitError, InputError
 from .graph import (
     Graph,
@@ -42,15 +43,12 @@ from .mip import (
     find_pstp_mismatch,
     write_lp,
 )
-from .oracle import DEFAULT_CAP, brute_force_vc
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_TIME_LIMIT = 4
 EXIT_VERIFY = 5
-
-TIME_LIMIT_ENV = "CVCKIT_TIME_LIMIT"
 
 
 def _read_graph(path: str) -> Graph:
@@ -80,25 +78,6 @@ def _pct(p: float) -> str:
         return f"{int(pct):03d}"
     whole, _, frac = str(pct).partition(".")
     return f"{whole.zfill(3)}p{frac}" if frac else whole
-
-
-def _resolve_time_limit(value: Optional[float]) -> Optional[float]:
-    if value is not None:
-        return value
-    raw = os.environ.get(TIME_LIMIT_ENV)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise InputError(f"{TIME_LIMIT_ENV} must be a number, got {raw!r}")
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        time_limit=_resolve_time_limit(args.time_limit),
-        warm_start=not args.no_warm_start,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +149,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.vc and args.algorithm != "bb":
-        raise InputError(f"--vc cannot be combined with --algorithm {args.algorithm}")
     g = _read_graph(args.file)
-    report = solve(g, "vc-bb" if args.vc else args.algorithm, _solver_config(args))
+    cfg = SolverConfig(time_limit=args.time_limit, warm_start=not args.no_warm_start)
+    report = solve(g, args.algorithm, cfg)
     name = Path(args.file).stem
     print(
         f"name={name} n={g.n} m={g.m} algorithm={report.algorithm}"
@@ -249,64 +227,35 @@ def _cmd_verify(args) -> int:
 # bench
 
 
-def _bench_rows(task: dict) -> list[dict]:
-    """Solve one instance (regenerated or read in the worker) and build
-    its CSV rows.  Module-level so process pools can pickle it."""
-    if task["source"] == "file":
-        g = _read_graph(task["path"])
-        name = Path(task["path"]).stem
-        seed = ""
-    else:
-        # covers are only defined on connected graphs; scan like gen --connected
-        g, used = _gen_connected(task["kind"], task["params"], task["seed"], 1000)
-        name = _instance_name(task["kind"], task["params"], used)
-        seed = used
-    cfg = SolverConfig(time_limit=task["time_limit"])
-    if g.n <= DEFAULT_CAP:
-        vc = brute_force_vc(g)
-    else:
-        # a vc-bb solve stopped at the limit knows only an incumbent: no value
-        vc_report = solve(g, "vc-bb", cfg)
-        vc = vc_report.cover_size if vc_report.status == "optimal" else ""
+def _bench_rows(algorithms: list[str], repeats: int, time_limit, instance) -> list[list]:
+    """Solve one (name, seed, graph) instance with each algorithm and
+    build its CSV rows.  Module-level so process pools can pickle it."""
+    name, seed, g = instance
+    cfg = SolverConfig(time_limit=time_limit)
     rows = []
-    for algorithm in task["algorithms"]:
-        times = []
-        node_counts = []
-        report = None
-        for _ in range(task["repeats"]):
-            report = solve(g, algorithm, cfg)
-            times.append(report.wall_time)
-            node_counts.append(report.node_count)
-        if len(set(node_counts)) > 1:
+    for algorithm in algorithms:
+        reports = [solve(g, algorithm, cfg) for _ in range(repeats)]
+        node_counts = sorted({report.node_count for report in reports})
+        if len(node_counts) > 1:
             warnings.warn(
                 f"{name}/{algorithm}: node counts varied across repeats "
-                f"{sorted(set(node_counts))}; reporting the maximum"
+                f"{node_counts}; reporting the maximum"
             )
-        rows.append(
-            {
-                "name": name,
-                "n": g.n,
-                "m": g.m,
-                "vc": vc,
-                "cvc": report.cover_size,
-                "solver": algorithm,
-                "time_s": f"{sum(times) / len(times):.6f}",
-                "nodes": max(node_counts),
-                "status": report.status,
-                "seed": seed,
-            }
-        )
+        time_s = sum(report.wall_time for report in reports) / repeats
+        report = reports[-1]
+        rows.append([name, g.n, g.m, algorithm, report.cover_size, f"{time_s:.6f}",
+                     node_counts[-1], report.status, seed])
     return rows
 
 
-def _parse_spec(kind: str, spec: str) -> dict:
-    """A bench task from one --gnp or --bipartite spec."""
+def _parse_spec(kind: str, spec: str) -> tuple[tuple, int]:
+    """The generator parameters and seed of one --gnp or --bipartite spec."""
     names = GEN_KINDS[kind][1]
     parts = spec.split(",")
     if len(parts) != len(names) + 1:
         raise InputError(f"--{kind} wants {_spec_form(kind)}, got {spec!r}")
     params = tuple(_param_type(name)(x) for name, x in zip(names, parts))
-    return {"source": "gen", "kind": kind, "params": params, "seed": int(parts[-1])}
+    return params, int(parts[-1])
 
 
 def _cmd_bench(args) -> int:
@@ -314,33 +263,29 @@ def _cmd_bench(args) -> int:
         raise InputError(f"--repeats must be at least 1, got {args.repeats}")
     if not 1 <= args.jobs <= (os.cpu_count() or 1):
         raise InputError(f"--jobs must lie in [1, {os.cpu_count() or 1}], got {args.jobs}")
-    tasks = []
     try:
-        for kind in GEN_KINDS:
-            tasks.extend(_parse_spec(kind, spec) for spec in getattr(args, kind) or ())
+        specs = [(kind, *_parse_spec(kind, spec))
+                 for kind in GEN_KINDS for spec in getattr(args, kind) or ()]
     except ValueError as exc:
         raise InputError(f"bad instance spec: {exc}")
-    for path in args.files:
-        tasks.append({"source": "file", "path": path})
-    if not tasks:
+    # every instance is resolved here, before any solve: covers are only
+    # defined on connected graphs, so a spec scans like gen --connected
+    instances = []
+    for kind, params, seed in specs:
+        g, used = _gen_connected(kind, params, seed, 1000)
+        instances.append((_instance_name(kind, params, used), used, g))
+    instances.extend((Path(path).stem, "", _read_graph(path)) for path in args.files)
+    if not instances:
         raise InputError("bench needs at least one --gnp, --bipartite, or file")
-    algorithms = ["bb", "rds"] if args.algorithm == "both" else [args.algorithm]
-    shared = {
-        "algorithms": algorithms,
-        "repeats": args.repeats,
-        "time_limit": _resolve_time_limit(args.time_limit),
-    }
-    for task in tasks:
-        task.update(shared)
+    rows_of = partial(_bench_rows, args.algorithm or ["bb"], args.repeats, args.time_limit)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_bench_rows, tasks))
+            results = list(pool.map(rows_of, instances))
     else:
-        results = [_bench_rows(task) for task in tasks]
-    header = ["name", "n", "m", "vc", "cvc", "solver", "time_s", "nodes", "status", "seed"]
+        results = [rows_of(instance) for instance in instances]
     table = io.StringIO()
-    writer = csv.DictWriter(table, fieldnames=header, lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["name", "n", "m", "algorithm", "cover", "time_s", "nodes", "status", "seed"])
     for rows in results:
         writer.writerows(rows)
     if args.output:
@@ -352,11 +297,6 @@ def _cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser plumbing
-
-
-def _add_solver_flags(sub) -> None:
-    sub.add_argument("--time-limit", type=float, default=None, metavar="SEC")
-    sub.add_argument("--no-warm-start", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,10 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     slv = subs.add_parser("solve", help="solve one DIMACS instance")
     slv.add_argument("file")
-    slv.add_argument("--algorithm", choices=("bb", "rds"), default="bb")
-    slv.add_argument("--vc", action="store_true",
-                     help="plain vertex cover (connectivity pruning off)")
-    _add_solver_flags(slv)
+    slv.add_argument("--algorithm", choices=ALGORITHMS, default="bb")
+    slv.add_argument("--time-limit", type=float, default=None, metavar="SEC")
+    slv.add_argument("--no-warm-start", action="store_true")
     slv.set_defaults(func=_cmd_solve)
 
     emit = subs.add_parser("emit", help="write a model as an LP file")
@@ -408,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("files", nargs="*", metavar="FILE")
     for kind in GEN_KINDS:
         ben.add_argument(f"--{kind}", action="append", metavar=_spec_form(kind))
-    ben.add_argument("--algorithm", choices=("bb", "rds", "both"), default="bb")
+    ben.add_argument("--algorithm", choices=ALGORITHMS, action="append",
+                     help="repeatable, one row per algorithm (default: bb)")
     ben.add_argument("--repeats", type=int, default=1)
     ben.add_argument("--jobs", type=int, default=1)
     ben.add_argument("--time-limit", type=float, default=None, metavar="SEC")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .errors import DimacsError, InputError, SizeCapError
 from .rng import Xoshiro256
@@ -99,16 +99,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-class InducedSubgraph(NamedTuple):
-    """Result of induced_delete: the subgraph plus the label map back.
-
-    original[i] is the label, in the parent graph, of vertex i here.
-    """
-
-    graph: Graph
-    original: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +254,12 @@ def vertex_index(n: int, v, what: str = "vertex") -> int:
 
 
 def vertex_mask(n: int, vertices: Iterable[int], what: str = "vertex") -> int:
-    """Bitmask of `vertices`, each checked by `vertex_index`."""
+    """Bitmask of `vertices`, each checked by `vertex_index`; a
+    non-iterable `vertices` raises InputError too."""
+    try:
+        vertices = iter(vertices)
+    except TypeError:
+        raise InputError(f"{what} set {vertices!r} is not iterable") from None
     mask = 0
     for v in vertices:
         mask |= 1 << vertex_index(n, v, what)
@@ -314,6 +309,7 @@ def max_degree_vertex(g: Graph, mask: int) -> int:
 
 def is_connected(g: Graph) -> bool:
     """True iff g is connected; requires at least one vertex."""
+    require(g, "is_connected", min_n=0)
     if g.n == 0:
         raise InputError("connectivity is undefined for the empty graph")
     return is_connected_mask(g.masks, g.full_mask())
@@ -321,15 +317,8 @@ def is_connected(g: Graph) -> bool:
 
 def articulation_points(g: Graph) -> frozenset:
     """Cut vertices of g (per component when g happens to be disconnected)."""
+    require(g, "articulation_points", min_n=0)
     return mask_to_set(articulation_points_mask(g.masks, g.full_mask()))
-
-
-def induced_delete(g: Graph, removed: Iterable[int]) -> InducedSubgraph:
-    """Subgraph induced by deleting `removed`, with the label map back."""
-    keep = list(bits_of(g.full_mask() & ~vertex_mask(g.n, removed)))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for (u, v) in g.edges if u in index and v in index]
-    return InducedSubgraph(Graph(len(keep), edges), tuple(keep))
 
 
 def dfs_tree(g: Graph, root: int) -> list[tuple[int, int]]:
@@ -338,6 +327,7 @@ def dfs_tree(g: Graph, root: int) -> list[tuple[int, int]]:
     Each step enters the lowest unvisited neighbor of the deepest vertex
     that has one, so the tree is deterministic.  Requires g connected.
     """
+    require(g, "dfs_tree")
     root = vertex_index(g.n, root, "root")
     unvisited = g.full_mask() ^ 1 << root
     stack = [root]
@@ -401,8 +391,10 @@ def parse_dimacs(text: str) -> Graph:
     a warning; a final edge count differing from the header's m is also
     only a warning.  Structural problems (missing or repeated header, bad
     vertex numbers, self-loops, unknown line types) raise DimacsError
-    naming the line.
+    naming the line.  Text that is not a str raises InputError.
     """
+    if not isinstance(text, str):
+        raise InputError(f"DIMACS text must be a str, got {type(text).__name__}")
     n = m_declared = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -460,6 +452,7 @@ def write_dimacs(g: Graph) -> str:
 
     Edge lines are 1-based, lexicographically sorted, LF-terminated.
     """
+    require(g, "write_dimacs", min_n=0)
     lines = [f"p edge {g.n} {g.m}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"

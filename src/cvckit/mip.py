@@ -52,8 +52,8 @@ from .graph import (
     mask_to_set,
     max_degree_vertex,
     require,
-    set_to_mask,
     vertex_index,
+    vertex_mask,
 )
 from .oracle import check_cvc
 
@@ -129,6 +129,8 @@ class MipModel:
     """
 
     def __init__(self, metadata: Optional[Mapping[str, str]] = None):
+        if metadata is not None and not isinstance(metadata, Mapping):
+            raise InputError(f"metadata must be a mapping, got {type(metadata).__name__}")
         self.metadata: dict[str, str] = dict(metadata or {})
         self._names: list[str] = []
         self._kinds: list[str] = []
@@ -283,6 +285,7 @@ class MipModel:
 def default_roots(g: Graph) -> tuple[int, int]:
     """Default root pair: a maximum-degree vertex and its maximum-degree
     neighbor, ties broken by lowest index."""
+    require(g, "default_roots", min_n=0)
     if g.m == 0:
         raise InputError("root selection needs at least one edge")
     r = max_degree_vertex(g, g.full_mask())
@@ -491,6 +494,9 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float], tol: f
     are ignored); a missing one raises InputError.  Binary variables must
     sit within tol of 0 or 1.
     """
+    if not (isinstance(model, MipModel) and isinstance(assignment, Mapping)):
+        raise InputError("check_integer_point needs a MipModel and a mapping of names to values, "
+                         f"got {type(model).__name__} and {type(assignment).__name__}")
     try:
         values = [assignment[name] for name in model._names]
     except KeyError as missing:
@@ -575,12 +581,11 @@ def witness_parb(g: Graph, cover: Iterable[int], r: int, r1: int) -> dict:
     contains, and d the tree depths, zero outside the cover.  The point is
     verified against the model before being returned.
     """
-    cover = frozenset(cover)
-    cert = check_cvc(g, cover)
-    if not cert.valid:
+    require(g, "witness_parb", min_n=0)
+    cmask = vertex_mask(g.n, cover)
+    if not check_cvc(g, bits_of(cmask)).valid:
         raise InputError("witness_parb requires a valid connected vertex cover")
     r, r1 = _parb_roots(g, r, r1)
-    cmask = set_to_mask(cover)
     point = _point_builder(g.n, arborescence_arcs(g, r, r1))
     point = point(cmask, _parb_pick(g.masks, r, r1, cmask))
     if not check_integer_point(build_parb(g, r, r1), point):
@@ -751,6 +756,8 @@ def write_lp(model: MipModel) -> str:
     An empty linear expression is written as the first variable with
     coefficient zero.  Long expressions wrap at eight terms per line.
     """
+    if not isinstance(model, MipModel):
+        raise InputError(f"write_lp needs a MipModel, got {type(model).__name__}")
     names = model._names
     if not names:
         raise InputError("cannot write a model with no variables")

@@ -47,6 +47,7 @@ class CvcCertificate(NamedTuple):
 
 def check_cvc(g: Graph, cover: Iterable[int]) -> CvcCertificate:
     """Check the two defining properties of a connected vertex cover."""
+    require(g, "check_cvc", min_n=0)
     cmask = vertex_mask(g.n, cover)
     masks = g.masks
     # an edge is uncovered iff it joins two vertices outside the cover

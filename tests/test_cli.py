@@ -6,9 +6,11 @@ import os
 
 import pytest
 
+from cvckit.bb import ALGORITHMS
 from cvckit.cli import main
 from cvckit.graph import parse_dimacs, write_dimacs
 from cvckit.mip import build_parb, build_pstp, build_qr, default_roots, write_lp
+from cvckit.oracle import brute_force_cvc, brute_force_vc
 from tests.conftest import connected_gnp
 
 
@@ -113,24 +115,25 @@ class TestSolve:
         assert size(out_bb) == size(out_rds)
         assert "algorithm=rds" in out_rds
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_algorithm_choices(self, instance, capsys, algorithm):
+        _, path = instance
+        code, out, _ = run_cli(capsys, "solve", str(path), "--algorithm", algorithm)
+        assert code == 0 and f" algorithm={algorithm} " in out
+
     def test_vc_mode(self, instance, capsys):
-        _, path = instance
-        code, out, _ = run_cli(capsys, "solve", str(path), "--vc")
-        assert code == 0 and "algorithm=vc-bb" in out
+        # plain vertex cover is an algorithm, not a flag: --vc is a usage error
+        g, path = instance
+        code, out, _ = run_cli(capsys, "solve", str(path), "--algorithm", "vc-bb",
+                               "--no-warm-start")
+        assert code == 0 and f" cover_size={brute_force_vc(g)} " in out
+        code, out, err = run_cli(capsys, "solve", str(path), "--vc")
+        assert code == 2 and out == "" and "--vc" in err
 
-    def test_vc_rejects_rds(self, instance, capsys):
-        # --vc picks vc-bb, so another --algorithm is an error, not ignored
-        _, path = instance
-        code, out, err = run_cli(capsys, "solve", str(path), "--vc", "--algorithm", "rds")
-        assert code == 3 and out == "" and err.startswith("error:") and "--vc" in err
-
-    def test_nan_time_limit(self, instance, capsys, monkeypatch):
+    def test_nan_time_limit(self, instance, capsys):
         # NaN fails every comparison, so unless rejected it would mean no limit
         _, path = instance
         code, out, err = run_cli(capsys, "solve", str(path), "--time-limit", "nan")
-        assert code == 3 and out == "" and err.startswith("error: time limit")
-        monkeypatch.setenv("CVCKIT_TIME_LIMIT", "nan")
-        code, out, err = run_cli(capsys, "solve", str(path))
         assert code == 3 and out == "" and err.startswith("error: time limit")
         code, out, _ = run_cli(capsys, "solve", str(path), "--time-limit", "inf")
         assert code == 0 and "status=optimal" in out
@@ -152,17 +155,6 @@ class TestSolve:
         path.write_text(write_dimacs(g), encoding="ascii")
         code, out, _ = run_cli(capsys, "solve", str(path), "--time-limit", "1e-6")
         assert code == 4 and "status=time_limit" in out
-
-    def test_time_limit_env(self, tmp_path, capsys, monkeypatch):
-        g = connected_gnp(60, 0.08, 7)
-        path = tmp_path / "big.col"
-        path.write_text(write_dimacs(g), encoding="ascii")
-        monkeypatch.setenv("CVCKIT_TIME_LIMIT", "1e-6")
-        code, out, _ = run_cli(capsys, "solve", str(path))
-        assert code == 4
-        monkeypatch.setenv("CVCKIT_TIME_LIMIT", "soon")
-        code, _, err = run_cli(capsys, "solve", str(path))
-        assert code == 3 and "CVCKIT_TIME_LIMIT" in err
 
 
 class TestEmit:
@@ -273,21 +265,20 @@ class TestVerify:
 
 
 class TestBench:
-    HEADER = "name,n,m,vc,cvc,solver,time_s,nodes,status,seed"
+    HEADER = "name,n,m,algorithm,cover,time_s,nodes,status,seed"
 
     def test_csv_shape(self, instance, capsys):
         _, path = instance
         code, out, _ = run_cli(capsys, "bench", str(path), "--gnp", "8,0.4,3",
-                               "--algorithm", "both", "--repeats", "2")
+                               "--algorithm", "bb", "--algorithm", "rds", "--repeats", "2")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == self.HEADER
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 4  # two instances x two algorithms
+        assert [row["algorithm"] for row in rows] == ["bb", "rds"] * 2
         for row in rows:
             assert row["status"] == "optimal"
-            assert int(row["vc"]) <= int(row["cvc"])
-            assert row["solver"] in ("bb", "rds")
         generated = [r for r in rows if r["name"].startswith("G_gnp_8")]
         assert all(r["seed"] == "3" for r in generated)
         from_file = [r for r in rows if r["name"] == "g9"]
@@ -301,6 +292,29 @@ class TestBench:
         assert code == 0 and out == ""
         rows = list(csv.DictReader(target.open()))
         assert {r["name"][:5] for r in rows} == {"G_gnp", "G_bip"}
+        assert {r["algorithm"] for r in rows} == {"bb"}  # the default
+
+    def test_one_row_per_algorithm(self, instance, capsys):
+        g, path = instance
+        args = [arg for algorithm in ALGORITHMS for arg in ("--algorithm", algorithm)]
+        code, out, _ = run_cli(capsys, "bench", str(path), *args)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["algorithm"] for row in rows] == list(ALGORITHMS)
+        cvc = brute_force_cvc(g)[1]
+        expected = {"bb": cvc, "rds": cvc, "vc-bb": brute_force_vc(g)}
+        assert {row["algorithm"]: int(row["cover"]) for row in rows} == expected
+
+    def test_instances_resolve_before_any_solve(self, capsys, monkeypatch):
+        # a missing file ends the run before a worker pool starts
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr("cvckit.cli.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("cvckit.cli.ProcessPoolExecutor", no_pool)
+        code, out, err = run_cli(capsys, "bench", "--gnp", "8,0.4,3", "--jobs", "2",
+                                 "missing.col")
+        assert code == 3 and out == "" and err.startswith("error: cannot read missing.col")
 
     def test_unwritable_output(self, tmp_path, capsys):
         target = tmp_path / "missing" / "rows.csv"
@@ -308,18 +322,21 @@ class TestBench:
         assert code == 3 and out == "" and err.startswith("error: cannot write")
 
     def test_vc_column_is_the_optimum(self, capsys):
-        # n = 40 is past the brute-force cap, so vc comes from a vc-bb solve
-        code, out, _ = run_cli(capsys, "bench", "--gnp", "40,0.1,1")
+        # n = 40 is past the brute-force cap; the vc-bb row is its own solve
+        code, out, _ = run_cli(capsys, "bench", "--gnp", "40,0.1,1", "--algorithm", "vc-bb")
         assert code == 0
         (row,) = csv.DictReader(io.StringIO(out))
-        assert (row["n"], row["vc"], row["status"]) == ("40", "23", "optimal")
+        assert (row["n"], row["algorithm"], row["cover"], row["status"]) == (
+            "40", "vc-bb", "23", "optimal")
 
     def test_vc_column_empty_at_time_limit(self, capsys):
-        # the vc-bb solve stops at once, holding only its warm-start cover (30)
-        code, out, _ = run_cli(capsys, "bench", "--gnp", "40,0.1,1", "--time-limit", "1e-6")
+        # the solve stops at once: its row says so, and its cover is only
+        # an incumbent, no smaller than the optimum 23
+        code, out, _ = run_cli(capsys, "bench", "--gnp", "40,0.1,1", "--algorithm", "vc-bb",
+                               "--time-limit", "1e-6")
         assert code == 0
         (row,) = csv.DictReader(io.StringIO(out))
-        assert (row["vc"], row["status"]) == ("", "time_limit")
+        assert row["status"] == "time_limit" and int(row["cover"]) >= 23
 
     def test_bad_specs(self, capsys):
         code, _, err = run_cli(capsys, "bench")
@@ -332,6 +349,9 @@ class TestBench:
             3, "error: bad instance spec: --bipartite wants N1,N2,P,SEED, got '3,4,0.5'\n")
         code, _, err = run_cli(capsys, "bench", "--gnp", "8,x,1")
         assert code == 3
+        # a generator's own refusal is not a malformed spec
+        code, _, err = run_cli(capsys, "bench", "--gnp", "8,1.5,1")
+        assert (code, err) == (3, "error: edge probability must be a number in [0, 1], got 1.5\n")
 
     # every rejected value fails before any solve or worker pool starts
     @pytest.mark.parametrize(

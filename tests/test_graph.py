@@ -21,7 +21,6 @@ from cvckit.graph import (
     dfs_tree,
     gnp_random,
     grow_piece,
-    induced_delete,
     is_connected,
     is_connected_mask,
     mask_to_set,
@@ -184,8 +183,7 @@ class TestMasks:
             g = gnp_random(9, 0.3, seed)
             live = g.full_mask()
             for v in range(g.n):
-                rest = induced_delete(g, [v]).graph
-                naive = rest.n == 0 or _component_count(rest) == 1
+                naive = g.n == 1 or _component_count(g, skip=v) == 1
                 assert is_connected_mask(g.masks, live & ~(1 << v)) == naive
 
 
@@ -320,15 +318,6 @@ class TestArticulation:
 
 
 class TestOperations:
-    def test_induced_delete(self):
-        g = cycle(5)
-        sub = induced_delete(g, [2])
-        assert sub.original == (0, 1, 3, 4)
-        assert sub.graph == Graph(4, [(0, 1), (2, 3), (3, 0)])
-        assert induced_delete(g, []).graph == g
-        with pytest.raises(InputError):
-            induced_delete(g, [7])
-
     def test_dfs_tree(self):
         assert dfs_tree(path(4), 0) == [(0, 1), (1, 2), (2, 3)]
         # from a leaf of a star, the center is entered first

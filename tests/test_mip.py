@@ -7,7 +7,17 @@ from fractions import Fraction
 import pytest
 
 from cvckit.errors import InputError, SizeCapError
-from cvckit.graph import Graph, dfs_tree, gnp_random, induced_delete, spanning_tree_count
+from cvckit.bounds import is_bipartite
+from cvckit.graph import (
+    Graph,
+    articulation_points,
+    dfs_tree,
+    gnp_random,
+    is_connected,
+    parse_dimacs,
+    spanning_tree_count,
+    write_dimacs,
+)
 from cvckit.mip import (
     MipModel,
     arborescence_arcs,
@@ -30,7 +40,6 @@ from tests.test_graph import complete, cycle, path
 # each call takes one bad vertex or root v of P4 (n=4)
 BAD_VERTEX_CALLS = {
     "check_cvc": lambda v: check_cvc(path(4), [1, v]),
-    "induced_delete": lambda v: induced_delete(path(4), [v]),
     "dfs_tree": lambda v: dfs_tree(path(4), v),
     "feasible_stable_sets-base": lambda v: list(feasible_stable_sets(path(4), [v])),
     "feasible_stable_sets-candidates": lambda v: list(feasible_stable_sets(path(4), (), [0, v])),
@@ -54,6 +63,50 @@ def test_bad_vertex_argument_raises_input_error(call, value):
     match = "out of range for n=4" if isinstance(value, int) else "is not an int"
     with pytest.raises(InputError, match=match):
         call(value)
+
+
+# each call passes one argument of the wrong type where the library
+# takes a Graph, a vertex set, DIMACS text, a model, an assignment or
+# metadata
+BAD_ARGUMENT_CALLS = {
+    "check_cvc-graph": lambda: check_cvc("g", [0]),
+    "witness_parb-graph": lambda: witness_parb("g", [0], 0, 1),
+    "write_dimacs-graph": lambda: write_dimacs("g"),
+    "articulation_points-graph": lambda: articulation_points("x"),
+    "is_connected-graph": lambda: is_connected("x"),
+    "is_bipartite-graph": lambda: is_bipartite("x"),
+    "default_roots-graph": lambda: default_roots(None),
+    "dfs_tree-graph": lambda: dfs_tree(None, 0),
+    "check_cvc-int-cover": lambda: check_cvc(path(4), 5),
+    "check_cvc-none-cover": lambda: check_cvc(path(4), None),
+    "witness_parb-none-cover": lambda: witness_parb(path(4), None, 0, 1),
+    "max_feasible_stable-int-candidates": lambda: max_feasible_stable(path(4), (), 5),
+    "parse_dimacs-bytes": lambda: parse_dimacs(b"p edge 1 0"),
+    "parse_dimacs-none": lambda: parse_dimacs(None),
+    "write_lp-model": lambda: write_lp(None),
+    "check_integer_point-model": lambda: check_integer_point(None, {}),
+    "check_integer_point-list": lambda: check_integer_point(build_parb(path(4)), [1, 2]),
+    "MipModel-str": lambda: MipModel("abc"),
+    "MipModel-list": lambda: MipModel([1]),
+}
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENT_CALLS.values(), ids=BAD_ARGUMENT_CALLS.keys())
+def test_bad_argument_type_raises_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_empty_graph_stays_valid_where_it_was():
+    g = Graph(0)
+    assert check_cvc(g, []).valid
+    assert write_dimacs(g) == "p edge 0 0\n"
+    assert articulation_points(g) == frozenset()
+    assert is_bipartite(g) == (frozenset(), frozenset())
+    with pytest.raises(InputError, match="undefined for the empty graph"):
+        is_connected(g)
+    with pytest.raises(InputError, match="at least one edge"):
+        default_roots(g)
 
 
 class _Index:
