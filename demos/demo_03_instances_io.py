@@ -17,7 +17,6 @@ from cvckit import (
     brute_force_vc,
     gnp_random,
     is_connected,
-    is_interesting,
     parse_dimacs,
     write_dimacs,
 )
@@ -39,11 +38,11 @@ def main():
             if not is_connected(g):
                 continue
             path = roundtrip(g, f"inst_s{seed}", tmp)
-            if not is_interesting(g):
-                continue
-            kept += 1
             cvc = brute_force_cvc(g)[1]
             vc = brute_force_vc(g)
+            if not cvc > vc:
+                continue
+            kept += 1
             cuts = sorted(articulation_points(g))
             print(
                 f"{path.name:14s} n={g.n} m={g.m:2d} vc={vc} cvc={cvc}"

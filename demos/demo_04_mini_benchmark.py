@@ -2,13 +2,13 @@
 
 Same loop the bench subcommand runs, inlined: generate, solve with both
 algorithms, cross-check the optima, and tabulate node counts and wall
-time.  Node counts are deterministic per (instance, algorithm, config);
+time.  Node counts are deterministic per (instance, algorithm, settings);
 times are whatever the machine gives.
 """
 
 import time
 
-from cvckit import SolverConfig, gnp_random, is_connected, solve
+from cvckit import gnp_random, is_connected, solve
 
 
 def connected_sample(n, p, seed, tries=200):
@@ -20,16 +20,15 @@ def connected_sample(n, p, seed, tries=200):
 
 
 def main():
-    cfg = SolverConfig()
     header = f"{'instance':18s} {'n':>3s} {'m':>4s} {'cvc':>4s} {'bb_nodes':>9s} {'rds_nodes':>10s} {'bb_s':>7s} {'rds_s':>7s}"
     print(header)
     print("-" * len(header))
     for n, p, seed in [(20, 0.2, 1), (25, 0.15, 2), (30, 0.12, 3), (35, 0.1, 4), (40, 0.1, 5)]:
         g, used = connected_sample(n, p, seed)
         t0 = time.perf_counter()
-        a = solve(g, "bb", cfg)
+        a = solve(g, "bb")
         t1 = time.perf_counter()
-        b = solve(g, "rds", cfg)
+        b = solve(g, "rds")
         t2 = time.perf_counter()
         assert a.cover_size == b.cover_size, "solvers disagree"
         name = f"gnp_{n}_{int(p * 100):03d}_s{used}"

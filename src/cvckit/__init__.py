@@ -1,6 +1,6 @@
 """Exact solvers, bounds, and mixed-integer models for connected vertex cover."""
 
-from .bb import SolveReport, SolverConfig, greedy_cvc_2approx, solve
+from .bb import SolveReport, greedy_cvc_2approx, solve
 from .errors import (
     ContractError,
     CvcKitError,
@@ -33,7 +33,6 @@ from .oracle import (
     brute_force_cvc,
     brute_force_vc,
     check_cvc,
-    is_interesting,
     max_feasible_stable,
 )
 

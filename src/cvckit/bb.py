@@ -31,7 +31,7 @@ from the component the BFS grew, as one DFS node: contracting a
 connected set that holds no vertex of W does not change whether a vertex
 of W is a cut vertex.
 
-The whole search is one function, solve(g, algorithm, cfg).  It picks
+The whole search is one function, solve(g, algorithm, ...).  It picks
 the bound once from the input, builds the roots of one of three
 algorithms as plain stack entries, and drains them from one stack with
 its state in locals.  The algorithms are "bb" (a single root), "rds"
@@ -72,25 +72,6 @@ from .oracle import check_cvc
 
 
 @dataclass
-class SolverConfig:
-    """Solver settings.
-
-    time_limit: wall-clock seconds; None or inf means no limit.
-    warm_start: a bool; seed the incumbent with the complement of the
-        greedy 2-approximate cover before searching.
-
-    The bound follows the input: on bipartite graphs the exact stable-set
-    bound |U| - nu(G[U]) (Koenig), from a maximum matching each node
-    repairs from its parent's; otherwise the greedy clique-cover bound,
-    reusing a node's inherited coloring while its candidate set is still
-    at least 75% of the size the coloring was computed at.
-    """
-
-    time_limit: Optional[float] = None
-    warm_start: bool = True
-
-
-@dataclass
 class SolveReport:
     """Result of a solver run.
 
@@ -113,21 +94,20 @@ class SolveReport:
 ALGORITHMS = ("bb", "rds", "vc-bb")
 
 
-def _validate(g: Graph, algorithm: str, cfg: SolverConfig) -> None:
-    if not isinstance(cfg, SolverConfig):
-        raise InputError(f"cfg must be a SolverConfig, got {type(cfg).__name__}")
+def _validate(g: Graph, algorithm: str, time_limit, warm_start, prune_log) -> None:
     if algorithm not in ALGORITHMS:
         raise InputError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
-    limit = cfg.time_limit
-    if limit is not None:
+    if time_limit is not None:
         # bool is an int subclass, but True is no number of seconds
-        if isinstance(limit, bool) or not isinstance(limit, numbers.Real):
-            raise InputError(f"time limit must be a number of seconds, got {limit!r}")
+        if isinstance(time_limit, bool) or not isinstance(time_limit, numbers.Real):
+            raise InputError(f"time limit must be a number of seconds, got {time_limit!r}")
         # written so that NaN, which fails every comparison, is rejected too
-        if not limit > 0:
-            raise InputError(f"time limit must be positive, got {limit!r}")
-    if not isinstance(cfg.warm_start, bool):
-        raise InputError(f"warm_start must be True or False, got {cfg.warm_start!r}")
+        if not time_limit > 0:
+            raise InputError(f"time limit must be positive, got {time_limit!r}")
+    if not isinstance(warm_start, bool):
+        raise InputError(f"warm_start must be True or False, got {warm_start!r}")
+    if prune_log is not None and not isinstance(prune_log, list):
+        raise InputError(f"prune_log must be None or a list, got {prune_log!r}")
     require(g, "solver", connected=True)
 
 
@@ -184,7 +164,7 @@ def _roots(g: Graph, algorithm: str) -> list:
         return [(0, 0, full & ~cut, None)]
     roots = []
     later = 0  # the non-cut vertices after v in the degree order
-    for v in sorted(range(g.n), key=lambda v: (-g.degree(v), v), reverse=True):
+    for v in sorted(range(g.n), key=lambda v: (-g.masks[v].bit_count(), v), reverse=True):
         if cut >> v & 1:
             continue
         # a cut vertex of G not adjacent to v stays one in G - v, so
@@ -198,7 +178,9 @@ def _roots(g: Graph, algorithm: str) -> list:
 def solve(
     g: Graph,
     algorithm: str = "bb",
-    cfg: Optional[SolverConfig] = None,
+    *,
+    time_limit: Optional[float] = None,
+    warm_start: bool = True,
     prune_log: Optional[list] = None,
 ) -> SolveReport:
     """Exact minimum (connected) vertex cover of a connected graph.
@@ -214,12 +196,18 @@ def solve(
     - "vc-bb": minimum plain vertex cover; the same search with no
       cut-vertex filtering, so covers may induce anything.
 
-    prune_log, when a list is passed, records a (stable_mask,
-    candidate_mask, incumbent_size) triple for every bound-test pruning;
-    meant for diagnostics and the pruning-safety tests.
+    time_limit is in wall-clock seconds; None or inf means no limit.
+    warm_start, a bool, seeds the incumbent with the complement of
+    greedy_cvc_2approx.  prune_log, a list, gets a (stable_mask,
+    candidate_mask, incumbent_size) triple for each bound-test prune.
+
+    The bound follows the input: on bipartite graphs the exact stable-set
+    bound |U| - nu(G[U]) (Koenig), from a maximum matching each node
+    repairs from its parent's; otherwise the greedy clique-cover bound,
+    reusing a node's inherited coloring while its candidate set is still
+    at least 75% of the size the coloring was computed at.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
-    _validate(g, algorithm, cfg)
+    _validate(g, algorithm, time_limit, warm_start, prune_log)
     t0 = time.perf_counter()
     if g.n == 1:
         # one isolated vertex: the empty cover is valid, S = {0}
@@ -233,10 +221,10 @@ def solve(
     # the lowest bit of the first level that meets U is the branch vertex
     by_degree = [0] * g.n
     for v in range(g.n):
-        by_degree[g.degree(v)] |= 1 << v
+        by_degree[masks[v].bit_count()] |= 1 << v
     levels = [level for level in reversed(by_degree) if level]
     best_mask = best_size = 0
-    if cfg.warm_start:
+    if warm_start:
         best_mask = full & ~set_to_mask(greedy_cvc_2approx(g))
         best_size = best_mask.bit_count()
         assert _feasible(g, best_mask, connected), "warm start is no feasible stable set"
@@ -247,9 +235,7 @@ def solve(
         if ssize > best_size:
             assert _feasible(g, smask, connected), "root is no feasible stable set"
             best_mask, best_size = smask, ssize
-    deadline = None
-    if cfg.time_limit is not None:
-        deadline = time.perf_counter() + cfg.time_limit
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     # the roots go on the stack in reverse, so each root's subtree is
     # drained before the next root is popped
     stack = roots[::-1]
@@ -306,13 +292,13 @@ def solve(
 
 # bench/corpus.py calls the solvers by these names; they go once it calls
 # solve with an algorithm name
-def solve_cvc_bb(g: Graph, cfg: Optional[SolverConfig] = None) -> SolveReport:
-    return solve(g, "bb", cfg)
+def solve_cvc_bb(g: Graph) -> SolveReport:
+    return solve(g, "bb")
 
 
-def russian_doll_solve(g: Graph, cfg: Optional[SolverConfig] = None) -> SolveReport:
-    return solve(g, "rds", cfg)
+def russian_doll_solve(g: Graph) -> SolveReport:
+    return solve(g, "rds")
 
 
-def solve_vc_bb(g: Graph, cfg: Optional[SolverConfig] = None) -> SolveReport:
-    return solve(g, "vc-bb", cfg)
+def solve_vc_bb(g: Graph) -> SolveReport:
+    return solve(g, "vc-bb")

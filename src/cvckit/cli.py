@@ -23,7 +23,7 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
-from .bb import ALGORITHMS, SolverConfig, solve
+from .bb import ALGORITHMS, solve
 from .errors import CvcKitError, InputError
 from .graph import (
     Graph,
@@ -150,8 +150,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _read_graph(args.file)
-    cfg = SolverConfig(time_limit=args.time_limit, warm_start=not args.no_warm_start)
-    report = solve(g, args.algorithm, cfg)
+    report = solve(g, args.algorithm, time_limit=args.time_limit, warm_start=not args.no_warm_start)
     name = Path(args.file).stem
     print(
         f"name={name} n={g.n} m={g.m} algorithm={report.algorithm}"
@@ -231,10 +230,9 @@ def _bench_rows(algorithms: list[str], repeats: int, time_limit, instance) -> li
     """Solve one (name, seed, graph) instance with each algorithm and
     build its CSV rows.  Module-level so process pools can pickle it."""
     name, seed, g = instance
-    cfg = SolverConfig(time_limit=time_limit)
     rows = []
     for algorithm in algorithms:
-        reports = [solve(g, algorithm, cfg) for _ in range(repeats)]
+        reports = [solve(g, algorithm, time_limit=time_limit) for _ in range(repeats)]
         node_counts = sorted({report.node_count for report in reports})
         if len(node_counts) > 1:
             warnings.warn(

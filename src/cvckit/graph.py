@@ -81,10 +81,7 @@ class Graph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return self.masks[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        return self.masks[vertex_index(self.n, v)].bit_count()
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -253,16 +250,16 @@ def vertex_index(n: int, v, what: str = "vertex") -> int:
     return i
 
 
-def vertex_mask(n: int, vertices: Iterable[int], what: str = "vertex") -> int:
+def vertex_mask(n: int, vertices: Iterable[int]) -> int:
     """Bitmask of `vertices`, each checked by `vertex_index`; a
     non-iterable `vertices` raises InputError too."""
     try:
         vertices = iter(vertices)
     except TypeError:
-        raise InputError(f"{what} set {vertices!r} is not iterable") from None
+        raise InputError(f"vertex set {vertices!r} is not iterable") from None
     mask = 0
     for v in vertices:
-        mask |= 1 << vertex_index(n, v, what)
+        mask |= 1 << vertex_index(n, v)
     return mask
 
 
@@ -301,10 +298,13 @@ def require(
 
 
 def max_degree_vertex(g: Graph, mask: int) -> int:
-    """The vertex of the nonempty `mask` of highest degree in g, ties by
-    lowest index."""
+    """The vertex of `mask`, a non-empty subset of range(g.n), of highest
+    degree in g, ties by lowest index."""
+    require(g, "max_degree_vertex", min_n=0)
+    if not (isinstance(mask, int) and 0 < mask <= g.full_mask()):
+        raise InputError(f"vertex mask {mask!r} is not a non-empty subset of range({g.n})")
     # max keeps the first of equal keys, and bits_of counts upward
-    return max(bits_of(mask), key=g.degree)
+    return max(bits_of(mask), key=lambda v: g.masks[v].bit_count())
 
 
 def is_connected(g: Graph) -> bool:

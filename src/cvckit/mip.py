@@ -304,7 +304,7 @@ def _parb_roots(g: Graph, r: Optional[int], r1: Optional[int]) -> tuple[int, int
         other = max_degree_vertex(g, g.masks[base])
         return (base, other) if r is not None else (other, base)
     r, r1 = vertex_index(g.n, r, "root"), vertex_index(g.n, r1, "root")
-    if not g.has_edge(r, r1):
+    if not g.masks[r] >> r1 & 1:
         raise InputError(f"roots {r} and {r1} must be adjacent")
     return r, r1
 
@@ -487,12 +487,14 @@ def build_pstp(g: Graph) -> MipModel:
 # point checking
 
 
-def check_integer_point(model: MipModel, assignment: Mapping[str, float], tol: float = DEFAULT_TOL) -> bool:
+def check_integer_point(model: MipModel, assignment: Mapping[str, float]) -> bool:
     """Evaluate every row and bound at the given point.
 
     Every declared variable must be present in the assignment (extra keys
-    are ignored); a missing one raises InputError.  Binary variables must
-    sit within tol of 0 or 1.
+    are ignored); a missing one raises InputError, and so does a value
+    that is not a real number where the row sums or bounds fail on it.
+    Rows and bounds hold within DEFAULT_TOL, and binary variables must
+    sit within it of 0 or 1.
     """
     if not (isinstance(model, MipModel) and isinstance(assignment, Mapping)):
         raise InputError("check_integer_point needs a MipModel and a mapping of names to values, "
@@ -501,26 +503,34 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float], tol: f
         values = [assignment[name] for name in model._names]
     except KeyError as missing:
         raise InputError(f"assignment missing variable {missing.args[0]!r}") from None
+    tol = DEFAULT_TOL
     # rows first: a point the verifiers build mostly fails an early row
     indices, data, ptr = model._indices, model._data, model._indptr
-    for sense, rhs, start, end in zip(model._senses, model._rhs, ptr, ptr[1:]):
-        lhs = 0
-        for k in range(start, end):
-            lhs += data[k] * values[indices[k]]
-        if sense == "<=":
-            if lhs > rhs + tol:
+    try:
+        for sense, rhs, start, end in zip(model._senses, model._rhs, ptr, ptr[1:]):
+            lhs = 0
+            for k in range(start, end):
+                lhs += data[k] * values[indices[k]]
+            if sense == "<=":
+                if lhs > rhs + tol:
+                    return False
+            elif sense == ">=":
+                if lhs < rhs - tol:
+                    return False
+            elif abs(lhs - rhs) > tol:
                 return False
-        elif sense == ">=":
-            if lhs < rhs - tol:
+        for val, kind, lb, ub in zip(values, model._kinds, model._lb, model._ub):
+            if not (lb - tol <= val <= ub + tol):
                 return False
-        elif abs(lhs - rhs) > tol:
-            return False
-    for val, kind, lb, ub in zip(values, model._kinds, model._lb, model._ub):
-        if not (lb - tol <= val <= ub + tol):
-            return False
-        # within the bounds checked above, min(|val|, |val - 1|) > tol
-        if kind == "binary" and tol < val < 1 - tol:
-            return False
+            # within the bounds checked above, min(|val|, |val - 1|) > tol
+            if kind == "binary" and tol < val < 1 - tol:
+                return False
+    except TypeError:
+        # the loops check no value themselves; the arithmetic does
+        for name, val in zip(model._names, values):
+            if not isinstance(val, Real):
+                raise InputError(f"variable {name!r} has value {val!r}, not a real number") from None
+        raise
     return True
 
 
@@ -740,10 +750,10 @@ class _Memo(dict):
         return value
 
 
-def _wrap(prefix: str, tokens: list[str], per_line: int = 8) -> list[str]:
+def _wrap(prefix: str, tokens: list[str]) -> list[str]:
     lines = []
-    for start in range(0, len(tokens), per_line):
-        chunk = " ".join(tokens[start : start + per_line])
+    for start in range(0, len(tokens), 8):
+        chunk = " ".join(tokens[start : start + 8])
         lines.append(f"{prefix}{chunk}" if start == 0 else f"    {chunk}")
     return lines
 

@@ -97,16 +97,11 @@ def brute_force_cvc(g: Graph) -> tuple[VertexSet, int]:
 def brute_force_vc(g: Graph) -> int:
     """Minimum vertex cover size, ignoring connectivity of the cover.
 
-    Computed as n minus the maximum stable set size.  n <= DEFAULT_CAP required.
+    Computed as n minus the maximum stable set size, found by
+    include/exclude recursion with a cardinality prune.  n <= DEFAULT_CAP
+    required.
     """
     require(g, "brute_force_vc", cap=DEFAULT_CAP)
-    return g.n - max_stable_set_size(g)
-
-
-def max_stable_set_size(g: Graph) -> int:
-    """Maximum stable set size by include/exclude recursion with a
-    cardinality prune."""
-    require(g, "max_stable_set_size", cap=DEFAULT_CAP)
     masks = g.masks
     best = 0
 
@@ -117,19 +112,11 @@ def max_stable_set_size(g: Graph) -> int:
         if candidates == 0 or size + candidates.bit_count() <= best:
             return
         vbit = candidates & -candidates
-        v = vbit.bit_length() - 1
-        rec(candidates & ~(vbit | masks[v]), size + 1)
+        rec(candidates & ~(vbit | masks[vbit.bit_length() - 1]), size + 1)
         rec(candidates ^ vbit, size)
 
     rec(g.full_mask(), 0)
-    return best
-
-
-def is_interesting(g: Graph) -> bool:
-    """True when the connectivity requirement actually costs something,
-    i.e. minimum CVC is strictly larger than minimum VC."""
-    _, cvc_size = brute_force_cvc(g)
-    return cvc_size > brute_force_vc(g)
+    return g.n - best
 
 
 def feasible_stable_sets(
@@ -175,8 +162,4 @@ def max_feasible_stable(
 ) -> int:
     """Size of the largest feasible stable set within base+candidates,
     by exhaustive enumeration; -1 when none exists (infeasible base)."""
-    best = -1
-    for s in feasible_stable_sets(g, base, candidates):
-        if len(s) > best:
-            best = len(s)
-    return best
+    return max(map(len, feasible_stable_sets(g, base, candidates)), default=-1)

@@ -154,17 +154,6 @@ class Xoshiro256:
         self._s0, self._s1, self._s2, self._s3 = state
         return hits
 
-    def randrange(self, bound: int) -> int:
-        """Uniform int in [0, bound) by rejection on the top bits."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        # Rejection sampling keeps the distribution exactly uniform.
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            draw = self.next_u64()
-            if draw < limit:
-                return draw % bound
-
 
 def _below_scalar(state, start: int, stop: int, threshold: int, hits: list) -> tuple:
     """Draws start..stop-1 one at a time from `state`: append each offset

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cvckit import bb as bb_module
 from cvckit.bb import (
-    SolverConfig,
     greedy_cvc_2approx,
     include_candidates,
     solve,
@@ -71,8 +70,8 @@ class TestAgainstOracle:
         for g in graphs:
             expected = brute_force_cvc(g)[1]
             for warm, algorithm in itertools.product((False, True), ("bb", "rds")):
-                cfg = SolverConfig(warm_start=warm)
-                assert solve(g, algorithm, cfg).cover_size == expected, (g, algorithm, cfg)
+                report = solve(g, algorithm, warm_start=warm)
+                assert report.cover_size == expected, (g, algorithm, warm)
 
 
 # test ids name each algorithm by the wrapper function the pinned runs were
@@ -134,8 +133,8 @@ class TestEngineBehavior:
 
     def test_warm_start_never_hurts_nodes(self, corpus60):
         for name, g in corpus60[:25]:
-            warm = solve(g, "bb", SolverConfig(warm_start=True))
-            cold = solve(g, "bb", SolverConfig(warm_start=False))
+            warm = solve(g, "bb", warm_start=True)
+            cold = solve(g, "bb", warm_start=False)
             assert warm.cover_size == cold.cover_size, name
             assert warm.node_count <= cold.node_count, name
 
@@ -145,7 +144,7 @@ class TestEngineBehavior:
         for algorithm, seed in itertools.product(("bb", "rds"), (2, 4, 9, 13)):
             g = connected_gnp(9, 0.35, seed)
             log = []
-            solve(g, algorithm, SolverConfig(warm_start=False), prune_log=log)
+            solve(g, algorithm, warm_start=False, prune_log=log)
             assert log, "expected at least one pruning event"
             for smask, umask, incumbent in log:
                 best_inside = max_feasible_stable(
@@ -165,34 +164,35 @@ class TestEngineBehavior:
         with pytest.raises(InputError):
             solve(Graph(0), "bb")
         with pytest.raises(InputError):
-            solve(cycle(5), "bb", SolverConfig(time_limit=0))
+            solve(cycle(5), "bb", time_limit=0)
         # NaN fails every comparison, so it would never trip the deadline
         with pytest.raises(InputError):
-            solve(cycle(5), "bb", SolverConfig(time_limit=float("nan")))
+            solve(cycle(5), "bb", time_limit=float("nan"))
         with pytest.raises(InputError, match="needs a Graph"):
             solve("x")
-        with pytest.raises(InputError, match="must be a SolverConfig"):
-            solve(cycle(5), "bb", {"time_limit": 1})
+        with pytest.raises(InputError, match="number of seconds"):
+            solve(cycle(5), "bb", time_limit={"time_limit": 1})
         # a truthy non-bool must not switch the warm start on
         for flag in ("no", 1, None):
             with pytest.raises(InputError, match="warm_start must be True or False"):
-                solve(cycle(5), "bb", SolverConfig(warm_start=flag))
+                solve(cycle(5), "bb", warm_start=flag)
 
     @pytest.mark.parametrize("limit", ["5", [1], 1j, True, False])
     def test_time_limit_must_be_a_number(self, limit):
         with pytest.raises(InputError, match="number of seconds"):
-            solve(cycle(5), "bb", SolverConfig(time_limit=limit))
+            solve(cycle(5), "bb", time_limit=limit)
 
     def test_unknown_algorithm(self):
-        # a call in the old solve(g, cfg) form fails instead of running bb
+        # a time limit passed in the algorithm's place fails instead of
+        # running bb
         with pytest.raises(InputError):
             solve(cycle(5), "nope")
         with pytest.raises(InputError):
-            solve(cycle(5), SolverConfig())
+            solve(cycle(5), 60.0)
 
     def test_time_limit_reports_honestly(self):
         g = connected_gnp(60, 0.08, 21)
-        report = solve(g, "bb", SolverConfig(time_limit=1e-6))
+        report = solve(g, "bb", time_limit=1e-6)
         assert report.status == "time_limit"
         assert check_cvc(g, report.cover).valid  # incumbent still usable
         assert report.best_bound >= g.n - report.cover_size
@@ -202,7 +202,7 @@ class TestEngineBehavior:
         # the stack; their inherited colorings give 36 where |S| + |U| of
         # each entry gave 77
         g = connected_gnp(80, 0.1, 101)
-        report = solve(g, "bb", SolverConfig(time_limit=1000))
+        report = solve(g, "bb", time_limit=1000)
         assert report.status == "time_limit"
         assert report.best_bound >= g.n - 54  # the proven optimum cover is 54
         assert report.best_bound >= g.n - report.cover_size
@@ -213,7 +213,7 @@ class TestEngineBehavior:
         # that stay inside its entry's candidates give 30 where
         # |S| + |U| of each entry gave 59
         g = connected_bipartite(30, 30, 0.2, 11)
-        report = solve(g, "bb", SolverConfig(time_limit=1000))
+        report = solve(g, "bb", time_limit=1000)
         assert report.status == "time_limit"
         assert g.n - 34 <= report.best_bound <= 30  # the optimum cover is 34
 
@@ -228,7 +228,7 @@ class TestEngineBehavior:
         # falls below n minus the optimum cover
         kind, *params = graph
         g = connected_gnp(*params) if kind == "gnp" else connected_bipartite(*params)
-        report = solve(g, algorithm, SolverConfig(time_limit=stop))
+        report = solve(g, algorithm, time_limit=stop)
         assert report.best_bound >= g.n - optimum
 
     @pytest.mark.parametrize(
@@ -247,7 +247,7 @@ class TestEngineBehavior:
         # inherit a coloring or a matching
         kind, *params = graph
         g = connected_gnp(*params) if kind == "gnp" else connected_bipartite(*params)
-        report = solve(g, algorithm, SolverConfig(time_limit=1000))
+        report = solve(g, algorithm, time_limit=1000)
         assert (report.status, report.best_bound) == ("time_limit", bound)
 
     @pytest.mark.parametrize(
@@ -302,7 +302,7 @@ class TestEngineBehavior:
     def test_generous_limit_still_optimal(self):
         g = connected_gnp(10, 0.4, 2)
         for limit in (60.0, float("inf")):
-            report = solve(g, "bb", SolverConfig(time_limit=limit))
+            report = solve(g, "bb", time_limit=limit)
             assert report.status == "optimal"
             assert report.cover_size == brute_force_cvc(g)[1]
 

@@ -290,7 +290,8 @@ class TestBench:
                                "--bipartite", "3,4,0.6,1", "--jobs", "2",
                                "-o", str(target))
         assert code == 0 and out == ""
-        rows = list(csv.DictReader(target.open()))
+        with target.open() as handle:
+            rows = list(csv.DictReader(handle))
         assert {r["name"][:5] for r in rows} == {"G_gnp", "G_bip"}
         assert {r["algorithm"] for r in rows} == {"bb"}  # the default
 

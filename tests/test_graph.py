@@ -72,7 +72,7 @@ class TestGraph:
         assert g.m == 3
         assert g.masks[0] == 0b110
         assert g.masks[2] == 0b1001
-        assert g.has_edge(2, 0) and not g.has_edge(1, 2)
+        assert g.masks[2] >> 0 & 1 and not g.masks[1] >> 2 & 1
 
     def test_masks_mirror_adjacency(self):
         g = gnp_random(12, 0.4, seed=3)
@@ -696,10 +696,3 @@ class TestRng:
 
     def test_charpoly_degree(self):
         assert rng_module._CHARPOLY.bit_length() - 1 == 256
-
-    def test_randrange(self):
-        rng = Xoshiro256(5)
-        vals = [rng.randrange(10) for _ in range(1000)]
-        assert set(vals) == set(range(10))
-        with pytest.raises(ValueError):
-            rng.randrange(0)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cvckit.errors import InputError, SizeCapError
+from cvckit.bb import solve
 from cvckit.bounds import is_bipartite
 from cvckit.graph import (
     Graph,
@@ -14,6 +15,7 @@ from cvckit.graph import (
     dfs_tree,
     gnp_random,
     is_connected,
+    max_degree_vertex,
     parse_dimacs,
     spanning_tree_count,
     write_dimacs,
@@ -40,6 +42,7 @@ from tests.test_graph import complete, cycle, path
 # each call takes one bad vertex or root v of P4 (n=4)
 BAD_VERTEX_CALLS = {
     "check_cvc": lambda v: check_cvc(path(4), [1, v]),
+    "degree": lambda v: path(4).degree(v),
     "dfs_tree": lambda v: dfs_tree(path(4), v),
     "feasible_stable_sets-base": lambda v: list(feasible_stable_sets(path(4), [v])),
     "feasible_stable_sets-candidates": lambda v: list(feasible_stable_sets(path(4), (), [0, v])),
@@ -66,8 +69,8 @@ def test_bad_vertex_argument_raises_input_error(call, value):
 
 
 # each call passes one argument of the wrong type where the library
-# takes a Graph, a vertex set, DIMACS text, a model, an assignment or
-# metadata
+# takes a Graph, a vertex set or mask, DIMACS text, a model, an
+# assignment, metadata or a prune log
 BAD_ARGUMENT_CALLS = {
     "check_cvc-graph": lambda: check_cvc("g", [0]),
     "witness_parb-graph": lambda: witness_parb("g", [0], 0, 1),
@@ -77,17 +80,26 @@ BAD_ARGUMENT_CALLS = {
     "is_bipartite-graph": lambda: is_bipartite("x"),
     "default_roots-graph": lambda: default_roots(None),
     "dfs_tree-graph": lambda: dfs_tree(None, 0),
+    "max_degree_vertex-graph": lambda: max_degree_vertex("x", 1),
     "check_cvc-int-cover": lambda: check_cvc(path(4), 5),
     "check_cvc-none-cover": lambda: check_cvc(path(4), None),
     "witness_parb-none-cover": lambda: witness_parb(path(4), None, 0, 1),
     "max_feasible_stable-int-candidates": lambda: max_feasible_stable(path(4), (), 5),
+    "max_degree_vertex-empty-mask": lambda: max_degree_vertex(path(4), 0),
+    "max_degree_vertex-mask-beyond-n": lambda: max_degree_vertex(path(4), 1 << 9),
+    "max_degree_vertex-float-mask": lambda: max_degree_vertex(path(4), 1.5),
     "parse_dimacs-bytes": lambda: parse_dimacs(b"p edge 1 0"),
     "parse_dimacs-none": lambda: parse_dimacs(None),
     "write_lp-model": lambda: write_lp(None),
     "check_integer_point-model": lambda: check_integer_point(None, {}),
     "check_integer_point-list": lambda: check_integer_point(build_parb(path(4)), [1, 2]),
+    "check_integer_point-str-values": lambda: check_integer_point(
+        build_parb(path(4), 1, 2), {k: str(v) for k, v in witness_parb(path(4), {1, 2}, 1, 2).items()}
+    ),
     "MipModel-str": lambda: MipModel("abc"),
     "MipModel-list": lambda: MipModel([1]),
+    "solve-str-prune-log": lambda: solve(path(4), prune_log="x"),
+    "solve-tuple-prune-log": lambda: solve(path(4), prune_log=()),
 }
 
 
@@ -388,6 +400,23 @@ class TestCheckIntegerPoint:
     def test_missing_variable_raises(self):
         with pytest.raises(InputError):
             check_integer_point(self._model(), {"a": 1})
+
+    def test_value_that_is_no_number_raises(self):
+        # "a" is read by the row sums, "u" (in no row) only by its bounds
+        model = self._model()
+        model.add_variable("u", "binary")
+        with pytest.raises(InputError, match="variable 'a' has value '1'"):
+            check_integer_point(model, {"a": "1", "t": 1, "u": 0})
+        with pytest.raises(InputError, match="variable 'u' has value None"):
+            check_integer_point(model, {"a": 1, "t": 1, "u": None})
+
+    def test_tolerance_is_fixed(self):
+        # a tol argument once let tol=-1 turn a valid witness False
+        g = path(4)
+        model, point = build_parb(g, 1, 2), witness_parb(g, {1, 2}, 1, 2)
+        assert check_integer_point(model, point)
+        with pytest.raises(TypeError):
+            check_integer_point(model, point, tol=-1)
 
     def test_extra_keys_ignored(self):
         assert check_integer_point(self._model(), {"a": 0, "t": 0, "junk": 9})

@@ -11,9 +11,7 @@ from cvckit.oracle import (
     brute_force_vc,
     check_cvc,
     feasible_stable_sets,
-    is_interesting,
     max_feasible_stable,
-    max_stable_set_size,
 )
 from tests.conftest import connected_gnp
 from tests.test_graph import complete, cycle, path
@@ -103,9 +101,16 @@ class TestInternalConsistency:
             assert size + max_feasible_stable(g) == g.n, name
 
     def test_vc_via_stability(self):
+        # n minus the stable-set recursion's maximum against the smallest
+        # subset the checker accepts as a cover
         for seed in range(10):
             g = gnp_random(9, 0.4, seed)
-            assert brute_force_vc(g) + max_stable_set_size(g) == 9
+            smallest = next(
+                k
+                for k in range(g.n + 1)
+                if any(check_cvc(g, c).is_cover for c in itertools.combinations(range(g.n), k))
+            )
+            assert brute_force_vc(g) == smallest, f"seed {seed}"
 
     def test_oracle_minimality(self):
         # no strictly smaller subset may pass the checker
@@ -122,11 +127,12 @@ class TestInternalConsistency:
         assert brute_force_cvc(g) == brute_force_cvc(g)
 
     def test_is_interesting(self):
-        assert is_interesting(cycle(4))
-        assert is_interesting(path(6))
-        assert is_interesting(petersen())
-        assert not is_interesting(complete(5))
-        assert not is_interesting(path(4))
+        # where the connected cover is strictly larger than the plain one
+        assert brute_force_cvc(cycle(4))[1] > brute_force_vc(cycle(4))
+        assert brute_force_cvc(path(6))[1] > brute_force_vc(path(6))
+        assert brute_force_cvc(petersen())[1] > brute_force_vc(petersen())
+        assert not brute_force_cvc(complete(5))[1] > brute_force_vc(complete(5))
+        assert not brute_force_cvc(path(4))[1] > brute_force_vc(path(4))
 
 
 class TestFeasibleStableSets:
@@ -139,7 +145,7 @@ class TestFeasibleStableSets:
             for k in range(g.n + 1):
                 for combo in itertools.combinations(range(g.n), k):
                     s = frozenset(combo)
-                    stable = all(not g.has_edge(u, v) for u in s for v in s if u < v)
+                    stable = all(not g.masks[u] >> v & 1 for u in s for v in s if u < v)
                     rest = [v for v in range(g.n) if v not in s]
                     if stable and check_cvc(g, rest).is_connected_induced:
                         expected.add(s)
