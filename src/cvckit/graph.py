@@ -36,17 +36,21 @@ class Graph:
 
     Data members:
         n: vertex count.
-        edges: frozenset of (u, v) pairs with u < v.
+        m: edge count.
         masks: tuple of neighbor bitmasks, one per vertex (bit v of
             masks[u] is set iff u and v are adjacent); the neighbors of
             v in increasing order are bits_of(masks[v]).
 
-    `edges` must be an iterable of pairs of distinct ints in range(n);
-    anything else raises InputError naming it.  An endpoint given as a
-    bool or another `__index__` type is stored as the int it stands for.
+    The constructor's `edges` must be an iterable of pairs of distinct
+    ints in range(n); anything else raises InputError naming it.  An
+    endpoint given as a bool or another `__index__` type is stored as the
+    int it stands for.  Repeated pairs, in either orientation, collapse.
+
+    The `edges` property is derived from the masks on each access, in
+    O(n + m) big-int operations, so a loop should bind it once.
     """
 
-    __slots__ = ("n", "edges", "masks")
+    __slots__ = ("n", "m", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not _is_count(n):
@@ -55,7 +59,6 @@ class Graph:
             edges = iter(edges)
         except TypeError:
             raise InputError(f"edges must be an iterable of pairs, got {edges!r}") from None
-        normalized = set()
         masks = [0] * n
         index = operator.index
         for edge in edges:
@@ -65,7 +68,6 @@ class Graph:
                 if 0 <= u < n and 0 <= v < n and u != v:
                     masks[u] |= 1 << v
                     masks[v] |= 1 << u
-                    normalized.add((u, v) if u < v else (v, u))
                     continue
             except (TypeError, ValueError):
                 raise InputError(f"edge {edge!r} is not a pair of ints") from None
@@ -73,12 +75,22 @@ class Graph:
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             raise InputError(f"self-loop at vertex {u} is not allowed")
         self.n = n
-        self.edges = frozenset(normalized)
+        self.m = sum(mask.bit_count() for mask in masks) >> 1
         self.masks = tuple(masks)
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The (u, v) pairs with u < v, in increasing order."""
+        pairs = []
+        append = pairs.append
+        for u, mask in enumerate(self.masks):
+            # bit i of the shifted mask stands for the neighbour u + 1 + i
+            mask >>= u + 1
+            while mask:
+                low = mask & -mask
+                append((u, u + low.bit_length()))
+                mask ^= low
+        return tuple(pairs)
 
     def degree(self, v: int) -> int:
         return self.masks[vertex_index(self.n, v)].bit_count()
@@ -87,12 +99,10 @@ class Graph:
         return (1 << self.n) - 1
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.n == other.n and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -454,8 +464,9 @@ def write_dimacs(g: Graph) -> str:
     """
     require(g, "write_dimacs", min_n=0)
     lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

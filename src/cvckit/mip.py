@@ -420,7 +420,7 @@ def build_parb(g: Graph, r: Optional[int] = None, r1: Optional[int] = None) -> M
     x = [f"x_{v}" for v in range(n)]
     model._add_columns(x, "binary", 0.0, 1.0)
     model.set_objective([(1, name) for name in x])
-    _cover_rows(model, sorted(g.edges))
+    _cover_rows(model, g.edges)
     tails, z0 = _arborescence(model, n, arcs, r, r1, True)
     _link_rows(model, "lnka", "lnkb", z0, arcs, tails)
     return model
@@ -452,7 +452,7 @@ def build_pstp(g: Graph) -> MipModel:
     """
     require(g, "build_pstp", cap=PSTP_CAP)
     n = g.n
-    edges = sorted(g.edges)
+    edges = g.edges
     m = len(edges)
     tails = [f"_{u}_{v}" for u, v in edges]
     model = MipModel(metadata={"formulation": "spanning-tree"})
@@ -491,8 +491,8 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float]) -> boo
     """Evaluate every row and bound at the given point.
 
     Every declared variable must be present in the assignment (extra keys
-    are ignored); a missing one raises InputError, and so does a value
-    that is not a real number where the row sums or bounds fail on it.
+    are ignored) and hold a real number; a missing one, or any value that
+    is not a `numbers.Real`, raises InputError before any row is read.
     Rows and bounds hold within DEFAULT_TOL, and binary variables must
     sit within it of 0 or 1.
     """
@@ -503,34 +503,33 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float]) -> boo
         values = [assignment[name] for name in model._names]
     except KeyError as missing:
         raise InputError(f"assignment missing variable {missing.args[0]!r}") from None
+    # one test per distinct type, not per value: the verifiers' points
+    # hold a single type or two
+    bad = [t for t in set(map(type, values)) if not issubclass(t, Real)]
+    if bad:
+        name, val = next((name, val) for name, val in zip(model._names, values) if type(val) in bad)
+        raise InputError(f"variable {name!r} has value {val!r}, not a real number")
     tol = DEFAULT_TOL
     # rows first: a point the verifiers build mostly fails an early row
     indices, data, ptr = model._indices, model._data, model._indptr
-    try:
-        for sense, rhs, start, end in zip(model._senses, model._rhs, ptr, ptr[1:]):
-            lhs = 0
-            for k in range(start, end):
-                lhs += data[k] * values[indices[k]]
-            if sense == "<=":
-                if lhs > rhs + tol:
-                    return False
-            elif sense == ">=":
-                if lhs < rhs - tol:
-                    return False
-            elif abs(lhs - rhs) > tol:
+    for sense, rhs, start, end in zip(model._senses, model._rhs, ptr, ptr[1:]):
+        lhs = 0
+        for k in range(start, end):
+            lhs += data[k] * values[indices[k]]
+        if sense == "<=":
+            if lhs > rhs + tol:
                 return False
-        for val, kind, lb, ub in zip(values, model._kinds, model._lb, model._ub):
-            if not (lb - tol <= val <= ub + tol):
+        elif sense == ">=":
+            if lhs < rhs - tol:
                 return False
-            # within the bounds checked above, min(|val|, |val - 1|) > tol
-            if kind == "binary" and tol < val < 1 - tol:
-                return False
-    except TypeError:
-        # the loops check no value themselves; the arithmetic does
-        for name, val in zip(model._names, values):
-            if not isinstance(val, Real):
-                raise InputError(f"variable {name!r} has value {val!r}, not a real number") from None
-        raise
+        elif abs(lhs - rhs) > tol:
+            return False
+    for val, kind, lb, ub in zip(values, model._kinds, model._lb, model._ub):
+        if not (lb - tol <= val <= ub + tol):
+            return False
+        # within the bounds checked above, min(|val|, |val - 1|) > tol
+        if kind == "binary" and tol < val < 1 - tol:
+            return False
     return True
 
 
@@ -666,7 +665,7 @@ def find_pstp_mismatch(g: Graph) -> Optional[VertexSet]:
     """
     require(g, "find_pstp_mismatch", min_n=2, connected=True, cap=PSTP_VERIFY_CAP)
     model = build_pstp(g)
-    edges = sorted(g.edges)
+    edges = g.edges
     for cmask in range(1 << g.n):
         cover = mask_to_set(cmask)
         parent, roots = bfs_forest(g.masks, cmask)
@@ -823,5 +822,5 @@ def write_lp(model: MipModel) -> str:
         lines.append("Binaries")
         for start in range(0, len(binaries), 10):
             lines.append(" " + " ".join(binaries[start : start + 10]))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    lines += ("End", "")
+    return "\n".join(lines)

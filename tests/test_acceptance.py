@@ -76,7 +76,7 @@ def test_criterion_02_parb_exhaustive_with_random_roots():
         g = connected_gnp(2 + i % 8, (0.3, 0.5, 0.7)[i % 3], 5000 + i)
         if find_parb_mismatch(g) is not None:
             failures.append((i, "default"))
-        edges = sorted(g.edges)
+        edges = g.edges
         for _ in range(5):
             r, r1 = edges[rng.next_u64() % len(edges)]
             if find_parb_mismatch(g, r, r1) is not None:

@@ -68,7 +68,7 @@ def _component_count(g, skip=None, live=None):
 class TestGraph:
     def test_normalization(self):
         g = Graph(4, [(2, 0), (0, 2), (1, 0), (3, 2)])
-        assert g.edges == frozenset({(0, 2), (0, 1), (2, 3)})
+        assert g.edges == ((0, 1), (0, 2), (2, 3))
         assert g.m == 3
         assert g.masks[0] == 0b110
         assert g.masks[2] == 0b1001
@@ -116,6 +116,26 @@ class TestGraph:
         assert a == b and hash(a) == hash(b)
         assert a != Graph(3, [(0, 1)])
         assert a != Graph(4, [(0, 1), (1, 2)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_edges_derived_from_masks(self, data):
+        n = data.draw(st.integers(2, 12), label="n")
+        # (u, u + d mod n) with 0 < d < n is never a self-loop
+        pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+            lambda t: (t[0], (t[0] + t[1]) % n)
+        )
+        pairs = data.draw(st.lists(pair, max_size=40), label="pairs")
+        # repeat some pairs and flip some, then shuffle the whole list
+        pairs += data.draw(st.lists(st.sampled_from(pairs)) if pairs else st.just([]), label="repeats")
+        flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)), label="flips")
+        pairs = [e[::-1] if f else e for e, f in zip(pairs, flips)]
+        g = Graph(n, pairs)
+        expected = tuple(sorted({(min(u, v), max(u, v)) for u, v in pairs}))
+        assert g.edges == expected and g.m == len(expected)
+        h = Graph(n, data.draw(st.permutations(pairs), label="order"))
+        assert h == g and hash(h) == hash(g)
+        assert parse_dimacs(write_dimacs(g)) == g
 
 
 class TestMasks:
@@ -499,7 +519,7 @@ class TestGenerators:
             (bipartite_random(200, 200, 0.05, 11), "db870e0f60280401d577705dae2065be7b470f10d7ecd508a24719de79fe65a7"),
         ]
         for g, digest in pins:
-            text = "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+            text = "".join(f"{u} {v}\n" for u, v in g.edges)
             assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     @settings(max_examples=150, deadline=None)

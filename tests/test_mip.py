@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -155,7 +157,7 @@ def test_index_vertex_argument_is_used_as_int(one):
 @pytest.mark.parametrize("one", [True, _Index(1)], ids=["bool", "index"])
 def test_index_edge_endpoint_is_stored_as_int(one):
     g = Graph(3, [(one, 2), (0, one)])
-    assert g.edges == {(0, 1), (1, 2)} and _all_ints(g.edges)
+    assert g.edges == ((0, 1), (1, 2)) and _all_ints(g.edges)
     # pstp names its variables after the stored endpoints
     text = write_lp(build_pstp(g))
     assert "x_1" in text and text == write_lp(build_pstp(path(3)))
@@ -410,6 +412,19 @@ class TestCheckIntegerPoint:
         with pytest.raises(InputError, match="variable 'u' has value None"):
             check_integer_point(model, {"a": 1, "t": 1, "u": None})
 
+    @pytest.mark.parametrize(
+        "point",
+        [{"a": 1, "t": 0, "u": "x"}, {"a": 0, "t": 0, "u": Decimal(1)}],
+        ids=["after-a-failing-row", "decimal"],
+    )
+    def test_non_real_value_raises_wherever_it_sits(self, point):
+        # the row fails at a = 1, t = 0 before u is read, and a Decimal
+        # compares with the float bounds without a TypeError
+        model = self._model()
+        model.add_variable("u", "binary")
+        with pytest.raises(InputError, match=re.escape(f"variable 'u' has value {point['u']!r}")):
+            check_integer_point(model, point)
+
     def test_tolerance_is_fixed(self):
         # a tol argument once let tol=-1 turn a valid witness False
         g = path(4)
@@ -431,7 +446,7 @@ class TestExhaustiveParb:
         for seed in range(12):
             g = connected_gnp(2 + seed % 6, 0.5, 40 + seed)
             assert find_parb_mismatch(g) is None, f"seed {seed}"
-            edges = sorted(g.edges)
+            edges = g.edges
             r, r1 = edges[seed % len(edges)]
             assert find_parb_mismatch(g, r, r1) is None, f"seed {seed} roots {(r, r1)}"
             assert find_parb_mismatch(g, r1, r) is None, f"seed {seed} swapped"
