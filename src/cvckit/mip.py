@@ -62,6 +62,8 @@ VERIFY_CAP = 10
 PSTP_VERIFY_CAP = 8
 QR_COUNT_CAP = 10
 DEFAULT_TOL = 1e-6
+# write_lp joins its Subject To lines into text this many at a time
+_BLOCK_LINES = 2048
 
 
 class Variable(NamedTuple):
@@ -122,10 +124,12 @@ class MipModel:
 
     Columns are parallel lists (name, kind, lb, ub) with one name ->
     column dict; rows are one CSR table: name, sense and rhs per row, and
-    `indptr` into column indices and coefficients.  The table holds only
-    ints, floats and strs, which the cyclic garbage collector does not
-    track.  `variables`, `constraints` and `objective` read it back as
-    `Variable` and `Constraint` tuples and (coef, varname) terms.
+    `indptr` into column indices and coefficients.  `_ids` holds one int
+    object per column, which the name dict and every row and objective
+    index share, so the table holds no int per nonzero.  The table holds
+    only ints, floats and strs, which the cyclic garbage collector does
+    not track.  `variables`, `constraints` and `objective` read it back
+    as `Variable` and `Constraint` tuples and (coef, varname) terms.
     """
 
     def __init__(self, metadata: Optional[Mapping[str, str]] = None):
@@ -137,6 +141,7 @@ class MipModel:
         self._lb: list = []
         self._ub: list = []
         self._col: dict[str, int] = {}
+        self._ids: list[int] = []
         self._row_names: list[str] = []
         self._row_set: set[str] = set()
         self._senses: list[str] = []
@@ -190,24 +195,27 @@ class MipModel:
             coefs.append(coef)
         return cols, coefs
 
-    def _add_columns(self, names: list[str], kind: str, lb, ub) -> int:
-        """Append a block of columns of one kind and bounds; returns the
-        first one's index.  The builders' names need no per-name check."""
+    def _add_columns(self, names: list[str], kind: str, lb, ub) -> list[int]:
+        """Append a block of columns of one kind and bounds; returns their
+        indices, the `_ids` objects rows take.  The builders' names need
+        no per-name check."""
         first = len(self._names)
-        self._col.update(zip(names, range(first, first + len(names))))
+        self._ids += range(first, first + len(names))
+        cols = self._ids[first:]
+        self._col.update(zip(names, cols))
         if len(self._col) != first + len(names):
             raise ContractError("duplicate variable name in a block; internal bug")
         self._names += names
         self._kinds += [kind] * len(names)
         self._lb += [lb] * len(names)
         self._ub += [ub] * len(names)
-        return first
+        return cols
 
     def _add_rows(self, names: list[str], sense: str, rhs: list, sizes: list[int], indices: list[int], data: list):
         """Append a block of rows of one sense: row i is names[i] with
         right-hand side rhs[i] over the next sizes[i] entries of indices
-        (columns) and data (coefficients).  The builders' rows need no
-        per-row check."""
+        (columns, taken from `_ids`) and data (coefficients).  The
+        builders' rows need no per-row check."""
         if indices and (min(indices) < 0 or max(indices) >= len(self._names)):
             raise ContractError("row references a column out of range; internal bug")
         known = len(self._row_set)
@@ -336,69 +344,71 @@ def arborescence_arcs(g: Graph, r: int, r1: Optional[int] = None) -> list[tuple[
 def _cover_rows(model: MipModel, edges) -> None:
     """One covering row x_u + x_v >= 1 per edge, x_v being column v."""
     m = len(edges)
+    x = model._ids
     model._add_rows(
         [f"cover_{u}_{v}" for u, v in edges], ">=", [1] * m, [2] * m,
-        [w for edge in edges for w in edge], [1] * (2 * m),
+        [x[w] for edge in edges for w in edge], [1] * (2 * m),
     )
 
 
-def _link_rows(model: MipModel, a: str, b: str, first: int, pairs, tails: list[str]) -> None:
+def _link_rows(model: MipModel, a: str, b: str, w: list[int], pairs, tails: list[str]) -> None:
     """Two rows w - x_u <= 0 (named a + tail) and w - x_v <= 0 (b + tail)
-    per pair (u, v), w its column from `first` on and x_v column v."""
+    per pair (u, v), w its column in `w` and x_v column v."""
     k = len(pairs)
     names = [""] * (2 * k)
     names[0::2] = [a + tail for tail in tails]
     names[1::2] = [b + tail for tail in tails]
+    x = model._ids
     indices = [0] * (4 * k)
-    indices[0::4] = indices[2::4] = range(first, first + k)
-    indices[1::4] = [u for u, _ in pairs]
-    indices[3::4] = [v for _, v in pairs]
+    indices[0::4] = indices[2::4] = w
+    indices[1::4] = [x[u] for u, _ in pairs]
+    indices[3::4] = [x[v] for _, v in pairs]
     model._add_rows(names, "<=", [0] * (2 * k), [2] * (2 * k), indices, [1, -1] * (2 * k))
 
 
-def _arborescence(model: MipModel, n: int, arcs, r: int, r1: Optional[int], with_x: bool) -> tuple[list[str], int]:
+def _arborescence(model: MipModel, n: int, arcs, r: int, r1: Optional[int], with_x: bool) -> tuple[list[str], list[int]]:
     """Declare z per arc and d per vertex, and add the indegree, depth,
     root and cardinality rows `build_parb` lists.  with_x: x_v is column
     v (`build_parb`), or fixed to 1 (`build_qr`): each -x_v term is then
     left out and its row's right-hand side shifted by 1.  Returns each
-    arc's row-name suffix "_u_v" and the first z column."""
+    arc's row-name suffix "_u_v" and the z columns."""
     k = len(arcs)
     tails = [f"_{u}_{v}" for u, v in arcs]
     heads = [v for _, v in arcs]
-    z0 = model._add_columns(["z" + tail for tail in tails], "binary", 0.0, 1.0)
-    d0 = model._add_columns([f"d_{v}" for v in range(n)], "continuous", 0.0, float(n - 1))
+    z = model._add_columns(["z" + tail for tail in tails], "binary", 0.0, 1.0)
+    d = model._add_columns([f"d_{v}" for v in range(n)], "continuous", 0.0, float(n - 1))
+    x = model._ids[:n] if with_x else []
     shift = 0 if with_x else 1
     into = [[] for _ in range(n)]
-    for z, v in enumerate(heads, z0):
-        into[v].append(z)
+    for col, v in zip(z, heads):
+        into[v].append(col)
     targets = [v for v in range(n) if v != r and v != r1]
     indices, data = [], []
     for v in targets:
         indices += into[v]
         data += [1] * len(into[v])
         if with_x:
-            indices.append(v)
+            indices.append(x[v])
             data.append(-1)
     sizes = [len(into[v]) + with_x for v in targets]
     model._add_rows([f"indeg_{v}" for v in targets], "=", [shift] * len(targets), sizes, indices, data)
     width = 3 + with_x
     indices = [0] * (width * k)
-    indices[0::width] = [d0 + v for v in heads]
-    indices[1::width] = range(z0, z0 + k)
-    indices[2::width] = [d0 + u for u, _ in arcs]
+    indices[0::width] = [d[v] for v in heads]
+    indices[1::width] = z
+    indices[2::width] = [d[u] for u, _ in arcs]
     if with_x:
-        indices[3::width] = heads
+        indices[3::width] = [x[v] for v in heads]
     model._add_rows(
         ["mtz" + tail for tail in tails], ">=", [shift - n] * k, [width] * k,
         indices, [1, -n, -1, -1][:width] * k,
     )
-    model._add_rows(["root"], "=", [0], [1], [d0 + r], [1])
-    x = list(range(n)) if with_x else []
+    model._add_rows(["root"], "=", [0], [1], [d[r]], [1])
     model._add_rows(
         ["card"], "=", [n * shift - 1], [k + len(x)],
-        [*range(z0, z0 + k), *x], [1] * k + [-1] * len(x),
+        z + x, [1] * k + [-1] * len(x),
     )
-    return tails, z0
+    return tails, z
 
 
 def build_parb(g: Graph, r: Optional[int] = None, r1: Optional[int] = None) -> MipModel:
@@ -421,8 +431,8 @@ def build_parb(g: Graph, r: Optional[int] = None, r1: Optional[int] = None) -> M
     model._add_columns(x, "binary", 0.0, 1.0)
     model.set_objective([(1, name) for name in x])
     _cover_rows(model, g.edges)
-    tails, z0 = _arborescence(model, n, arcs, r, r1, True)
-    _link_rows(model, "lnka", "lnkb", z0, arcs, tails)
+    tails, z = _arborescence(model, n, arcs, r, r1, True)
+    _link_rows(model, "lnka", "lnkb", z, arcs, tails)
     return model
 
 
@@ -458,7 +468,7 @@ def build_pstp(g: Graph) -> MipModel:
     model = MipModel(metadata={"formulation": "spanning-tree"})
     x = [f"x_{v}" for v in range(n)]
     model._add_columns(x, "binary", 0.0, 1.0)
-    y0 = model._add_columns(["y" + tail for tail in tails], "continuous", 0.0, 1.0)
+    y = model._add_columns(["y" + tail for tail in tails], "continuous", 0.0, 1.0)
     model.set_objective([(1, name) for name in x])
     _cover_rows(model, edges)
     # induced-edge counts for all subsets, by peeling the lowest vertex
@@ -476,10 +486,10 @@ def build_pstp(g: Graph) -> MipModel:
         names.append("sub_" + "_".join(str(v) for v in bits_of(mask)))
         rhs.append(size - 1)
         sizes.append(ecount[mask])
-        indices += [y for y, (u, v) in enumerate(edges, y0) if mask >> u & 1 and mask >> v & 1]
+        indices += [col for col, (u, v) in zip(y, edges) if mask >> u & 1 and mask >> v & 1]
     model._add_rows(names, "<=", rhs, sizes, indices, [1] * len(indices))
-    model._add_rows(["total"], "=", [-1], [m + n], [*range(y0, y0 + m), *range(n)], [1] * m + [-1] * n)
-    _link_rows(model, "ya", "yb", y0, edges, tails)
+    model._add_rows(["total"], "=", [-1], [m + n], y + model._ids[:n], [1] * m + [-1] * n)
+    _link_rows(model, "ya", "yb", y, edges, tails)
     return model
 
 
@@ -801,6 +811,7 @@ def write_lp(model: MipModel) -> str:
     lines.append("Subject To")
     data, ptr = model._data, model._indptr
     toks = tokens(model._indices, data)
+    text = []  # blocks of joined lines, then the lines after them
     for name, sense, rhs, start, end in zip(model._row_names, model._senses, model._rhs, ptr, ptr[1:]):
         row = expression(toks, data, start, end)
         if len(row) <= 6:
@@ -808,6 +819,12 @@ def write_lp(model: MipModel) -> str:
         else:
             row += (sense, num[rhs])
             lines.extend(_wrap(f" {name}: ", row))
+        if len(lines) >= _BLOCK_LINES:
+            text.append("\n".join(lines))
+            lines.clear()
+    # the final join holds the blocks and the whole text at once, so the
+    # whole-table tokens and the column token tables go first
+    del toks, plus, minus
     kinds = model._kinds
     bounded = [
         f" {num[lb]} <= {name} <= {num[ub]}"
@@ -822,5 +839,6 @@ def write_lp(model: MipModel) -> str:
         lines.append("Binaries")
         for start in range(0, len(binaries), 10):
             lines.append(" " + " ".join(binaries[start : start + 10]))
-    lines += ("End", "")
-    return "\n".join(lines)
+    text += lines
+    text += ("End", "")
+    return "\n".join(text)

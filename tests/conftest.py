@@ -8,9 +8,13 @@ from hypothesis import settings
 
 from cvckit.graph import bipartite_random, gnp_random, is_connected
 
-# `pytest --hypothesis-profile=ci` draws the same examples on every run, so
-# a property test that fails in CI fails the same way locally
+# the default profile, ci, draws the same examples on every run, so a
+# property test that fails in CI fails the same way locally and the
+# suite's wall time compares between runs; `--hypothesis-profile=explore`
+# draws fresh examples instead
 settings.register_profile("ci", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("ci")
 
 
 def connected_gnp(n, p, seed, tries=300):

@@ -29,6 +29,7 @@ from cvckit.oracle import (
     check_cvc,
     max_feasible_stable,
 )
+from cvckit.rng import Xoshiro256
 from tests.conftest import connected_bipartite, connected_gnp
 from tests.test_graph import complete, cycle, path
 from tests.test_oracle import petersen
@@ -72,6 +73,71 @@ class TestAgainstOracle:
             for warm, algorithm in itertools.product((False, True), ("bb", "rds")):
                 report = solve(g, algorithm, warm_start=warm)
                 assert report.cover_size == expected, (g, algorithm, warm)
+
+
+def random_tree(n, seed):
+    """A random recursive tree: each vertex v > 0 hangs from a uniform
+    earlier vertex."""
+    rng = Xoshiro256(seed)
+    return Graph(n, [(int(rng.random() * v), v) for v in range(1, n)])
+
+
+def wheel(n):
+    """W_n: a hub, vertex n - 1, joined to every vertex of C_{n-1}."""
+    return Graph(n, [*cycle(n - 1).edges, *((v, n - 1) for v in range(n - 1))])
+
+
+def cone(g):
+    """G + u: g plus a vertex u = g.n joined to every vertex of g."""
+    return Graph(g.n + 1, [*g.edges, *((v, g.n) for v in range(g.n))])
+
+
+class TestClosedForms:
+    """Optima past the brute-force cap, from closed forms."""
+
+    @staticmethod
+    def assert_optimum(g, expected, label):
+        for algorithm in ("bb", "rds"):
+            report = solve(g, algorithm)
+            assert report.status == "optimal", (label, algorithm)
+            assert report.cover_size == expected, (label, algorithm)
+            assert check_cvc(g, report.cover).valid, (label, algorithm)
+
+    def test_random_trees(self):
+        # a connected vertex cover of a tree with n >= 3 holds every inner
+        # vertex, and the inner vertices are one
+        for n in (3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 500):
+            g = random_tree(n, n)
+            inner = sum(1 for v in range(n) if g.degree(v) > 1)
+            self.assert_optimum(g, inner, f"tree {n}")
+
+    def test_cycles(self):
+        for n in range(3, 61):
+            self.assert_optimum(cycle(n), n - 1, f"C_{n}")
+
+    def test_complete_bipartite(self):
+        # the smaller side and one vertex of the other
+        for a in range(2, 9):
+            for b in range(a, 9):
+                g = Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+                self.assert_optimum(g, a + 1, f"K_{a},{b}")
+
+    def test_wheels(self):
+        # the hub and a vertex cover of the rim C_{n-1}
+        for n in range(4, 40):
+            self.assert_optimum(wheel(n), n - (n - 1) // 2, f"W_{n}")
+
+    def test_cone_adds_one_to_the_vertex_cover(self):
+        # a connected cover of G + u either holds u, and then any vertex
+        # cover of G plus u is connected through u, or holds all n vertices
+        # of G, no fewer than VC(G) + 1
+        for g in (connected_gnp(60, 0.1, 101), connected_gnp(80, 0.1, 101)):
+            self.assert_optimum(cone(g), solve(g, "vc-bb").cover_size + 1, g)
+        # vc-bb needs a connected graph, so G(14, 0.3) draws that may be
+        # disconnected take the brute-force vertex cover
+        for seed in range(1, 9):
+            g = gnp_random(14, 0.3, seed)
+            self.assert_optimum(cone(g), brute_force_vc(g) + 1, f"G(14, 0.3)#{seed}")
 
 
 # test ids name each algorithm by the wrapper function the pinned runs were

@@ -1,5 +1,6 @@
 """LP writer: golden bytes, dialect details, independent re-parse."""
 
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from cvckit.mip import (
     write_lp,
 )
 from cvckit.rng import Xoshiro256
+from tests.conftest import connected_gnp
 from tests.lpcheck import parse_lp
 from tests.test_graph import complete, cycle, path
 
@@ -36,6 +38,17 @@ GOLDENS = [
 ]
 
 
+def large_parb():
+    """build_parb of a connected G(200, 0.05): 7,171 rows, so its text
+    spans more than one of the blocks write_lp joins."""
+    return build_parb(connected_gnp(200, 0.05, 101))
+
+
+# the golden files are all shorter than one block, so the text of
+# large_parb() is pinned by its sha256
+LARGE_PARB_SHA256 = "18d95b983a019a0303e36e2629ab701c55a140320463fe16b48f3aae25ef8b0b"
+
+
 class TestGolden:
     @pytest.mark.parametrize(
         "fname,graph,build", GOLDENS, ids=[f"{f}-graph{i}" for i, (f, _, _) in enumerate(GOLDENS)]
@@ -43,6 +56,10 @@ class TestGolden:
     def test_byte_equal(self, fname, graph, build):
         expected = (GOLDEN / fname).read_bytes()
         assert write_lp(build(graph)).encode("ascii") == expected
+
+    def test_large_text_hash(self):
+        text = write_lp(large_parb()).encode("ascii")
+        assert hashlib.sha256(text).hexdigest() == LARGE_PARB_SHA256
 
 
 class TestDialect:
@@ -142,6 +159,7 @@ class TestIndependentReparse:
         yield build_parb(k33())
         yield build_qr(cycle(5), 0)
         yield build_pstp(complete(4))
+        yield large_parb()
 
     def test_rows_survive_reparse(self):
         for model in self.models():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -300,6 +301,32 @@ class TestMipModel:
             "col_ub": [1.0, 2.5],
             "integrality": [1, 0],
         }
+
+
+class TestFootprint:
+    """Memory guards on build_parb of a connected G(500, 0.02): 5,926
+    columns, 17,759 rows and 55,220 nonzeros."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return build_parb(connected_gnp(500, 0.02, 104))
+
+    def test_one_int_object_per_column(self, model):
+        arrays = model.to_arrays()
+        assert len(set(map(id, arrays["indices"]))) <= len(arrays["c"])
+
+    def test_write_lp_peak_is_below_four_texts(self, model):
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            text = write_lp(model)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 4 * len(text)
 
 
 class TestBuildParb:
