@@ -8,15 +8,7 @@ times are whatever the machine gives.
 
 import time
 
-from cvckit import gnp_random, is_connected, solve
-
-
-def connected_sample(n, p, seed, tries=200):
-    for s in range(seed, seed + tries):
-        g = gnp_random(n, p, s)
-        if is_connected(g):
-            return g, s
-    raise RuntimeError("no connected sample in range")
+from cvckit import first_connected, gnp_random, solve
 
 
 def main():
@@ -24,7 +16,7 @@ def main():
     print(header)
     print("-" * len(header))
     for n, p, seed in [(20, 0.2, 1), (25, 0.15, 2), (30, 0.12, 3), (35, 0.1, 4), (40, 0.1, 5)]:
-        g, used = connected_sample(n, p, seed)
+        g, used = first_connected(gnp_random, (n, p), seed)
         t0 = time.perf_counter()
         a = solve(g, "bb")
         t1 = time.perf_counter()

@@ -12,6 +12,7 @@ from .graph import (
     Graph,
     articulation_points,
     bipartite_random,
+    first_connected,
     gnp_random,
     is_connected,
     parse_dimacs,

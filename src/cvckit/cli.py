@@ -28,8 +28,8 @@ from .errors import CvcKitError, InputError
 from .graph import (
     Graph,
     bipartite_random,
+    first_connected,
     gnp_random,
-    is_connected,
     parse_dimacs,
     write_dimacs,
 )
@@ -38,7 +38,6 @@ from .mip import (
     build_parb,
     build_pstp,
     build_qr,
-    default_roots,
     find_parb_mismatch,
     find_pstp_mismatch,
     write_lp,
@@ -107,18 +106,6 @@ def _instance_name(kind: str, params: tuple, seed: int) -> str:
     return "_".join(["G", GEN_KINDS[kind][2], *map(str, sizes), _pct(p), f"s{seed}"])
 
 
-def _gen_connected(kind: str, params: tuple, seed: int, max_reseeds: int) -> tuple[Graph, int]:
-    """Scan seeds upward from `seed` until the sample is connected."""
-    generate = GEN_KINDS[kind][0]
-    for offset in range(max_reseeds + 1):
-        g = generate(*params, seed + offset)
-        if is_connected(g):
-            return g, seed + offset
-    raise InputError(
-        f"no connected sample within {max_reseeds} reseeds from seed {seed}"
-    )
-
-
 def _cmd_gen(args) -> int:
     if args.count < 1:
         raise InputError(f"--count must be at least 1, got {args.count}")
@@ -134,7 +121,7 @@ def _cmd_gen(args) -> int:
     cursor = args.seed
     for _ in range(args.count):
         if args.connected:
-            g, used = _gen_connected(args.kind, params, cursor, args.max_reseeds)
+            g, used = first_connected(generate, params, cursor, args.max_reseeds)
         else:
             g, used = generate(*params, cursor), cursor
         path = outdir / (_instance_name(args.kind, params, used) + ".col")
@@ -175,8 +162,7 @@ def _cmd_emit(args) -> int:
     elif args.model == "qr":
         if args.root2 is not None:
             raise InputError("the single-root model takes one root")
-        r = args.root if args.root is not None else default_roots(g)[0]
-        model = build_qr(g, r)
+        model = build_qr(g, args.root)
     else:
         model = build_parb(g, args.root, args.root2)
     text = write_lp(model)
@@ -270,7 +256,7 @@ def _cmd_bench(args) -> int:
     # defined on connected graphs, so a spec scans like gen --connected
     instances = []
     for kind, params, seed in specs:
-        g, used = _gen_connected(kind, params, seed, 1000)
+        g, used = first_connected(GEN_KINDS[kind][0], params, seed)
         instances.append((_instance_name(kind, params, used), used, g))
     instances.extend((Path(path).stem, "", _read_graph(path)) for path in args.files)
     if not instances:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 import warnings
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import DimacsError, InputError, SizeCapError
 from .rng import Xoshiro256
@@ -373,21 +373,19 @@ def spanning_tree_count(g: Graph) -> int:
         [g.degree(i) if i == j else -(g.masks[i] >> j & 1) for j in range(1, g.n)]
         for i in range(1, g.n)
     ]
-    sign, prev = 1, 1
+    prev = 1
     for k in range(size):
+        # a zero pivot zeroes its whole row of a Schur complement of the reduced
+        # Laplacian (off-diagonals <= 0, row sums >= 0): the count is 0
         if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, size) if a[i][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
+            return 0
         for i in range(k + 1, size):
             for j in range(k + 1, size):
                 # exact: Bareiss guarantees prev divides the numerator
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         # after the last step prev is the last pivot, the determinant
         prev = a[k][k]
-    return sign * prev
+    return prev
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +484,8 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) from the package's own deterministic stream.
 
     Every unordered pair (i, j), i < j, scanned lexicographically, consumes
-    exactly one float draw and becomes an edge iff draw < p.  The generator
-    never retries for connectivity; callers decide how to handle
-    disconnected samples.
+    exactly one float draw and becomes an edge iff draw < p.  It never
+    retries for connectivity; `first_connected` does.
     """
     if not _is_count(n):
         raise InputError(f"vertex count must be a non-negative int, got {n!r}")
@@ -516,3 +513,19 @@ def bipartite_random(n1: int, n2: int, p: float, seed: int) -> Graph:
     _check_draw(p, seed)
     hits = Xoshiro256(seed).below(n1 * n2, p)
     return Graph(n1 + n2, [(k // n2, n1 + k % n2) for k in hits])
+
+
+def first_connected(
+    generate: Callable[..., Graph], params: tuple, seed: int, max_reseeds: int = 1000
+) -> tuple[Graph, int]:
+    """The first connected `generate(*params, s)` for s = seed, ..., seed +
+    max_reseeds, and its s; InputError when none is or an argument is bad."""
+    if not (callable(generate) and isinstance(params, tuple)):
+        raise InputError(f"generate must be callable and params a tuple, got {generate!r}, {params!r}")
+    if not (isinstance(seed, int) and _is_count(max_reseeds)):
+        raise InputError(f"seed must be an int and max_reseeds one >= 0, got {seed!r}, {max_reseeds!r}")
+    for used in range(seed, seed + max_reseeds + 1):
+        g = generate(*params, used)
+        if is_connected(g):
+            return g, used
+    raise InputError(f"no connected sample within {max_reseeds} reseeds from seed {seed}")

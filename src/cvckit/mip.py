@@ -159,8 +159,8 @@ class MipModel:
             raise InputError(f"duplicate variable name {name!r}")
         if kind == "binary":
             lb, ub = 0.0, 1.0
-        elif not (isinstance(lb, Real) and isinstance(ub, Real) and lb <= ub):
-            raise InputError(f"variable {name!r} needs real bounds lb <= ub, got {lb!r}, {ub!r}")
+        elif not (isinstance(lb, Real) and isinstance(ub, Real) and lb <= ub and lb < inf and ub > -inf):
+            raise InputError(f"variable {name!r} needs real bounds lb <= ub, lb < inf, ub > -inf, got {lb!r}, {ub!r}")
         self._add_columns([name], kind, lb, ub)
 
     def add_constraint(self, name: str, terms, sense: str, rhs: float):
@@ -436,8 +436,8 @@ def build_parb(g: Graph, r: Optional[int] = None, r1: Optional[int] = None) -> M
     return model
 
 
-def build_qr(g: Graph, r: int) -> MipModel:
-    """Single-root arborescence polytope Q_r over g rooted at r.
+def build_qr(g: Graph, r: Optional[int] = None) -> MipModel:
+    """Single-root arborescence polytope Q_r over g rooted at r (default: default_roots(g)[0]).
 
     The two-root model's arborescence rows with every x_v fixed to 1,
     over `arborescence_arcs(g, r)`: unit indegree row per non-root vertex,
@@ -445,6 +445,7 @@ def build_qr(g: Graph, r: int) -> MipModel:
     The feasible binary z are exactly the r-arborescences of g (none when
     g is disconnected); the depth bounds [0, n-1] do not change that.
     """
+    r = default_roots(g)[0] if r is None else r
     arcs = arborescence_arcs(g, r)
     r = vertex_index(g.n, r, "root")
     model = MipModel(metadata={"formulation": "single-root-arborescence", "roots": f"r={r}"})

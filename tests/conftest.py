@@ -6,7 +6,7 @@ Everything is seeded; the corpus is a deterministic function of this file.
 import pytest
 from hypothesis import settings
 
-from cvckit.graph import bipartite_random, gnp_random, is_connected
+from cvckit.graph import bipartite_random, first_connected, gnp_random
 
 # the default profile, ci, draws the same examples on every run, so a
 # property test that fails in CI fails the same way locally and the
@@ -17,21 +17,12 @@ settings.register_profile("explore", derandomize=False)
 settings.load_profile("ci")
 
 
-def connected_gnp(n, p, seed, tries=300):
-    """First connected G(n, p) sample scanning seeds upward."""
-    for offset in range(tries):
-        g = gnp_random(n, p, seed + offset)
-        if is_connected(g):
-            return g
-    raise AssertionError(f"no connected G({n}, {p}) sample near seed {seed}")
+def connected_gnp(n, p, seed):
+    return first_connected(gnp_random, (n, p), seed)[0]
 
 
-def connected_bipartite(n1, n2, p, seed, tries=300):
-    for offset in range(tries):
-        g = bipartite_random(n1, n2, p, seed + offset)
-        if is_connected(g):
-            return g
-    raise AssertionError(f"no connected bipartite sample near seed {seed}")
+def connected_bipartite(n1, n2, p, seed):
+    return first_connected(bipartite_random, (n1, n2, p), seed)[0]
 
 
 def small_corpus(count=500, base_seed=1000):

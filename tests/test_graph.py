@@ -19,6 +19,7 @@ from cvckit.graph import (
     bipartite_random,
     bits_of,
     dfs_tree,
+    first_connected,
     gnp_random,
     grow_piece,
     is_connected,
@@ -400,6 +401,8 @@ class TestDimacs:
             ("p edge 2 1\ne 2 2\n", "self-loop"),
             ("p edge 2 1\nq 1 2\n", "unknown line type"),
             ("c only comments\n", "no problem line"),
+            ("p edge -1 0\n", "negative counts"),
+            ("p edge 2 1\ne 1 x\n", "malformed edge"),
         ],
     )
     def test_structural_errors(self, text, match):
@@ -492,6 +495,31 @@ class TestGenerators:
     def test_bad_draw_arguments_raise_input_error(self, draw, match):
         with pytest.raises(InputError, match=match):
             draw()
+
+    def test_first_connected_scans_seeds_upward(self):
+        # G(30, 0.1): the draws from seeds 1-3 are disconnected, 4 is not
+        assert [is_connected(gnp_random(30, 0.1, s)) for s in range(1, 5)] == [
+            False, False, False, True,
+        ]
+        assert first_connected(gnp_random, (30, 0.1), 1) == (gnp_random(30, 0.1, 4), 4)
+        assert first_connected(gnp_random, (30, 0.1), 4, 0) == (gnp_random(30, 0.1, 4), 4)
+        g, used = first_connected(bipartite_random, (10, 12, 0.3), 5)
+        assert used == 7 and g == bipartite_random(10, 12, 0.3, 7)
+        # one vertex counts as connected
+        assert first_connected(gnp_random, (1, 0.0), 9) == (Graph(1), 9)
+
+    def test_first_connected_runs_out_of_reseeds(self):
+        seeds = []
+
+        def draw(n, p, seed):
+            seeds.append(seed)
+            return gnp_random(n, p, seed)
+
+        with pytest.raises(InputError, match="no connected sample within 3 reseeds from seed 1$"):
+            first_connected(draw, (5, 0.0), 1, 3)
+        assert seeds == [1, 2, 3, 4]
+        with pytest.raises(InputError, match="within 1000 reseeds from seed -2$"):
+            first_connected(gnp_random, (5, 0), -2)
 
     def test_gnp_density(self):
         g = gnp_random(60, 0.25, 11)

@@ -11,7 +11,7 @@ import pytest
 from cvckit.bb import solve
 from cvckit.mip import build_parb, check_integer_point, default_roots
 from cvckit.oracle import brute_force_cvc, check_cvc
-from tests.conftest import connected_gnp
+from tests.conftest import connected_bipartite, connected_gnp
 from tests.test_graph import complete, cycle, path
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -60,7 +60,22 @@ def test_parb_optimum_matches_brute_force(g):
     _check(g, size, r1, r)
 
 
-@pytest.mark.parametrize("n,p,seed", [(20, 0.2, 6), (25, 0.15, 7), (30, 0.1, 8), (30, 0.2, 9)])
-def test_parb_optimum_matches_branch_and_bound(n, p, seed):
-    g = connected_gnp(n, p, seed)
-    _check(g, solve(g, "bb").cover_size)
+# past brute force: both searches against HiGHS, up to n = 40, where
+# HiGHS takes up to about a second and either search a few milliseconds
+MIDSIZE = {
+    "20-0.2-6": connected_gnp(20, 0.2, 6),
+    "25-0.15-7": connected_gnp(25, 0.15, 7),
+    "30-0.1-8": connected_gnp(30, 0.1, 8),
+    "30-0.2-9": connected_gnp(30, 0.2, 9),
+    "40-0.1-11": connected_gnp(40, 0.1, 11),
+    "40-0.15-12": connected_gnp(40, 0.15, 12),
+    "35-0.2-13": connected_gnp(35, 0.2, 13),
+    "bip-20-20-0.2-14": connected_bipartite(20, 20, 0.2, 14),
+}
+
+
+@pytest.mark.parametrize("g", MIDSIZE.values(), ids=MIDSIZE.keys())
+def test_parb_optimum_matches_branch_and_bound(g):
+    size = solve(g, "bb").cover_size
+    assert solve(g, "rds").cover_size == size
+    _check(g, size)

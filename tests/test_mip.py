@@ -16,6 +16,7 @@ from cvckit.graph import (
     Graph,
     articulation_points,
     dfs_tree,
+    first_connected,
     gnp_random,
     is_connected,
     max_degree_vertex,
@@ -103,6 +104,11 @@ BAD_ARGUMENT_CALLS = {
     "MipModel-list": lambda: MipModel([1]),
     "solve-str-prune-log": lambda: solve(path(4), prune_log="x"),
     "solve-tuple-prune-log": lambda: solve(path(4), prune_log=()),
+    "first_connected-str-generate": lambda: first_connected("gnp", (5, 0.5), 1),
+    "first_connected-list-params": lambda: first_connected(gnp_random, [5, 0.5], 1),
+    "first_connected-float-seed": lambda: first_connected(gnp_random, (5, 0.5), 1.0),
+    "first_connected-negative-reseeds": lambda: first_connected(gnp_random, (5, 0.5), 1, -1),
+    "first_connected-float-reseeds": lambda: first_connected(gnp_random, (5, 0.5), 1, 2.0),
 }
 
 
@@ -204,6 +210,10 @@ class TestArborescenceArcs:
     def test_default_roots_tiebreak(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)])  # degrees 2,3,2,1
         assert default_roots(g) == (1, 0)  # highest-degree neighbor, low index
+        # build_qr roots at the first default root unless given one
+        assert write_lp(build_qr(g)) == write_lp(build_qr(g, default_roots(g)[0]))
+        with pytest.raises(InputError, match="at least one edge"):
+            build_qr(Graph(2))
 
 
 class TestMipModel:
@@ -233,8 +243,11 @@ class TestMipModel:
                 model.add_constraint("row3", terms, "<=", rhs)
         with pytest.raises(InputError, match="not a finite real"):
             model.set_objective(((math.nan, "x_0"),))
-        for lb, ub in [(2.0, 1.0), (math.nan, 1.0), (0.0, math.nan), ("0", 1.0)]:
-            with pytest.raises(InputError, match="needs real bounds"):
+        for lb, ub in [
+            (2.0, 1.0), (math.nan, 1.0), (0.0, math.nan), ("0", 1.0),
+            (math.inf, math.inf), (-math.inf, -math.inf),
+        ]:
+            with pytest.raises(InputError, match="variable 't' needs real bounds"):
                 model.add_variable("t", "continuous", lb, ub)
         # names that LP text cannot carry as one token
         for name in ["", "a b", "a\tb", "a:b", "1a", ".a", "+a", "-a", 5, None]:
