@@ -15,21 +15,16 @@ search splits V into one mask per degree, highest degree first, and
 branches on the lowest bit of the first of these levels that meets U: the
 candidate of highest degree, ties by lowest index.
 
-The include child's candidates rarely need a cut-vertex pass.  Let
-W = U - v - N(v) and let N be v's neighbours in G - S - v.  A u in W is
-not a cut vertex of G - S (the node invariant) and is not adjacent to v,
-so G - S - u is connected and each component of G - S - v - u holds a
-vertex of N: u is a cut vertex of G - S - v exactly when deleting u
-splits N.  Hence if N lies in one component of (G - S - v) - W, no
-vertex of W is cut and the child's candidates are W itself.
-include_candidates tests this with a BFS (grow_piece) from one vertex of
-N in (G - S - v) - W that stops once it has reached all of N.  When it
-does not, it has grown that vertex's whole component of (G - S - v) - W
-and the component's neighbour union, and the pass that follows
-(articulation_points_mask) looks for cut vertices in W only.  It starts
-from the component the BFS grew, as one DFS node: contracting a
-connected set that holds no vertex of W does not change whether a vertex
-of W is a cut vertex.
+The include child's candidates need no cut-vertex pass.  Let
+W = U - v - N(v) and N = N(v), all in H = G - S - v as S is stable.  A u
+in W is not a cut vertex of G - S (the node invariant) and is not
+adjacent to v, so G - S - u is connected and each component of H - u
+holds a vertex of N: u is a cut vertex of H exactly when deleting u
+splits N.  include_candidates drops those u by group testing this join
+(graph.splitters).  If N is joined in H - X, no vertex of X is cut; a
+single vertex whose test fails is.  The first test is of X = W, so a
+child whose W holds no cut vertex costs one BFS, and a failed part is
+halved, each half continuing the BFS its parent grew.
 
 The whole search is one function, solve(g, algorithm, ...).  It picks
 the bound once from the input, builds the roots of one of three
@@ -62,11 +57,11 @@ from .graph import (
     VertexSet,
     articulation_points_mask,
     dfs_tree,
-    grow_piece,
     mask_to_set,
     max_degree_vertex,
     require,
     set_to_mask,
+    splitters,
 )
 from .oracle import check_cvc
 
@@ -117,17 +112,14 @@ def include_candidates(masks: tuple[int, ...], live: int, rmask: int, v: int) ->
     live is G - S - v, the child's remaining graph; rmask is the node's
     candidates without v, and must hold no cut vertex of G - S.  The
     child keeps the non-neighbours W of v in rmask that are not cut
-    vertices of G - S - v.  The cut-vertex pass runs only when v's
-    neighbours, all in G - S - v as S is stable, are not joined in
-    G - S - v - W; it then reuses the piece the failed join test grew and
-    looks for cut vertices in W only (see the module docstring).
+    vertices of G - S - v.  Under that invariant a u in W is one exactly
+    when deleting it splits v's neighbours in G - S - v, so the cut
+    vertices of W are its splitters of masks[v] (see the module
+    docstring).
     """
     w = rmask & ~masks[v]
     if w:
-        nbrs = masks[v]
-        grown = grow_piece(masks, nbrs & -nbrs, live & ~w, nbrs)
-        if nbrs & ~grown[0]:
-            w &= ~articulation_points_mask(masks, live, w, grown)
+        w &= ~splitters(masks, live, w, masks[v])
     return w
 
 

@@ -114,16 +114,17 @@ def _cmd_gen(args) -> int:
     generate, names, _ = GEN_KINDS[args.kind]
     params = tuple(getattr(args, name) for name in names)
     outdir = Path(args.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot create {outdir}: {exc}") from exc
     cursor = args.seed
     for _ in range(args.count):
         if args.connected:
             g, used = first_connected(generate, params, cursor, args.max_reseeds)
         else:
             g, used = generate(*params, cursor), cursor
+        # made once a graph is in hand, so a refused draw leaves no directory
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create {outdir}: {exc}") from exc
         path = outdir / (_instance_name(args.kind, params, used) + ".col")
         _write_text(path, write_dimacs(g))
         print(path)

@@ -186,52 +186,78 @@ def bfs_forest(
     return parent, roots
 
 
-def articulation_points_mask(
-    masks: tuple[int, ...],
-    live: int,
-    among: int = -1,
-    start: Optional[tuple[int, int]] = None,
-) -> int:
-    """Cut vertices of the induced subgraph selected by `live` that lie in
-    `among` (default: every vertex), as a mask.
+def splitters(masks: tuple[int, ...], live: int, group: int, target: int) -> int:
+    """The vertices of `group` whose deletion from the `live` induced
+    subgraph splits `target` into more than one piece, as a mask.
+
+    target (non-empty) and group are disjoint subsets of live.  Adaptive
+    group testing on the join test "is target joined in live - X?", a BFS
+    from the lowest target vertex that stops once it covers target.  A
+    passed test clears every u in X, since live - u holds live - X; a
+    failed one halves X at its middle bit position, and a single vertex
+    whose test fails is a splitter.  The first test is of X = group, and a
+    half's BFS goes on from the piece its parent grew, which stays
+    connected when fewer vertices are deleted.
+    """
+    cut = 0
+    seed = target & -target
+    # each entry: (part X, the vertices of live - X the BFS has not
+    # reached, the neighbour union of the piece it has)
+    stack = [(group, live & ~(group | seed), masks[seed.bit_length() - 1])]
+    while stack:
+        part, rest, reach = stack.pop()
+        frontier = reach & rest
+        while frontier:
+            rest ^= frontier
+            if not target & rest:
+                break
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & rest
+        else:
+            # the BFS ran out: every vertex of the piece is expanded
+            if target & rest:
+                if part & (part - 1):
+                    # part's lowest and highest bits fall on either side
+                    mid = ((part & -part).bit_length() + part.bit_length()) >> 1
+                    low_half = part & ((1 << mid) - 1)
+                    high_half = part ^ low_half
+                    stack.append((high_half, rest | low_half, reach))
+                    stack.append((low_half, rest | high_half, reach))
+                else:
+                    cut |= part
+    return cut
+
+
+def articulation_points_mask(masks: tuple[int, ...], live: int) -> int:
+    """Cut vertices of the induced subgraph selected by `live`, as a mask.
 
     One DFS per connected component, so the result is meaningful for
-    disconnected subgraphs too.  `start`, a (piece, reach) pair as
-    grow_piece returns it for one whole piece of live - among, is taken
-    as the first root and one DFS node: a connected set that holds no
-    vertex of among can be contracted without changing whether any vertex
-    of among is a cut vertex.  Every other vertex is a node of its own.
-
-    Every non-tree edge of an undirected DFS joins a node to an ancestor,
-    so a non-root u is a cut vertex iff some child's subtree has a
-    neighbour union (`reach`, the OR of its masks) that misses every
-    proper ancestor of u; the root is one iff it has two or more children.
-    The DFS enters and leaves each node once, so a call costs O(n)
-    big-int operations, with no per-edge step.
+    disconnected subgraphs too.  Every non-tree edge of an undirected DFS
+    joins a vertex to an ancestor, so a non-root u is a cut vertex iff some
+    child's subtree has a neighbour union (`reach`, the OR of its masks)
+    that misses every proper ancestor of u; the root is one iff it has two
+    or more children.  The DFS enters and leaves each vertex once, so a
+    call costs O(n) big-int operations, with no per-edge step.
     """
     art = 0
     unvisited = live
     while unvisited:
-        if start is not None:
-            vbit, vmask = start
-            start = None
-        else:
-            vbit = unvisited & -unvisited
-            vmask = masks[vbit.bit_length() - 1]
+        vbit = path = unvisited & -unvisited
         unvisited ^= vbit
-        path = vbit
-        reach = vmask
-        # the current node's ancestors: (bits, mask, reach of subtree so far)
+        vmask = reach = masks[vbit.bit_length() - 1]
+        # the current vertex's ancestors: (bit, mask, reach of subtree so far)
         frames = []
         while True:
             nxt = vmask & unvisited
             if nxt:
                 frames.append((vbit, vmask, reach))
                 vbit = nxt & -nxt
-                vmask = masks[vbit.bit_length() - 1]
                 unvisited ^= vbit
                 path |= vbit
-                reach = vmask
+                vmask = reach = masks[vbit.bit_length() - 1]
                 continue
             path ^= vbit
             if not frames:
@@ -239,7 +265,7 @@ def articulation_points_mask(
             vbit, vmask, parent_reach = frames.pop()
             # with no frames left vbit is the root, which has no proper
             # ancestor: it has a second child iff a neighbour is unvisited
-            if vbit & among and not reach & path & ~vbit and (frames or vmask & unvisited):
+            if not reach & path & ~vbit and (frames or vmask & unvisited):
                 art |= vbit
             reach |= parent_reach
     return art

@@ -1,6 +1,7 @@
 """Branch-and-bound solvers: oracle agreement, pruning safety, settings."""
 
 import itertools
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -22,6 +23,7 @@ from cvckit.graph import (
     gnp_random,
     grow_piece,
     mask_to_set,
+    splitters,
 )
 from cvckit.oracle import (
     brute_force_cvc,
@@ -317,19 +319,37 @@ class TestEngineBehavior:
         assert (report.status, report.best_bound) == ("time_limit", bound)
 
     @pytest.mark.parametrize(
-        "algorithm,nodes,passes", [("bb", 1557, 163), ("rds", 816, 46)], ids=solver_id
+        "algorithm,nodes,passes,calls,tests",
+        [("bb", 1557, 1, 768, 1386), ("rds", 816, 1, 423, 533)],
+        ids=solver_id,
     )
-    def test_cut_pass_calls(self, monkeypatch, algorithm, nodes, passes):
-        # the include step skips the cut-vertex pass when v's neighbours stay
-        # joined; before the skip these runs made 779 and 439 passes
-        calls = []
+    def test_cut_pass_calls(self, monkeypatch, algorithm, nodes, passes, calls, tests):
+        # the cut-vertex pass runs once, on G at the roots; each include
+        # step with candidates left calls splitters instead, which runs one
+        # group test per pop of its stack (the profiler sees each list.pop)
+        passes_seen, calls_seen, pops = [], [], []
+
+        def on_event(frame, event, arg):
+            if event == "c_call" and getattr(arg, "__name__", "") == "pop":
+                pops.append(arg)
+
+        def counted(*args):
+            calls_seen.append(args)
+            sys.setprofile(on_event)
+            try:
+                return splitters(*args)
+            finally:
+                sys.setprofile(None)
+
         original = bb_module.articulation_points_mask
         monkeypatch.setattr(
             bb_module, "articulation_points_mask",
-            lambda masks, live, *rest: calls.append(live) or original(masks, live, *rest),
+            lambda masks, live: passes_seen.append(live) or original(masks, live),
         )
+        monkeypatch.setattr(bb_module, "splitters", counted)
         report = solve(connected_gnp(60, 0.1, 101), algorithm)
-        assert (report.node_count, len(calls)) == (nodes, passes)
+        assert (report.node_count, len(passes_seen), len(calls_seen), len(pops)) == (
+            nodes, passes, calls, tests)
 
     @pytest.mark.parametrize(
         "graph,algorithm,nodes,calls,fresh",

@@ -53,11 +53,13 @@ class TestGen:
         assert name == "G_gnp_12_030_s6.col"
 
     def test_connected_scan_runs_out(self, tmp_path, capsys):
-        # every draw of G(5, 0) is edgeless
+        # every draw of G(5, 0) is edgeless; no --out directory is made
+        outdir = tmp_path / "none"
         code, out, err = run_cli(capsys, "gen", "gnp", "--n", "5", "--p", "0", "--seed", "1",
-                                 "--connected", "--out", str(tmp_path))
+                                 "--connected", "--out", str(outdir))
         assert code == 3 and out == ""
         assert err == "error: no connected sample within 1000 reseeds from seed 1\n"
+        assert not outdir.exists()
 
     def test_bipartite_and_bad_probability(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "gen", "bipartite", "--n1", "3", "--n2", "4",

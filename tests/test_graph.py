@@ -28,6 +28,7 @@ from cvckit.graph import (
     parse_dimacs,
     set_to_mask,
     spanning_tree_count,
+    splitters,
     write_dimacs,
 )
 from cvckit.rng import Xoshiro256
@@ -314,12 +315,16 @@ class TestArticulation:
         )
         assert articulation_points_mask(g.masks, live) == naive
 
+
+class TestSplitters:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_contracted_pass_matches_full_pass(self, data):
-        # the pieces of live - among are contracted, so only cut vertices
-        # in among are reported; a start piece is one such piece grown
-        # beforehand, as the include step grows it
+    def test_matches_full_cut_pass(self, data):
+        # G is the component of vertex 0 in a G(n, p) or bipartite draw; S
+        # grows by random include steps, each after an optional exclude step
+        # that thins the candidates.  At each step the splitters of v's
+        # neighbours among the candidates W are the cut vertices of
+        # G - S - v in W
         n = data.draw(st.integers(1, 40), label="n")
         p = data.draw(st.floats(0.05, 0.5), label="p")
         seed = data.draw(st.integers(0, 2**32), label="seed")
@@ -327,15 +332,42 @@ class TestArticulation:
             g = bipartite_random(n // 2, n - n // 2, p, seed)
         else:
             g = gnp_random(n, p, seed)
-        live = data.draw(st.integers(0, g.full_mask()) | st.just(g.full_mask()), label="live")
-        among = live & data.draw(st.integers(0, live), label="among")
-        expected = articulation_points_mask(g.masks, live) & among
-        assert articulation_points_mask(g.masks, live, among) == expected
-        rest = live & ~among
-        if rest:
-            v = data.draw(st.sampled_from(list(bits_of(rest))), label="start")
-            start = grow_piece(g.masks, 1 << v, rest)
-            assert articulation_points_mask(g.masks, live, among, start) == expected
+        live = grow_piece(g.masks, 1, g.full_mask())[0]
+        umask = live & ~articulation_points_mask(g.masks, live)
+        # a lone vertex 0 has no neighbours to split
+        while umask and live != 1:
+            v = data.draw(st.sampled_from(list(bits_of(umask))), label="v")
+            rmask = umask & ~(1 << v)
+            if data.draw(st.booleans(), label="thin"):
+                rmask &= data.draw(st.integers(0, rmask), label="kept")
+            live &= ~(1 << v)
+            group = rmask & ~g.masks[v]
+            cut = splitters(g.masks, live, group, g.masks[v])
+            assert cut == articulation_points_mask(g.masks, live) & group
+            umask = group & ~cut
+
+    def test_by_hand(self):
+        # including 0 in a cycle leaves the path 1..n-1, whose inner
+        # vertices all split 0's neighbours 1 and n - 1
+        g = cycle(8)
+        assert splitters(g.masks, 0b11111110, 0b01111100, g.masks[0]) == 0b01111100
+        assert splitters(g.masks, 0b11111110, 0b00101000, g.masks[0]) == 0b00101000
+        # in the whole cycle each deletion leaves a path: 0 and 4 stay
+        # joined, though deleting the whole group splits them
+        assert splitters(g.masks, g.full_mask(), 0b11101110, 0b10001) == 0
+        # one-vertex groups: deleting 1 leaves the cycle's other side
+        assert splitters(g.masks, g.full_mask(), 0b10, 0b101) == 0
+        g = path(5)  # 0-1-2-3-4
+        assert splitters(g.masks, g.full_mask(), 0b100, 0b10001) == 0b100
+        assert splitters(g.masks, g.full_mask(), 0b1110, 0b10001) == 0b1110
+        # the group may lie off every path between the targets
+        assert splitters(g.masks, g.full_mask(), 0b11000, 0b111) == 0
+        # a one-vertex target is always joined, an empty group never split
+        assert splitters(g.masks, g.full_mask(), 0b11100, 0b1) == 0
+        assert splitters(g.masks, g.full_mask(), 0, 0b10001) == 0
+        # a target already split in live has every vertex of the group as
+        # a splitter
+        assert splitters(g.masks, 0b11011, 0b10, 0b10001) == 0b10
 
 
 class TestOperations:
