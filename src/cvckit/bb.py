@@ -56,6 +56,7 @@ from .graph import (
     Graph,
     VertexSet,
     articulation_points_mask,
+    bits_of,
     dfs_tree,
     mask_to_set,
     max_degree_vertex,
@@ -137,16 +138,18 @@ def greedy_cvc_2approx(g: Graph) -> VertexSet:
     Returns the internal (non-leaf) vertices of a depth-first spanning tree
     rooted at a maximum-degree vertex (ties by lowest index).  Every edge
     touches an internal vertex, and the internal vertices form a subtree,
-    hence a connected cover.
+    hence a connected cover.  Accepts n >= 1: the one-vertex tree has no
+    internal vertex, and the empty cover is the optimum of K1.
     """
-    require(g, "greedy_cvc_2approx", min_n=2, connected=True)
+    require(g, "greedy_cvc_2approx", connected=True)
     tree = dfs_tree(g, max_degree_vertex(g, g.full_mask()))
     return frozenset(parent for parent, _ in tree)
 
 
-def _roots(g: Graph, algorithm: str) -> list:
+def _roots(g: Graph, algorithm: str, levels: list[int]) -> list:
     """The (S, |S|, U, None) stack entries one algorithm starts from, in
-    the order they are searched; see solve."""
+    the order they are searched; see solve.  levels is solve's branch
+    order, one vertex mask per degree, highest degree first."""
     full = g.full_mask()
     if algorithm == "vc-bb":
         return [(0, 0, full, None)]
@@ -156,7 +159,8 @@ def _roots(g: Graph, algorithm: str) -> list:
         return [(0, 0, full & ~cut, None)]
     roots = []
     later = 0  # the non-cut vertices after v in the degree order
-    for v in sorted(range(g.n), key=lambda v: (-g.masks[v].bit_count(), v), reverse=True):
+    # the branch order backwards: the smallest suffix v_n comes first
+    for v in reversed([v for level in levels for v in bits_of(level)]):
         if cut >> v & 1:
             continue
         # a cut vertex of G not adjacent to v stays one in G - v, so
@@ -188,7 +192,9 @@ def solve(
     - "vc-bb": minimum plain vertex cover; the same search with no
       cut-vertex filtering, so covers may induce anything.
 
-    time_limit is in wall-clock seconds; None or inf means no limit.
+    time_limit is in wall-clock seconds from the call, set-up included
+    (the warm start, the root cut-vertex pass and the rds roots); None or
+    inf means no limit.
     warm_start, a bool, seeds the incumbent with the complement of
     greedy_cvc_2approx.  prune_log, a list, gets a (stable_mask,
     candidate_mask, incumbent_size) triple for each bound-test prune.
@@ -201,9 +207,7 @@ def solve(
     """
     _validate(g, algorithm, time_limit, warm_start, prune_log)
     t0 = time.perf_counter()
-    if g.n == 1:
-        # one isolated vertex: the empty cover is valid, S = {0}
-        return SolveReport(frozenset(), 0, 0, time.perf_counter() - t0, "optimal", 1, algorithm)
+    deadline = None if time_limit is None else t0 + time_limit
     connected = algorithm != "vc-bb"
     masks, full = g.masks, g.full_mask()
     # read per solve, not at import: bench/tracing.py and the tests patch
@@ -215,19 +219,13 @@ def solve(
     for v in range(g.n):
         by_degree[masks[v].bit_count()] |= 1 << v
     levels = [level for level in reversed(by_degree) if level]
-    best_mask = best_size = 0
-    if warm_start:
-        best_mask = full & ~set_to_mask(greedy_cvc_2approx(g))
-        best_size = best_mask.bit_count()
-        assert _feasible(g, best_mask, connected), "warm start is no feasible stable set"
-    roots = _roots(g, algorithm)
-    # a root's S is feasible too; only the first rds root (|S| = 1) can
-    # beat an incumbent, as at the start of its search
-    for smask, ssize, _, _ in roots:
-        if ssize > best_size:
-            assert _feasible(g, smask, connected), "root is no feasible stable set"
-            best_mask, best_size = smask, ssize
-    deadline = None if time_limit is None else time.perf_counter() + time_limit
+    roots = _roots(g, algorithm, levels)
+    warm = [full & ~set_to_mask(greedy_cvc_2approx(g))] if warm_start else []
+    # a root's S is feasible too; max keeps the first of equal sizes, so
+    # the warm start wins ties and a cold rds starts from its first root
+    best_mask = max(warm + [smask for smask, _, _, _ in roots], key=int.bit_count)
+    best_size = best_mask.bit_count()
+    assert _feasible(g, best_mask, connected), "incumbent seed is no feasible stable set"
     # the roots go on the stack in reverse, so each root's subtree is
     # drained before the next root is popped
     stack = roots[::-1]

@@ -22,9 +22,9 @@ is one bitmask per degree, never cleared as vertices are placed, and a
 class whose candidates narrow to one vertex takes it without a search.
 
 The matching is carried down the search the same way, as a
-`CachedMatching`, and repaired rather than rebuilt.  From scratch it is a
-greedy matching in index order followed by one bitmask BFS for an
-augmenting path from each vertex still free: by Berge's lemma a vertex
+`CachedMatching`, and repaired rather than rebuilt.  From scratch it is
+one bitmask BFS for an augmenting path from each vertex still free, in
+index order from the empty matching: by Berge's lemma a vertex
 with no augmenting path never gains one as others augment, so one pass
 gives a maximum matching.  Given a maximum matching on a superset of U,
 removed vertices that are free, and matched pairs removed whole, are
@@ -229,15 +229,8 @@ def bipartite_alpha(
     if cache is None:
         mate = [0] * len(masks)
         matched = 0
-        for v in bits_of(umask):
-            if not matched >> v & 1:
-                cand = masks[v] & umask & ~matched
-                if cand:
-                    w = (cand & -cand).bit_length() - 1
-                    mate[v], mate[w] = w, v
-                    matched |= 1 << v | 1 << w
         # Berge: a vertex with no augmenting path never gains one later
-        for r in bits_of(umask & ~matched):
+        for r in bits_of(umask):
             if not matched >> r & 1:  # not the far end of an earlier path
                 end = _augment(masks, umask, mate, matched, r)
                 if end >= 0:

@@ -221,10 +221,15 @@ class TestEngineBehavior:
                 assert best_inside <= incumbent, (algorithm, seed, smask, umask)
 
     def test_single_vertex(self):
-        for algorithm in ("bb", "rds", "vc-bb"):
-            report = solve(Graph(1), algorithm)
+        # K1 takes the general path: the warm start (or the cold rds root)
+        # is S = {0}, and a cold bb or vc-bb branches once on vertex 0
+        nodes = {("bb", True): 1, ("bb", False): 3, ("rds", True): 1, ("rds", False): 1,
+                 ("vc-bb", True): 1, ("vc-bb", False): 3}
+        for (algorithm, warm), count in nodes.items():
+            report = solve(Graph(1), algorithm, warm_start=warm)
             assert report.cover == frozenset() and report.cover_size == 0
-            assert report.status == "optimal"
+            assert (report.status, report.best_bound, report.node_count) == (
+                "optimal", 1, count), (algorithm, warm)
 
     def test_input_validation(self):
         with pytest.raises(InputError):
@@ -357,8 +362,8 @@ class TestEngineBehavior:
             (("gnp", 60, 0.1, 101), "bb", 1557, 1537, 637),
             (("gnp", 60, 0.1, 101), "rds", 816, 787, 342),
             (("gnp", 60, 0.1, 101), "vc-bb", 1031, 1011, 437),
-            (("bip", 30, 30, 0.2, 11), "bb", 11487, 11460, 761),
-            (("bip", 30, 30, 0.2, 11), "rds", 6640, 6473, 1695),
+            (("bip", 30, 30, 0.2, 11), "bb", 11487, 11460, 749),
+            (("bip", 30, 30, 0.2, 11), "rds", 6640, 6473, 1689),
             (("bip", 30, 30, 0.2, 11), "vc-bb", 61, 59, 12),
         ],
         ids=solver_id,
@@ -384,6 +389,24 @@ class TestEngineBehavior:
         assert {name for name, _ in seen} == {expected}
         assert (report.node_count, len(seen), sum(new for _, new in seen)) == (
             nodes, calls, fresh)
+
+    @pytest.mark.parametrize("algorithm", ["bb", "rds"], ids=solver_id)
+    def test_time_limit_counts_the_set_up(self, monkeypatch, algorithm):
+        # the limit runs from the call: when building the roots alone
+        # outlasts it, the search pops nothing and still bounds the roots
+        now = [0.0]
+        monkeypatch.setattr(bb_module, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        original = bb_module._roots
+
+        def slow_roots(*args):
+            now[0] += 10
+            return original(*args)
+
+        monkeypatch.setattr(bb_module, "_roots", slow_roots)
+        g = connected_gnp(60, 0.1, 101)
+        report = solve(g, algorithm, time_limit=5)
+        assert (report.status, report.node_count) == ("time_limit", 0)
+        assert report.best_bound >= g.n - 37  # the optimum cover is 37
 
     def test_generous_limit_still_optimal(self):
         g = connected_gnp(10, 0.4, 2)
@@ -455,7 +478,8 @@ class TestGreedyApprox:
         assert greedy_cvc_2approx(path(6)) == frozenset({1, 2, 3, 4})
         star = Graph(5, [(0, i) for i in range(1, 5)])
         assert greedy_cvc_2approx(star) == frozenset({0})
-        with pytest.raises(InputError):
-            greedy_cvc_2approx(Graph(1))
+        # a one-vertex DFS tree has no inner vertex; the empty cover is K1's
+        # optimum
+        assert greedy_cvc_2approx(Graph(1)) == frozenset()
         with pytest.raises(InputError):
             greedy_cvc_2approx(Graph(3, [(0, 1)]))

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from cvckit.bb import ALGORITHMS
+from cvckit.bb import ALGORITHMS, SolveReport
 from cvckit.cli import main
 from cvckit.graph import parse_dimacs, write_dimacs
 from cvckit.mip import build_parb, build_pstp, build_qr, default_roots, write_lp
@@ -191,6 +191,9 @@ class TestEmit:
         code, _, err = run_cli(capsys, "emit", str(path), "--model", "pstp",
                                "--root", "0")
         assert code == 3 and "no roots" in err
+        code, _, err = run_cli(capsys, "emit", str(path), "--model", "qr",
+                               "--root", "0", "--root2", "1")
+        assert code == 3 and "takes one root" in err
 
     def test_unwritable_output(self, instance, tmp_path, capsys):
         _, path = instance
@@ -331,7 +334,7 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", "--gnp", "8,0.4,3", "-o", str(target))
         assert code == 3 and out == "" and err.startswith("error: cannot write")
 
-    def test_vc_column_is_the_optimum(self, capsys):
+    def test_vc_bb_row_is_the_optimum(self, capsys):
         # n = 40 is past the brute-force cap; the vc-bb row is its own solve
         code, out, _ = run_cli(capsys, "bench", "--gnp", "40,0.1,1", "--algorithm", "vc-bb")
         assert code == 0
@@ -339,7 +342,7 @@ class TestBench:
         assert (row["n"], row["algorithm"], row["cover"], row["status"]) == (
             "40", "vc-bb", "23", "optimal")
 
-    def test_vc_column_empty_at_time_limit(self, capsys):
+    def test_vc_bb_row_at_time_limit(self, capsys):
         # the solve stops at once: its row says so, and its cover is only
         # an incumbent, no smaller than the optimum 23
         code, out, _ = run_cli(capsys, "bench", "--gnp", "40,0.1,1", "--algorithm", "vc-bb",
@@ -347,6 +350,21 @@ class TestBench:
         assert code == 0
         (row,) = csv.DictReader(io.StringIO(out))
         assert row["status"] == "time_limit" and int(row["cover"]) >= 23
+
+    def test_node_counts_varied_across_repeats(self, capsys, monkeypatch):
+        # the solver is deterministic, so a repeat that visits another
+        # number of nodes is warned about; the row reports the maximum
+        counts = iter([5, 7])
+        monkeypatch.setattr(
+            "cvckit.cli.solve",
+            lambda g, algorithm, time_limit: SolveReport(
+                frozenset(), 0, next(counts), 0.0, "optimal", 0, algorithm),
+        )
+        with pytest.warns(UserWarning, match="node counts varied"):
+            code, out, _ = run_cli(capsys, "bench", "--gnp", "8,0.4,3", "--repeats", "2")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert row["nodes"] == "7"
 
     def test_bad_specs(self, capsys):
         code, _, err = run_cli(capsys, "bench")
