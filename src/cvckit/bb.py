@@ -28,8 +28,9 @@ halved, each half continuing the BFS its parent grew.
 
 The whole search is one function, solve(g, algorithm, ...).  It picks
 the bound once from the input, builds the roots of one of three
-algorithms as plain stack entries, and drains them from one stack with
-its state in locals.  The algorithms are "bb" (a single root), "rds"
+algorithms as plain stack entries, and drains them from one stack, one
+node per pop; a split pushes its include child last, so the search dives
+depth first.  The algorithms are "bb" (a single root), "rds"
 (russian doll search: one restricted root per vertex, smallest
 subproblem first, the incumbent carried across), and "vc-bb"
 (connectivity pruning disabled, yielding a classical maximum-stable-set
@@ -73,8 +74,8 @@ class SolveReport:
 
     best_bound is on the stable-set side: the proven optimum when status
     is "optimal", otherwise the best upper bound still open at timeout.
-    node_count counts every (S, U) pair the search visits (stack pops plus
-    include descents).
+    node_count counts every (S, U) pair the search visits, one per stack
+    pop.
     """
 
     cover: VertexSet
@@ -193,8 +194,8 @@ def solve(
       cut-vertex filtering, so covers may induce anything.
 
     time_limit is in wall-clock seconds from the call, set-up included
-    (the warm start, the root cut-vertex pass and the rds roots); None or
-    inf means no limit.
+    (the warm start, the root cut-vertex pass and the rds roots), and the
+    clock is read before every node; None or inf means no limit.
     warm_start, a bool, seeds the incumbent with the complement of
     greedy_cvc_2approx.  prune_log, a list, gets a (stable_mask,
     candidate_mask, incumbent_size) triple for each bound-test prune.
@@ -219,16 +220,11 @@ def solve(
     for v in range(g.n):
         by_degree[masks[v].bit_count()] |= 1 << v
     levels = [level for level in reversed(by_degree) if level]
-    roots = _roots(g, algorithm, levels)
-    warm = [full & ~set_to_mask(greedy_cvc_2approx(g))] if warm_start else []
-    # a root's S is feasible too; max keeps the first of equal sizes, so
-    # the warm start wins ties and a cold rds starts from its first root
-    best_mask = max(warm + [smask for smask, _, _, _ in roots], key=int.bit_count)
+    best_mask = full & ~set_to_mask(greedy_cvc_2approx(g)) if warm_start else 0
     best_size = best_mask.bit_count()
-    assert _feasible(g, best_mask, connected), "incumbent seed is no feasible stable set"
     # the roots go on the stack in reverse, so each root's subtree is
     # drained before the next root is popped
-    stack = roots[::-1]
+    stack = _roots(g, algorithm, levels)[::-1]
     visits = 0
     status, best_bound = "optimal", 0
     while stack:
@@ -243,30 +239,27 @@ def solve(
             break
         smask, ssize, umask, cache = stack.pop()
         visits += 1
-        while umask:
-            bound, cache = bound_of(masks, umask, cache)
-            if best_size >= ssize + bound:
-                if prune_log is not None:
-                    prune_log.append((smask, umask, best_size))
+        if ssize > best_size:
+            assert _feasible(g, smask, connected), "incumbent is no feasible stable set"
+            best_mask, best_size = smask, ssize
+        if not umask:
+            continue
+        bound, cache = bound_of(masks, umask, cache)
+        if best_size >= ssize + bound:
+            if prune_log is not None:
+                prune_log.append((smask, umask, best_size))
+            continue
+        for level in levels:
+            low = level & umask
+            if low:
                 break
-            for level in levels:
-                low = level & umask
-                if low:
-                    break
-            low &= -low
-            v = low.bit_length() - 1
-            rmask = umask ^ low
-            stack.append((smask, ssize, rmask, cache))
-            smask |= low
-            ssize += 1
-            if connected:
-                umask = include_candidates(masks, full & ~smask, rmask, v)
-            else:
-                umask = rmask & ~masks[v]
-            visits += 1
-            if ssize > best_size:
-                assert _feasible(g, smask, connected), "incumbent is no feasible stable set"
-                best_mask, best_size = smask, ssize
+        low &= -low
+        v = low.bit_length() - 1
+        rmask = umask ^ low
+        stack.append((smask, ssize, rmask, cache))
+        smask |= low
+        wmask = include_candidates(masks, full & ~smask, rmask, v) if connected else rmask & ~masks[v]
+        stack.append((smask, ssize + 1, wmask, cache))
     if not _feasible(g, best_mask, connected):
         raise ContractError("solver produced an invalid cover; internal bug")
     return SolveReport(

@@ -499,8 +499,13 @@ def write_dimacs(g: Graph) -> str:
 
 def _check_draw(p, seed) -> None:
     """Reject a p that is not a real in [0, 1] with an exact ratio (float,
-    int, Fraction, Decimal) and a seed that is not an int."""
-    if not (hasattr(p, "as_integer_ratio") and 0 <= p <= 1):
+    int, Fraction, Decimal; a NaN or an infinity has none) and a seed that
+    is not an int.  p is compared as its ratio: a Decimal NaN raises."""
+    try:
+        num, den = p.as_integer_ratio()
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        num, den = -1, 1
+    if not 0 <= num <= den:
         raise InputError(f"edge probability must be a number in [0, 1], got {p!r}")
     if not isinstance(seed, int):
         raise InputError(f"seed must be an int, got {seed!r}")

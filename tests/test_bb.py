@@ -33,6 +33,7 @@ from cvckit.oracle import (
 )
 from cvckit.rng import Xoshiro256
 from tests.conftest import connected_bipartite, connected_gnp
+from tests.test_bounds import induced_alpha
 from tests.test_graph import complete, cycle, path
 from tests.test_oracle import petersen
 
@@ -154,7 +155,8 @@ def solver_id(value):
 @pytest.fixture
 def tick_clock(monkeypatch):
     """A solver clock that ticks once per read, so a time limit of k stops
-    the search after a fixed number of stack pops, close to k."""
+    the search after exactly k nodes: the clock is read once to start and
+    once before each node."""
     ticks = itertools.count()
     monkeypatch.setattr(
         bb_module, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks)))
@@ -209,15 +211,19 @@ class TestEngineBehavior:
     def test_prune_log_safety(self):
         # every logged prune must be justified by the naive enumerator:
         # nothing in the pruned subtree beats the incumbent of that moment
-        for algorithm, seed in itertools.product(("bb", "rds"), (2, 4, 9, 13)):
+        # (for vc-bb, any stable set of G[U] may join S)
+        for algorithm, seed in itertools.product(("bb", "rds", "vc-bb"), (2, 4, 9, 13)):
             g = connected_gnp(9, 0.35, seed)
             log = []
             solve(g, algorithm, warm_start=False, prune_log=log)
             assert log, "expected at least one pruning event"
             for smask, umask, incumbent in log:
-                best_inside = max_feasible_stable(
-                    g, base=mask_to_set(smask), candidates=mask_to_set(umask)
-                )
+                if algorithm == "vc-bb":
+                    best_inside = smask.bit_count() + induced_alpha(g, mask_to_set(umask))
+                else:
+                    best_inside = max_feasible_stable(
+                        g, base=mask_to_set(smask), candidates=mask_to_set(umask)
+                    )
                 assert best_inside <= incumbent, (algorithm, seed, smask, umask)
 
     def test_single_vertex(self):
@@ -303,6 +309,23 @@ class TestEngineBehavior:
         g = connected_gnp(*params) if kind == "gnp" else connected_bipartite(*params)
         report = solve(g, algorithm, time_limit=stop)
         assert report.best_bound >= g.n - optimum
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("algorithm", ["bb", "rds", "vc-bb"], ids=solver_id)
+    @pytest.mark.parametrize(
+        "graph,optima",
+        # (connected, plain) optimum covers; bip#11's plain one is its
+        # maximum matching (Koenig)
+        [(("gnp", 60, 0.1, 101), (37, 37)), (("bip", 30, 30, 0.2, 11), (34, 30))],
+    )
+    def test_one_clock_read_per_node(self, tick_clock, k, algorithm, graph, optima):
+        # the deadline is checked before every node, include children too,
+        # so a limit of k ticks visits exactly k nodes
+        kind, *params = graph
+        g = connected_gnp(*params) if kind == "gnp" else connected_bipartite(*params)
+        report = solve(g, algorithm, time_limit=k)
+        assert (report.status, report.node_count) == ("time_limit", k)
+        assert report.best_bound >= g.n - optima[algorithm == "vc-bb"]
 
     @pytest.mark.parametrize(
         "graph,algorithm,bound",

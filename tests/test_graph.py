@@ -507,6 +507,9 @@ class TestGenerators:
             (lambda: gnp_random(10, 0.5, "x"), "seed must be an int, got 'x'"),
             (lambda: gnp_random(10, 0.5, 1.0), "seed must be an int, got 1.0"),
             (lambda: bipartite_random(3, 4, "0.5", 1), "edge probability .* got '0.5'"),
+            (lambda: gnp_random(5, Decimal("NaN"), 1), r"edge probability .* got Decimal\('NaN'\)"),
+            (lambda: bipartite_random(3, 4, Decimal("sNaN"), 1),
+             r"edge probability .* got Decimal\('sNaN'\)"),
             (lambda: bipartite_random(3, 4, 0.5, "x"), "seed must be an int, got 'x'"),
             (lambda: gnp_random(True, 0.5, 1), "vertex count .* got True"),
             (lambda: bipartite_random(True, 4, 0.5, 1), "side sizes .* got True, 4"),
@@ -518,6 +521,8 @@ class TestGenerators:
             "gnp-str-seed",
             "gnp-float-seed",
             "bip-str-p",
+            "gnp-decimal-nan-p",
+            "bip-decimal-snan-p",
             "bip-str-seed",
             "gnp-bool-n",
             "bip-bool-n1",
