@@ -195,7 +195,8 @@ def solve(
 
     time_limit is in wall-clock seconds from the call, set-up included
     (the warm start, the root cut-vertex pass and the rds roots), and the
-    clock is read before every node; None or inf means no limit.
+    clock is read before every node; None or inf means no limit.  At a
+    timeout the largest S left on the stack may become the incumbent.
     warm_start, a bool, seeds the incumbent with the complement of
     greedy_cvc_2approx.  prune_log, a list, gets a (stable_mask,
     candidate_mask, incumbent_size) triple for each bound-test prune.
@@ -229,11 +230,12 @@ def solve(
     status, best_bound = "optimal", 0
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
-            # an inherited coloring or matching bounds an open entry's
-            # candidates without a fresh bound call; an entry with none (an
-            # unstarted rds root) gets one
+            # an open entry's inherited coloring or matching bounds its U
+            # (an unstarted rds root gets a fresh call); its S is feasible
             status = "time_limit"
-            for smask, ssize, umask, cache in stack:
+            for smask, ssize, umask, cache in reversed(stack):
+                if ssize > best_size:
+                    best_mask, best_size = smask, ssize
                 bound = bound_of(masks, umask, None)[0] if cache is None else cache.bound(umask)
                 best_bound = max(best_bound, ssize + bound)
             break

@@ -498,9 +498,8 @@ def write_dimacs(g: Graph) -> str:
 
 
 def _check_draw(p, seed) -> None:
-    """Reject a p that is not a real in [0, 1] with an exact ratio (float,
-    int, Fraction, Decimal; a NaN or an infinity has none) and a seed that
-    is not an int.  p is compared as its ratio: a Decimal NaN raises."""
+    """Reject a p that is not a real in [0, 1], compared as its exact ratio
+    (a NaN or an infinity has none), and a seed that is not an int."""
     try:
         num, den = p.as_integer_ratio()
     except (AttributeError, TypeError, ValueError, OverflowError):

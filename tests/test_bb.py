@@ -430,6 +430,22 @@ class TestEngineBehavior:
         report = solve(g, algorithm, time_limit=5)
         assert (report.status, report.node_count) == ("time_limit", 0)
         assert report.best_bound >= g.n - 37  # the optimum cover is 37
+        assert report.cover_size == 51  # the warm start's
+        # cold, the open roots are the only stable sets found: rds's first
+        # root {v_n} leaves a cover of n - 1, bb's empty root all of V
+        report = solve(g, algorithm, time_limit=5, warm_start=False)
+        assert (report.status, report.node_count) == ("time_limit", 0)
+        assert report.cover_size == {"bb": 60, "rds": 59}[algorithm]
+
+    @pytest.mark.parametrize("algorithm", ["bb", "vc-bb"], ids=solver_id)
+    def test_time_limit_keeps_the_open_include_child(self, tick_clock, algorithm):
+        # a limit of 1 stops right after the first branch; the include
+        # child on top of the stack is feasible and one larger, so it
+        # becomes the incumbent, as it would have at its pop
+        g = connected_gnp(60, 0.1, 101)
+        report = solve(g, algorithm, time_limit=1, warm_start=False)
+        assert (report.status, report.node_count) == ("time_limit", 1)
+        assert report.cover_size == g.n - 1
 
     def test_generous_limit_still_optimal(self):
         g = connected_gnp(10, 0.4, 2)
