@@ -30,11 +30,12 @@ The whole search is one function, solve(g, algorithm, ...).  It picks
 the bound once from the input, builds the roots of one of three
 algorithms as plain stack entries, and drains them from one stack, one
 node per pop; a split pushes its include child last, so the search dives
-depth first.  The algorithms are "bb" (a single root), "rds"
-(russian doll search: one restricted root per vertex, smallest
-subproblem first, the incumbent carried across), and "vc-bb"
-(connectivity pruning disabled, yielding a classical maximum-stable-set
-solver used for plain vertex cover numbers).
+depth first.  Under a time limit the clock is read once per popped
+entry; past the limit, each entry left is popped, offered as the
+incumbent and bounded, never searched.  The algorithms are "bb" (a
+single root), "rds" (russian doll search: one restricted root per
+vertex, smallest subproblem first, the incumbent carried across), and
+"vc-bb" (no connectivity pruning: a maximum stable set, plain cover).
 
 The bound cache (a coloring, or a maximum matching on bipartite inputs) is
 threaded through the search per node: children inherit the parent's cache
@@ -75,7 +76,7 @@ class SolveReport:
     best_bound is on the stable-set side: the proven optimum when status
     is "optimal", otherwise the best upper bound still open at timeout.
     node_count counts every (S, U) pair the search visits, one per stack
-    pop.
+    pop before the time limit.
     """
 
     cover: VertexSet
@@ -149,26 +150,21 @@ def greedy_cvc_2approx(g: Graph) -> VertexSet:
 
 def _roots(g: Graph, algorithm: str, levels: list[int]) -> list:
     """The (S, |S|, U, None) stack entries one algorithm starts from, in
-    the order they are searched; see solve.  levels is solve's branch
-    order, one vertex mask per degree, highest degree first."""
+    stack order, so the last is popped first; see solve.  levels is
+    solve's branch order, one vertex mask per degree, highest first."""
     full = g.full_mask()
-    if algorithm == "vc-bb":
-        return [(0, 0, full, None)]
-    # no feasible stable set contains a cut vertex of G
-    cut = articulation_points_mask(g.masks, full)
-    if algorithm == "bb":
+    # no feasible stable set contains a cut vertex of G; vc-bb drops none
+    cut = 0 if algorithm == "vc-bb" else articulation_points_mask(g.masks, full)
+    if algorithm != "rds":
         return [(0, 0, full & ~cut, None)]
     roots = []
-    later = 0  # the non-cut vertices after v in the degree order
-    # the branch order backwards: the smallest suffix v_n comes first
-    for v in reversed([v for level in levels for v in bits_of(level)]):
-        if cut >> v & 1:
-            continue
+    later = full & ~cut  # the non-cut vertices not yet rooted
+    for v in (v for level in levels for v in bits_of(level & ~cut)):
+        later ^= 1 << v  # now the non-cut vertices after v
         # a cut vertex of G not adjacent to v stays one in G - v, so
         # removing G's cut vertices first leaves the same root candidates
         umask = include_candidates(g.masks, full & ~(1 << v), later, v)
         roots.append((1 << v, 1, umask, None))
-        later |= 1 << v
     return roots
 
 
@@ -195,8 +191,9 @@ def solve(
 
     time_limit is in wall-clock seconds from the call, set-up included
     (the warm start, the root cut-vertex pass and the rds roots), and the
-    clock is read before every node; None or inf means no limit.  At a
-    timeout the largest S left on the stack may become the incumbent.
+    clock is read once per popped entry; None or inf means no limit.
+    Past the limit, each entry left is popped, offered as the incumbent
+    and bounded, never searched.
     warm_start, a bool, seeds the incumbent with the complement of
     greedy_cvc_2approx.  prune_log, a list, gets a (stable_mask,
     candidate_mask, incumbent_size) triple for each bound-test prune.
@@ -209,7 +206,6 @@ def solve(
     """
     _validate(g, algorithm, time_limit, warm_start, prune_log)
     t0 = time.perf_counter()
-    deadline = None if time_limit is None else t0 + time_limit
     connected = algorithm != "vc-bb"
     masks, full = g.masks, g.full_mask()
     # read per solve, not at import: bench/tracing.py and the tests patch
@@ -223,27 +219,24 @@ def solve(
     levels = [level for level in reversed(by_degree) if level]
     best_mask = full & ~set_to_mask(greedy_cvc_2approx(g)) if warm_start else 0
     best_size = best_mask.bit_count()
-    # the roots go on the stack in reverse, so each root's subtree is
-    # drained before the next root is popped
-    stack = _roots(g, algorithm, levels)[::-1]
+    stack = _roots(g, algorithm, levels)
     visits = 0
     status, best_bound = "optimal", 0
     while stack:
-        if deadline is not None and time.perf_counter() > deadline:
-            # an open entry's inherited coloring or matching bounds its U
-            # (an unstarted rds root gets a fresh call); its S is feasible
-            status = "time_limit"
-            for smask, ssize, umask, cache in reversed(stack):
-                if ssize > best_size:
-                    best_mask, best_size = smask, ssize
-                bound = bound_of(masks, umask, None)[0] if cache is None else cache.bound(umask)
-                best_bound = max(best_bound, ssize + bound)
-            break
         smask, ssize, umask, cache = stack.pop()
-        visits += 1
         if ssize > best_size:
             assert _feasible(g, smask, connected), "incumbent is no feasible stable set"
             best_mask, best_size = smask, ssize
+        # compared exactly, so a limit too large for a float cannot overflow
+        if time_limit is not None and (status != "optimal" or time.perf_counter() - t0 > time_limit):
+            # past the limit an entry is closed unsearched: its inherited
+            # coloring or matching bounds its U (an unstarted rds root gets
+            # a fresh call), and no clock is read again
+            status = "time_limit"
+            bound = bound_of(masks, umask, None)[0] if cache is None else cache.bound(umask)
+            best_bound = max(best_bound, ssize + bound)
+            continue
+        visits += 1
         if not umask:
             continue
         bound, cache = bound_of(masks, umask, cache)

@@ -84,11 +84,11 @@ def _pct(p: float) -> str:
 
 
 # generator kind -> (generator, its parameters in the order it takes them
-# before the seed, the tag in instance names); the last parameter is the
-# edge probability p, the others are vertex counts
+# before the seed, the tag in instance names, the help text); the last
+# parameter is the edge probability p, the others are vertex counts
 GEN_KINDS = {
-    "gnp": (gnp_random, ("n", "p"), "gnp"),
-    "bipartite": (bipartite_random, ("n1", "n2", "p"), "bip"),
+    "gnp": (gnp_random, ("n", "p"), "gnp", "Erdos-Renyi G(n, p)"),
+    "bipartite": (bipartite_random, ("n1", "n2", "p"), "bip", "bipartite G(n1, n2, p)"),
 }
 
 
@@ -111,7 +111,7 @@ def _cmd_gen(args) -> int:
         raise InputError(f"--count must be at least 1, got {args.count}")
     if args.max_reseeds < 0:
         raise InputError(f"--max-reseeds must be non-negative, got {args.max_reseeds}")
-    generate, names, _ = GEN_KINDS[args.kind]
+    generate, names, _, _ = GEN_KINDS[args.kind]
     params = tuple(getattr(args, name) for name in names)
     outdir = Path(args.out)
     cursor = args.seed
@@ -154,11 +154,15 @@ def _cmd_solve(args) -> int:
 # emit
 
 
+def _refuse_pstp_roots(args) -> None:
+    if args.model == "pstp" and (args.root is not None or args.root2 is not None):
+        raise InputError("the spanning-tree model takes no roots")
+
+
 def _cmd_emit(args) -> int:
     g = _read_graph(args.file)
+    _refuse_pstp_roots(args)
     if args.model == "pstp":
-        if args.root is not None or args.root2 is not None:
-            raise InputError("the spanning-tree model takes no roots")
         model = build_pstp(g)
     elif args.model == "qr":
         if args.root2 is not None:
@@ -191,8 +195,7 @@ def _verdict(label: str, mismatch, g: Graph, out: Path) -> bool:
 
 
 def _cmd_verify(args) -> int:
-    if args.model == "pstp" and (args.root is not None or args.root2 is not None):
-        raise InputError("the spanning-tree model takes no roots")
+    _refuse_pstp_roots(args)
     g = _read_graph(args.file)
     out = Path(args.out or ".")
     stem = Path(args.file).stem
@@ -292,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = subs.add_parser("gen", help="write random DIMACS instances")
     genkind = gen.add_subparsers(dest="kind", required=True)
-    for kind, about in (("gnp", "Erdos-Renyi G(n, p)"), ("bipartite", "bipartite G(n1, n2, p)")):
+    for kind, (_, names, _, about) in GEN_KINDS.items():
         sub = genkind.add_parser(kind, help=about)
-        for name in GEN_KINDS[kind][1]:
+        for name in names:
             sub.add_argument(f"--{name}", type=_param_type(name), required=True)
         sub.add_argument("--seed", type=int, required=True)
         sub.add_argument("--count", type=int, default=1)

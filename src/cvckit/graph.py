@@ -57,9 +57,11 @@ class Graph:
             raise InputError(f"vertex count must be a non-negative int, got {n!r}")
         try:
             edges = iter(edges)
+            masks = [0] * n
         except TypeError:
             raise InputError(f"edges must be an iterable of pairs, got {edges!r}") from None
-        masks = [0] * n
+        except (MemoryError, OverflowError):  # more masks than one list can hold
+            raise InputError(f"vertex count {n} is too large") from None
         index = operator.index
         for edge in edges:
             try:

@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -156,11 +157,12 @@ def solver_id(value):
 def tick_clock(monkeypatch):
     """A solver clock that ticks once per read, so a time limit of k stops
     the search after exactly k nodes: the clock is read once to start and
-    once before each node."""
+    once before each node.  Returns the tick counter."""
     ticks = itertools.count()
     monkeypatch.setattr(
         bb_module, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks)))
     )
+    return ticks
 
 
 class TestEngineBehavior:
@@ -327,6 +329,31 @@ class TestEngineBehavior:
         assert (report.status, report.node_count) == ("time_limit", k)
         assert report.best_bound >= g.n - optima[algorithm == "vc-bb"]
 
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    @pytest.mark.parametrize("k", [1, 3, 300])
+    @pytest.mark.parametrize(
+        "graph,algorithm",
+        [
+            (("gnp", 60, 0.1, 101), "bb"),
+            (("gnp", 60, 0.1, 101), "rds"),
+            (("gnp", 60, 0.1, 101), "vc-bb"),
+            (("bip", 30, 30, 0.2, 11), "bb"),
+            (("bip", 30, 30, 0.2, 11), "rds"),
+        ],
+        ids=solver_id,
+    )
+    def test_timed_out_run_reads_the_clock_k_plus_3_times(
+        self, tick_clock, graph, algorithm, k, warm
+    ):
+        # once at the start, once per node, the read that trips and the
+        # report's wall time: the entries left open after the limit read
+        # no clock
+        kind, *params = graph
+        g = connected_gnp(*params) if kind == "gnp" else connected_bipartite(*params)
+        report = solve(g, algorithm, time_limit=k, warm_start=warm)
+        assert report.status == "time_limit"
+        assert next(tick_clock) == k + 3
+
     @pytest.mark.parametrize(
         "graph,algorithm,bound",
         [
@@ -453,6 +480,14 @@ class TestEngineBehavior:
             report = solve(g, "bb", time_limit=limit)
             assert report.status == "optimal"
             assert report.cover_size == brute_force_cvc(g)[1]
+
+    @pytest.mark.parametrize("limit", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    def test_limit_too_large_for_a_float_is_no_limit(self, limit):
+        # a valid number of seconds that no float holds: like inf, it
+        # never trips, and it is never converted to a float
+        g = connected_gnp(10, 0.4, 2)
+        report = solve(g, "bb", time_limit=limit)
+        assert (report.status, report.cover_size) == ("optimal", brute_force_cvc(g)[1])
 
 
 class TestBranch:

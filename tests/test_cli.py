@@ -158,6 +158,13 @@ class TestSolve:
         assert code == 3 and out == ""
         assert err.startswith("error: cannot read") and "0xff" in err
 
+    def test_vertex_count_too_large(self, tmp_path, capsys):
+        path = tmp_path / "huge.col"
+        path.write_text("p edge 9223372036854775808 0\n", encoding="ascii")
+        code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: vertex count 9223372036854775808 is too large")
+
     def test_time_limit_exit_code(self, tmp_path, capsys):
         g = connected_gnp(60, 0.08, 7)
         path = tmp_path / "big.col"

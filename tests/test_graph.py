@@ -95,6 +95,13 @@ class TestGraph:
         g = Graph(0)
         assert g.n == 0 and g.m == 0
 
+    @pytest.mark.parametrize("n", [2**62, 2**63])
+    def test_vertex_count_too_large(self, n):
+        # both counts are refused before anything is allocated: 2**62
+        # masks exceed the largest list, 2**63 the largest index
+        with pytest.raises(InputError, match=f"vertex count {n} is too large"):
+            Graph(n)
+
     @pytest.mark.parametrize(
         "edges,match",
         [
