@@ -20,15 +20,10 @@ import warnings
 from typing import Callable, Iterable, Optional
 
 from .errors import DimacsError, InputError, SizeCapError
-from .rng import Xoshiro256
+from .rng import Xoshiro256, _is_count
 
 # Vertex sets are plain frozensets of ints with incidence semantics.
 VertexSet = frozenset
-
-
-def _is_count(n) -> bool:
-    """n is a non-negative int and not a bool."""
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
 class Graph:
@@ -499,29 +494,16 @@ def write_dimacs(g: Graph) -> str:
 # random instance generators
 
 
-def _check_draw(p, seed) -> None:
-    """Reject a p that is not a real in [0, 1], compared as its exact ratio
-    (a NaN or an infinity has none), and a seed that is not an int."""
-    try:
-        num, den = p.as_integer_ratio()
-    except (AttributeError, TypeError, ValueError, OverflowError):
-        num, den = -1, 1
-    if not 0 <= num <= den:
-        raise InputError(f"edge probability must be a number in [0, 1], got {p!r}")
-    if not isinstance(seed, int):
-        raise InputError(f"seed must be an int, got {seed!r}")
-
-
 def gnp_random(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) from the package's own deterministic stream.
 
     Every unordered pair (i, j), i < j, scanned lexicographically, consumes
     exactly one float draw and becomes an edge iff draw < p.  It never
-    retries for connectivity; `first_connected` does.
+    retries for connectivity; `first_connected` does.  `Xoshiro256` refuses
+    a seed that is no int and a p outside [0, 1].
     """
     if not _is_count(n):
         raise InputError(f"vertex count must be a non-negative int, got {n!r}")
-    _check_draw(p, seed)
     edges = []
     # row i holds the flat offsets [row_end - (n - 1 - i), row_end)
     i, row_end = 0, n - 1
@@ -542,7 +524,6 @@ def bipartite_random(n1: int, n2: int, p: float, seed: int) -> Graph:
     """
     if not (_is_count(n1) and _is_count(n2)):
         raise InputError(f"side sizes must be non-negative ints, got {n1!r}, {n2!r}")
-    _check_draw(p, seed)
     hits = Xoshiro256(seed).below(n1 * n2, p)
     return Graph(n1 + n2, [(k // n2, n1 + k % n2) for k in hits])
 

@@ -41,11 +41,10 @@ from ``p.as_integer_ratio()``, so a float, int, ``Fraction`` or ``Decimal``
 p selects exactly the draws that ``random() < p`` selects, with no
 rounding anywhere.
 
-Lanes.  From ``_LANE_CROSSOVER`` draws on, ``below`` runs L = ``_LANES``
-chunks of C = count // L draws side by side, and the count - L*C draws left
-over one at a time after them.  Each of s0..s3 is then one packed Python int
-in which lane i takes the 72-bit slot at bit 72*i: 64 state bits and 8 guard
-bits above them.  The guard bits absorb the products: s1*5 is below 2**67
+Lanes.  ``below`` runs L = ``_LANES`` chunks of C = count // L draws side
+by side, and the count - L*C draws left over as one more lane of that many
+draws.  Each of s0..s3 is then one packed Python int in which lane i takes
+the 72-bit slot at bit 72*i: 64 state bits and 8 guard bits above them.  The guard bits absorb the products: s1*5 is below 2**67
 and rotl64(., 7)*9 below 2**68, so neither carries into the next lane before
 it is masked back to 64 bits.  Every shift and rotate masks each slot to the
 bits that stay inside it *before* shifting (``(s1 & low47) << 17``, not
@@ -55,8 +54,9 @@ no mask afterwards can tell them from the lane's own.  The test d < T adds
 2**65 - T to each slot and reads bit 65: d + 2**65 - T lies in [0, 2**66),
 below 2**65 exactly when d < T, and this holds for every T in [0, 2**64],
 p = 1 (T = 2**64) included.  A hit of lane i at step k is offset i*C + k;
-the hits are sorted, and the stream ends at the last lane's end state,
-which is where L*C draws from the start leave it.
+the hits are sorted, and the last lane ends where L*C draws from the start
+leave the stream.  The leftover lane starts there, so its hits come after
+all others, shifted by L*C, and its end state is the stream's.
 
 Jump-ahead.  The state update (without the output scrambler) is linear
 over GF(2): one step is s -> A s for a fixed 256 x 256 bit matrix A.  By
@@ -74,16 +74,16 @@ lanes [w, 2w), so L lanes take ceil(log2 L) Horner passes.
 
 from __future__ import annotations
 
+from .errors import InputError
+
 _MASK64 = (1 << 64) - 1
 
 # characteristic polynomial P of the xoshiro256 linear engine, bit j the
 # coefficient of x**j (degree 256; see the module docstring)
 _CHARPOLY = 0x10003C03C3F3ECB1904B4EDCF26259F850280002BCEFD1A5E9D116F2BB0F0F001
-# lanes of the packed kernel, the bits each lane takes in a packed int, and
-# the draw count from which `Xoshiro256.below` uses it
+# lanes of the packed kernel and the bits each lane takes in a packed int
 _LANES = 16
 _SLOT = 72
-_LANE_CROSSOVER = 4096
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -95,6 +95,11 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+def _is_count(n) -> bool:
+    """n is a non-negative int and not a bool."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 def _rotl64(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
@@ -103,11 +108,14 @@ class Xoshiro256:
     """xoshiro256** stream seeded through splitmix64.
 
     Any Python int is accepted as seed; it is reduced mod 2**64 first.
+    Anything else is an InputError.
     """
 
     __slots__ = ("_s0", "_s1", "_s2", "_s3")
 
     def __init__(self, seed: int):
+        if not isinstance(seed, int):
+            raise InputError(f"seed must be an int, got {seed!r}")
         state = seed & _MASK64
         state, s0 = _splitmix64(state)
         state, s1 = _splitmix64(state)
@@ -140,39 +148,23 @@ class Xoshiro256:
 
         Same result and same end state as `count` calls to `random()`;
         the module docstring gives the exactness argument and the lane
-        layout used from `_LANE_CROSSOVER` draws on.  p is any finite real
-        with `as_integer_ratio()`.
+        layout.  p is any real in [0, 1] with `as_integer_ratio()`, and
+        count an int >= 0; anything else is an InputError.
         """
-        num, den = p.as_integer_ratio()
+        if not _is_count(count):
+            raise InputError(f"draw count must be a non-negative int, got {count!r}")
+        try:
+            num, den = p.as_integer_ratio()
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            # a NaN or an infinity has no ratio
+            num, den = -1, 1
+        if not 0 <= num <= den:
+            raise InputError(f"edge probability must be a number in [0, 1], got {p!r}")
         threshold = -((-num << 53) // den) << 11
         state = (self._s0, self._s1, self._s2, self._s3)
-        if count >= _LANE_CROSSOVER:
-            hits, state = _below_lanes(state, count, threshold, _LANES)
-        else:
-            hits = []
-            state = _below_scalar(state, 0, count, threshold, hits)
+        hits, state = _below_lanes(state, count, threshold, _LANES)
         self._s0, self._s1, self._s2, self._s3 = state
         return hits
-
-
-def _below_scalar(state, start: int, stop: int, threshold: int, hits: list) -> tuple:
-    """Draws start..stop-1 one at a time from `state`: append each offset
-    whose draw is below `threshold` to `hits` and return the end state."""
-    s0, s1, s2, s3 = state
-    mask = _MASK64
-    append = hits.append
-    for k in range(start, stop):
-        x = (s1 * 5) & mask
-        if ((x << 7 | x >> 57) * 9) & mask < threshold:
-            append(k)
-        t = (s1 << 17) & mask
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = (s3 << 45 | s3 >> 19) & mask
-    return s0, s1, s2, s3
 
 
 def _jump_poly(k: int) -> int:
@@ -214,12 +206,13 @@ def _apply_poly(poly: int, state, rep: int) -> tuple:
 
 
 def _below_lanes(state, count: int, threshold: int, lanes: int) -> tuple[list[int], tuple]:
-    """`_below_scalar(state, 0, count, ...)` with the first lanes * C draws,
+    """The offsets k in [0, count), increasing, whose draw from `state` is
+    below `threshold`, and the end state, with the first lanes * C draws,
     C = count // lanes, run as `lanes` chunks of C side by side.
 
-    Returns (hits, end state).  Lane i starts i * C steps ahead of `state`
-    and covers offsets [i * C, (i + 1) * C); the draws left over go through
-    the scalar loop from the last lane's end state.
+    Lane i starts i * C steps ahead of `state` and covers offsets
+    [i * C, (i + 1) * C); the draws left over run as one more lane from
+    the last lane's end state.
     """
     chunk = count // lanes
     hits: list[int] = []
@@ -262,4 +255,8 @@ def _below_lanes(state, count: int, threshold: int, lanes: int) -> tuple[list[in
         hits.sort()
         last = _SLOT * (lanes - 1)
         state = tuple(s >> last & _MASK64 for s in (s0, s1, s2, s3))
-    return hits, _below_scalar(state, lanes * chunk, count, threshold, hits)
+    done = lanes * chunk
+    if done < count:
+        tail, state = _below_lanes(state, count - done, threshold, 1)
+        hits.extend(done + k for k in tail)
+    return hits, state

@@ -586,7 +586,7 @@ class TestGenerators:
             (gnp_random(200, 0.05, 101), "7b37ff71e89d7a48ce2cf7a3ef6ae15c11158c0a3e50e128a1c22e01e715f000"),
             (gnp_random(60, 0.1, 101), "21c0a4001fa6458b84bdf5d0e500519e88970f1fdd3b6d8f4f408c9e694e044b"),
             (bipartite_random(30, 30, 0.2, 11), "5d4c6afc3eb8176e49cc3520d82b95dfaa4f445722d1c09367db23ca7e6ff5d3"),
-            # above the lane crossover, recorded from the one-draw-at-a-time loop
+            # recorded from the one-draw-at-a-time loop, before the lane kernel
             (gnp_random(500, 0.02, 101), "88ae81a112531e2c1ee414b3a0aa16f6fa3bb5b8d31823c3572a5cb46bb32aca"),
             (bipartite_random(200, 200, 0.05, 11), "db870e0f60280401d577705dae2065be7b470f10d7ecd508a24719de79fe65a7"),
         ]
@@ -762,13 +762,33 @@ class TestRng:
                     assert hits == [i for i, d in enumerate(draws) if d < threshold]
                     assert end == _state(stream)
 
-    def test_below_above_the_crossover(self):
-        # the public path from the crossover on, against random() calls
-        count = rng_module._LANE_CROSSOVER + 37
+    @pytest.mark.parametrize("count", [1770, 3160, 16 * 258 + 5])
+    def test_below_through_the_lanes(self, count):
+        # the public path at the solver workloads' base draws and with five
+        # leftover draws after sixteen lanes, against random() calls
         for seed, p in ((3, 0.02), (4, Fraction(2, 3)), (5, 1), (6, 0)):
             fast, slow = Xoshiro256(seed), Xoshiro256(seed)
             assert fast.below(count, p) == [k for k in range(count) if slow.random() < p]
             assert fast.next_u64() == slow.next_u64()
+
+    @pytest.mark.parametrize(
+        "draw,match",
+        [
+            (lambda: Xoshiro256(1).below(10, 1.5), r"edge probability .* got 1\.5$"),
+            (lambda: Xoshiro256(1).below(10, "x"), "edge probability .* got 'x'$"),
+            (lambda: Xoshiro256(1).below(10, math.nan), "edge probability .* got nan$"),
+            (lambda: Xoshiro256(1).below(-5, 0.5), "draw count .* got -5$"),
+            (lambda: Xoshiro256(1).below(2.5, 0.5), r"draw count .* got 2\.5$"),
+            (lambda: Xoshiro256(1).below("x", 0.5), "draw count .* got 'x'$"),
+            (lambda: Xoshiro256(1).below(True, 0.5), "draw count .* got True$"),
+            (lambda: Xoshiro256(1.5), r"seed must be an int, got 1\.5$"),
+        ],
+        ids=["p-above-1", "str-p", "nan-p", "negative-count", "float-count", "str-count",
+             "bool-count", "float-seed"],
+    )
+    def test_bad_arguments_raise_input_error(self, draw, match):
+        with pytest.raises(InputError, match=match):
+            draw()
 
     @staticmethod
     def _check_lanes(count, lanes, p, seed):
