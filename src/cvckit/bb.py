@@ -59,11 +59,9 @@ from .graph import (
     VertexSet,
     articulation_points_mask,
     bits_of,
-    dfs_tree,
     mask_to_set,
     max_degree_vertex,
     require,
-    set_to_mask,
     splitters,
 )
 from .oracle import check_cvc
@@ -144,8 +142,29 @@ def greedy_cvc_2approx(g: Graph) -> VertexSet:
     internal vertex, and the empty cover is the optimum of K1.
     """
     require(g, "greedy_cvc_2approx", connected=True)
-    tree = dfs_tree(g, max_degree_vertex(g, g.full_mask()))
-    return frozenset(parent for parent, _ in tree)
+    full = g.full_mask()
+    return mask_to_set(_dfs_inner(g.masks, max_degree_vertex(g, full), full))
+
+
+def _dfs_inner(masks: tuple[int, ...], root: int, live: int) -> int:
+    """Inner vertices of a depth-first spanning tree of the connected
+    `live` induced subgraph, rooted at `root` (a vertex of live), as a
+    mask.  Each step enters the lowest unvisited neighbour of the deepest
+    vertex that has one, so the tree is deterministic."""
+    unvisited = live ^ 1 << root
+    stack = [root]
+    inner = 0
+    while stack:
+        v = stack[-1]
+        nxt = masks[v] & unvisited
+        if nxt:
+            low = nxt & -nxt
+            unvisited ^= low
+            inner |= 1 << v
+            stack.append(low.bit_length() - 1)
+        else:
+            stack.pop()
+    return inner
 
 
 def _roots(g: Graph, algorithm: str, levels: list[int]) -> list:
@@ -217,7 +236,9 @@ def solve(
     for v in range(g.n):
         by_degree[masks[v].bit_count()] |= 1 << v
     levels = [level for level in reversed(by_degree) if level]
-    best_mask = full & ~set_to_mask(greedy_cvc_2approx(g)) if warm_start else 0
+    # greedy_cvc_2approx's cover: its root is levels[0]'s lowest vertex
+    root = (levels[0] & -levels[0]).bit_length() - 1
+    best_mask = full & ~_dfs_inner(masks, root, full) if warm_start else 0
     best_size = best_mask.bit_count()
     stack = _roots(g, algorithm, levels)
     visits = 0

@@ -354,33 +354,6 @@ def articulation_points(g: Graph) -> frozenset:
     return mask_to_set(articulation_points_mask(g.masks, g.full_mask()))
 
 
-def dfs_tree(g: Graph, root: int) -> list[tuple[int, int]]:
-    """Depth-first spanning tree edges (parent, child) in discovery order.
-
-    Each step enters the lowest unvisited neighbor of the deepest vertex
-    that has one, so the tree is deterministic.  Requires g connected.
-    """
-    require(g, "dfs_tree")
-    root = vertex_index(g.n, root, "root")
-    unvisited = g.full_mask() ^ 1 << root
-    stack = [root]
-    tree: list[tuple[int, int]] = []
-    while stack:
-        v = stack[-1]
-        nxt = g.masks[v] & unvisited
-        if nxt:
-            low = nxt & -nxt
-            unvisited ^= low
-            w = low.bit_length() - 1
-            tree.append((v, w))
-            stack.append(w)
-        else:
-            stack.pop()
-    if unvisited:
-        raise InputError("dfs_tree requires a connected graph")
-    return tree
-
-
 def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees, by the matrix-tree determinant.
 

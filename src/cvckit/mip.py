@@ -93,8 +93,17 @@ def _check_name(name, what: str) -> None:
 
 
 def _finite(value) -> bool:
-    """Whether value is a real number other than NaN and the infinities."""
-    return isinstance(value, Real) and -inf < value < inf
+    """Whether value is a real number whose float is finite: not NaN, an
+    infinity, or a number too large for a float."""
+    try:
+        return isinstance(value, Real) and -inf < float(value) < inf
+    except OverflowError:
+        return False
+
+
+def _bound(value) -> bool:
+    """Whether value can bound a variable: a finite real or an infinity."""
+    return _finite(value) or isinstance(value, Real) and abs(value) == inf
 
 
 class _View(Sequence):
@@ -159,7 +168,7 @@ class MipModel:
             raise InputError(f"duplicate variable name {name!r}")
         if kind == "binary":
             lb, ub = 0.0, 1.0
-        elif not (isinstance(lb, Real) and isinstance(ub, Real) and lb <= ub and lb < inf and ub > -inf):
+        elif not (_bound(lb) and _bound(ub) and lb <= ub and lb < inf and ub > -inf):
             raise InputError(f"variable {name!r} needs real bounds lb <= ub, lb < inf, ub > -inf, got {lb!r}, {ub!r}")
         self._add_columns([name], kind, lb, ub)
 
@@ -503,7 +512,8 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float]) -> boo
 
     Every declared variable must be present in the assignment (extra keys
     are ignored) and hold a real number; a missing one, or any value that
-    is not a `numbers.Real`, raises InputError before any row is read.
+    is not a `numbers.Real` or is too large for a float, raises InputError
+    before any row is read.
     Rows and bounds hold within DEFAULT_TOL, and binary variables must
     sit within it of 0 or 1.
     """
@@ -520,6 +530,12 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float]) -> boo
     if bad:
         name, val = next((name, val) for name, val in zip(model._names, values) if type(val) in bad)
         raise InputError(f"variable {name!r} has value {val!r}, not a real number")
+    try:
+        list(map(float, values))
+    except OverflowError:
+        # a real that is neither NaN nor a float bound is one float() refused
+        name, val = next((name, val) for name, val in zip(model._names, values) if val == val and not _bound(val))
+        raise InputError(f"variable {name!r} has value {val!r}, too large for a float") from None
     tol = DEFAULT_TOL
     # rows first: a point the verifiers build mostly fails an early row
     indices, data, ptr = model._indices, model._data, model._indptr

@@ -3,10 +3,12 @@
 Everything is seeded; the corpus is a deterministic function of this file.
 """
 
+from itertools import combinations
+
 import pytest
 from hypothesis import settings
 
-from cvckit.graph import bipartite_random, first_connected, gnp_random
+from cvckit.graph import Graph, bipartite_random, first_connected, gnp_random, is_connected
 
 # the default profile, ci, draws the same examples on every run, so a
 # property test that fails in CI fails the same way locally and the
@@ -47,6 +49,24 @@ def small_corpus(count=500, base_seed=1000):
             name = f"gnp_{n}_{int(p * 100):03d}_i{i}"
         out.append((name, g))
     return out
+
+
+def connected_graphs(max_n):
+    """Every connected labeled graph on 1 .. max_n vertices, with no
+    isomorphism reduction: the edge subsets of each K_n, in bitmask order,
+    whose graph is connected."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for pick in range(1 << len(pairs)):
+            g = Graph(n, (pair for i, pair in enumerate(pairs) if pick >> i & 1))
+            if is_connected(g):
+                yield g
+
+
+@pytest.fixture(scope="session")
+def upto5():
+    # 1 + 1 + 4 + 38 + 728 graphs on n = 1 .. 5
+    return list(connected_graphs(5))
 
 
 @pytest.fixture(scope="session")

@@ -541,6 +541,44 @@ class TestIncludeCandidates:
         assert include_candidates(g.masks, 0b1110, 0b1110, 0) == 0
 
 
+class TestEveryConnectedGraphUpTo5:
+    """The connected edge subsets of K_1 .. K_5 (conftest.upto5)."""
+
+    def test_count(self, upto5):
+        assert len(upto5) == 772
+
+    def test_solvers_match_the_oracles(self, upto5):
+        for g in upto5:
+            cvc, vc = brute_force_cvc(g)[1], brute_force_vc(g)
+            for algorithm, warm in itertools.product(("bb", "rds", "vc-bb"), (True, False)):
+                report = solve(g, algorithm, warm_start=warm)
+                cert = check_cvc(g, report.cover)
+                connected = algorithm != "vc-bb"
+                assert report.status == "optimal", (g.edges, algorithm, warm)
+                assert report.cover_size == (cvc if connected else vc), (g.edges, algorithm, warm)
+                assert (cert.valid if connected else cert.is_cover), (g.edges, algorithm, warm)
+
+    def test_greedy_is_a_2_approximation(self, upto5):
+        for g in upto5:
+            cover = greedy_cvc_2approx(g)
+            assert check_cvc(g, cover).valid, g.edges
+            assert len(cover) <= 2 * brute_force_cvc(g)[1], g.edges
+
+    def test_warm_start_is_the_2_approximation(self, tick_clock, upto5):
+        # stopped before its first node, bb returns its warm start
+        for g in upto5:
+            report = solve(g, "bb", time_limit=0.5)
+            assert (report.node_count, report.cover) == (0, greedy_cvc_2approx(g)), g.edges
+
+    def test_time_limit_bound_is_valid(self, tick_clock, upto5):
+        for g in upto5:
+            stable = {"bb": g.n - brute_force_cvc(g)[1], "vc-bb": g.n - brute_force_vc(g)}
+            stable["rds"] = stable["bb"]
+            for algorithm, k, warm in itertools.product(stable, (1, 2, 3), (True, False)):
+                report = solve(g, algorithm, time_limit=k, warm_start=warm)
+                assert report.best_bound >= stable[algorithm], (g.edges, algorithm, k, warm)
+
+
 class TestGreedyApprox:
     def test_validity_and_ratio(self, corpus60):
         for name, g in corpus60:

@@ -18,7 +18,6 @@ from cvckit.graph import (
     bfs_forest,
     bipartite_random,
     bits_of,
-    dfs_tree,
     first_connected,
     gnp_random,
     grow_piece,
@@ -378,16 +377,6 @@ class TestSplitters:
 
 
 class TestOperations:
-    def test_dfs_tree(self):
-        assert dfs_tree(path(4), 0) == [(0, 1), (1, 2), (2, 3)]
-        # from a leaf of a star, the center is entered first
-        star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        assert dfs_tree(star, 1) == [(1, 0), (0, 2), (0, 3)]
-        with pytest.raises(InputError):
-            dfs_tree(Graph(3, [(0, 1)]), 0)
-        with pytest.raises(InputError):
-            dfs_tree(path(3), 5)
-
     def test_spanning_tree_count(self):
         assert spanning_tree_count(Graph(1)) == 1
         assert spanning_tree_count(path(6)) == 1

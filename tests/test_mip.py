@@ -15,7 +15,6 @@ from cvckit.bounds import is_bipartite
 from cvckit.graph import (
     Graph,
     articulation_points,
-    dfs_tree,
     first_connected,
     gnp_random,
     is_connected,
@@ -47,7 +46,6 @@ from tests.test_graph import complete, cycle, path
 BAD_VERTEX_CALLS = {
     "check_cvc": lambda v: check_cvc(path(4), [1, v]),
     "degree": lambda v: path(4).degree(v),
-    "dfs_tree": lambda v: dfs_tree(path(4), v),
     "feasible_stable_sets-base": lambda v: list(feasible_stable_sets(path(4), [v])),
     "feasible_stable_sets-candidates": lambda v: list(feasible_stable_sets(path(4), (), [0, v])),
     "max_feasible_stable-base": lambda v: max_feasible_stable(path(4), [v]),
@@ -83,7 +81,6 @@ BAD_ARGUMENT_CALLS = {
     "is_connected-graph": lambda: is_connected("x"),
     "is_bipartite-graph": lambda: is_bipartite("x"),
     "default_roots-graph": lambda: default_roots(None),
-    "dfs_tree-graph": lambda: dfs_tree(None, 0),
     "max_degree_vertex-graph": lambda: max_degree_vertex("x", 1),
     "check_cvc-int-cover": lambda: check_cvc(path(4), 5),
     "check_cvc-none-cover": lambda: check_cvc(path(4), None),
@@ -147,8 +144,6 @@ def _all_ints(pairs):
 @pytest.mark.parametrize("one", [True, _Index(1)], ids=["bool", "index"])
 def test_index_vertex_argument_is_used_as_int(one):
     g = path(4)
-    tree = dfs_tree(g, one)
-    assert tree == dfs_tree(g, 1) and _all_ints(tree)
     for r, r1 in [(one, 2), (one, None), (None, one)]:
         plain = (1 if r is one else r, 1 if r1 is one else r1)
         # the LP text carries the roots, as "roots: r=1 r1=2"
@@ -271,6 +266,39 @@ class TestMipModel:
             " row: x_0 <= 1\n row3: 0.5 x_0 - 2 t >= -1.5\n"
             "Bounds\n -inf <= t <= inf\nBinaries\n x_0\nEnd\n"
         )
+
+    # a number too large for a float is refused as it is added, not met
+    # as an OverflowError by write_lp, to_arrays or check_integer_point
+    @pytest.mark.parametrize("huge", [10**400, -(10**400), Fraction(10**400, 3)], ids=["int", "negative", "fraction"])
+    def test_bound_too_large_for_a_float_is_refused(self, huge):
+        model = MipModel()
+        with pytest.raises(InputError, match="variable 't' needs real bounds"):
+            model.add_variable("t", "continuous", huge, huge)
+        with pytest.raises(InputError, match="variable 't' needs real bounds"):
+            model.add_variable("t", "continuous", -math.inf, huge)
+        model.add_variable("t", "continuous", -math.inf, 10**300)
+        assert model.to_arrays()["col_ub"] == [1e300]
+        write_lp(model)
+
+    def test_right_hand_side_too_large_for_a_float_is_refused(self):
+        model = MipModel()
+        model.add_variable("a", "continuous", 0, 1)
+        with pytest.raises(InputError, match="constraint 'r' has right-hand side 1000"):
+            model.add_constraint("r", [(1, "a")], "<=", 10**400)
+        assert not model.constraints
+        model.to_arrays()
+        write_lp(model)
+
+    def test_coefficient_too_large_for_a_float_is_refused(self):
+        model = MipModel()
+        model.add_variable("a", "continuous", 0, 1)
+        with pytest.raises(InputError, match="constraint 'r' has coefficient 1000"):
+            model.add_constraint("r", [(10**400, "a")], "<=", 1)
+        with pytest.raises(InputError, match="objective has coefficient 1000"):
+            model.set_objective([(10**400, "a")])
+        assert not model.constraints and not model.objective
+        model.to_arrays()
+        write_lp(model)
 
     def test_metadata_line_breaks_are_refused(self):
         for metadata in ({"note": "a\nEnd"}, {"note": "a\rb"}, {"a\nb": "c"}):
@@ -465,6 +493,18 @@ class TestCheckIntegerPoint:
         with pytest.raises(InputError, match=re.escape(f"variable 'u' has value {point['u']!r}")):
             check_integer_point(model, point)
 
+    @pytest.mark.parametrize("var", ["a", "t", "u"])
+    def test_value_too_large_for_a_float_raises(self, var):
+        # "a" sits in a row with coefficient 1.5, "t" in one with -1, "u"
+        # in none
+        model = MipModel()
+        for name in "atu":
+            model.add_variable(name, "continuous", 0.0, 2.0)
+        model.add_constraint("row", ((1.5, "a"), (-1, "t")), "<=", 1)
+        point = dict.fromkeys("atu", 0) | {var: 10**400}
+        with pytest.raises(InputError, match=f"variable '{var}' has value 1000"):
+            check_integer_point(model, point)
+
     def test_tolerance_is_fixed(self):
         # a tol argument once let tol=-1 turn a valid witness False
         g = path(4)
@@ -475,6 +515,14 @@ class TestCheckIntegerPoint:
 
     def test_extra_keys_ignored(self):
         assert check_integer_point(self._model(), {"a": 0, "t": 0, "junk": 9})
+
+
+def test_models_on_every_connected_graph_up_to_5(upto5):
+    # conftest.upto5; one vertex has no root pair and no spanning-tree row
+    for g in upto5[1:]:
+        assert find_parb_mismatch(g) is None, g.edges
+        assert find_pstp_mismatch(g) is None, g.edges
+        assert count_qr_feasible(g, 0) == spanning_tree_count(g), g.edges
 
 
 class TestExhaustiveParb:
