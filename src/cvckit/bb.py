@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import bipartite_alpha, color_bound_cached, is_bipartite
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, shown
 from .graph import (
     Graph,
     VertexSet,
@@ -92,18 +92,18 @@ ALGORITHMS = ("bb", "rds", "vc-bb")
 
 def _validate(g: Graph, algorithm: str, time_limit, warm_start, prune_log) -> None:
     if algorithm not in ALGORITHMS:
-        raise InputError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {algorithm!r}")
+        raise InputError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {shown(algorithm)}")
     if time_limit is not None:
         # bool is an int subclass, but True is no number of seconds
         if isinstance(time_limit, bool) or not isinstance(time_limit, numbers.Real):
-            raise InputError(f"time limit must be a number of seconds, got {time_limit!r}")
+            raise InputError(f"time limit must be a number of seconds, got {shown(time_limit)}")
         # written so that NaN, which fails every comparison, is rejected too
         if not time_limit > 0:
-            raise InputError(f"time limit must be positive, got {time_limit!r}")
+            raise InputError(f"time limit must be positive, got {shown(time_limit)}")
     if not isinstance(warm_start, bool):
-        raise InputError(f"warm_start must be True or False, got {warm_start!r}")
+        raise InputError(f"warm_start must be True or False, got {shown(warm_start)}")
     if prune_log is not None and not isinstance(prune_log, list):
-        raise InputError(f"prune_log must be None or a list, got {prune_log!r}")
+        raise InputError(f"prune_log must be None or a list, got {shown(prune_log)}")
     require(g, "solver", connected=True)
 
 
@@ -252,10 +252,13 @@ def solve(
         if time_limit is not None and (status != "optimal" or time.perf_counter() - t0 > time_limit):
             # past the limit an entry is closed unsearched: its inherited
             # coloring or matching bounds its U (an unstarted rds root gets
-            # a fresh call), and no clock is read again
+            # a fresh call), and no clock is read again.  Every bound is at
+            # most |U|, so an entry whose |S| + |U| cannot raise the
+            # reported max(best_bound, best_size) needs no bound
             status = "time_limit"
-            bound = bound_of(masks, umask, None)[0] if cache is None else cache.bound(umask)
-            best_bound = max(best_bound, ssize + bound)
+            if ssize + umask.bit_count() > max(best_bound, best_size):
+                bound = bound_of(masks, umask, None)[0] if cache is None else cache.bound(umask)
+                best_bound = max(best_bound, ssize + bound)
             continue
         visits += 1
         if not umask:

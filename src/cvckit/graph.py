@@ -19,7 +19,7 @@ import operator
 import warnings
 from typing import Callable, Iterable, Optional
 
-from .errors import DimacsError, InputError, SizeCapError
+from .errors import DimacsError, InputError, SizeCapError, shown
 from .rng import Xoshiro256, _is_count
 
 # Vertex sets are plain frozensets of ints with incidence semantics.
@@ -49,14 +49,14 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not _is_count(n):
-            raise InputError(f"vertex count must be a non-negative int, got {n!r}")
+            raise InputError(f"vertex count must be a non-negative int, got {shown(n)}")
         try:
             edges = iter(edges)
             masks = [0] * n
         except TypeError:
-            raise InputError(f"edges must be an iterable of pairs, got {edges!r}") from None
+            raise InputError(f"edges must be an iterable of pairs, got {shown(edges)}") from None
         except (MemoryError, OverflowError):  # more masks than one list can hold
-            raise InputError(f"vertex count {n} is too large") from None
+            raise InputError(f"vertex count {shown(n)} is too large") from None
         index = operator.index
         for edge in edges:
             try:
@@ -67,10 +67,10 @@ class Graph:
                     masks[v] |= 1 << u
                     continue
             except (TypeError, ValueError):
-                raise InputError(f"edge {edge!r} is not a pair of ints") from None
+                raise InputError(f"edge {shown(edge)} is not a pair of ints") from None
             if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            raise InputError(f"self-loop at vertex {u} is not allowed")
+                raise InputError(f"edge ({shown(u)}, {shown(v)}) out of range for n={n}")
+            raise InputError(f"self-loop at vertex {shown(u)} is not allowed")
         self.n = n
         self.m = sum(mask.bit_count() for mask in masks) >> 1
         self.masks = tuple(masks)
@@ -277,9 +277,9 @@ def vertex_index(n: int, v, what: str = "vertex") -> int:
     try:
         i = operator.index(v)
     except TypeError:
-        raise InputError(f"{what} {v!r} is not an int") from None
+        raise InputError(f"{what} {shown(v)} is not an int") from None
     if not 0 <= i < n:
-        raise InputError(f"{what} {i} out of range for n={n}")
+        raise InputError(f"{what} {shown(i)} out of range for n={n}")
     return i
 
 
@@ -289,7 +289,7 @@ def vertex_mask(n: int, vertices: Iterable[int]) -> int:
     try:
         vertices = iter(vertices)
     except TypeError:
-        raise InputError(f"vertex set {vertices!r} is not iterable") from None
+        raise InputError(f"vertex set {shown(vertices)} is not iterable") from None
     mask = 0
     for v in vertices:
         mask |= 1 << vertex_index(n, v)
@@ -335,7 +335,7 @@ def max_degree_vertex(g: Graph, mask: int) -> int:
     degree in g, ties by lowest index."""
     require(g, "max_degree_vertex", min_n=0)
     if not (isinstance(mask, int) and 0 < mask <= g.full_mask()):
-        raise InputError(f"vertex mask {mask!r} is not a non-empty subset of range({g.n})")
+        raise InputError(f"vertex mask {shown(mask)} is not a non-empty subset of range({g.n})")
     # max keeps the first of equal keys, and bits_of counts upward
     return max(bits_of(mask), key=lambda v: g.masks[v].bit_count())
 
@@ -402,11 +402,35 @@ def parse_dimacs(text: str) -> Graph:
     n = m_declared = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        # split once; edge lines, by far the most, are tested first
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
-        if fields[0] == "p":
+        kind = fields[0]
+        if kind == "e":
+            if n is None:
+                raise DimacsError(f"line {lineno}: edge before problem line {raw!r}")
+            try:
+                _, u, v = fields
+                u, v = int(u), int(v)
+            except ValueError:
+                raise DimacsError(f"line {lineno}: malformed edge line {raw!r}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise DimacsError(
+                    f"line {lineno}: vertex out of range in {raw!r} (n={n})"
+                )
+            if u == v:
+                raise DimacsError(f"line {lineno}: self-loop in {raw!r}")
+            pair = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+            if pair in edges:
+                warnings.warn(
+                    f"line {lineno}: duplicate edge line {raw!r} collapsed",
+                    stacklevel=2,
+                )
+            edges.add(pair)
+        elif kind[0] == "c":
+            continue
+        elif kind == "p":
             if n is not None:
                 raise DimacsError(f"line {lineno}: repeated problem line {raw!r}")
             if len(fields) != 4 or fields[1] != "edge":
@@ -417,28 +441,6 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: malformed problem line {raw!r}")
             if n < 0 or m_declared < 0:
                 raise DimacsError(f"line {lineno}: negative counts in {raw!r}")
-        elif fields[0] == "e":
-            if n is None:
-                raise DimacsError(f"line {lineno}: edge before problem line {raw!r}")
-            if len(fields) != 3:
-                raise DimacsError(f"line {lineno}: malformed edge line {raw!r}")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise DimacsError(f"line {lineno}: malformed edge line {raw!r}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DimacsError(
-                    f"line {lineno}: vertex out of range in {raw!r} (n={n})"
-                )
-            if u == v:
-                raise DimacsError(f"line {lineno}: self-loop in {raw!r}")
-            pair = (min(u, v) - 1, max(u, v) - 1)
-            if pair in edges:
-                warnings.warn(
-                    f"line {lineno}: duplicate edge line {raw!r} collapsed",
-                    stacklevel=2,
-                )
-            edges.add(pair)
         else:
             raise DimacsError(f"line {lineno}: unknown line type {raw!r}")
     if n is None:
@@ -476,7 +478,7 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
     a seed that is no int and a p outside [0, 1].
     """
     if not _is_count(n):
-        raise InputError(f"vertex count must be a non-negative int, got {n!r}")
+        raise InputError(f"vertex count must be a non-negative int, got {shown(n)}")
     edges = []
     # row i holds the flat offsets [row_end - (n - 1 - i), row_end)
     i, row_end = 0, n - 1
@@ -496,7 +498,7 @@ def bipartite_random(n1: int, n2: int, p: float, seed: int) -> Graph:
     the first n1 labels are the left side.
     """
     if not (_is_count(n1) and _is_count(n2)):
-        raise InputError(f"side sizes must be non-negative ints, got {n1!r}, {n2!r}")
+        raise InputError(f"side sizes must be non-negative ints, got {shown(n1)}, {shown(n2)}")
     hits = Xoshiro256(seed).below(n1 * n2, p)
     return Graph(n1 + n2, [(k // n2, n1 + k % n2) for k in hits])
 
@@ -507,11 +509,11 @@ def first_connected(
     """The first connected `generate(*params, s)` for s = seed, ..., seed +
     max_reseeds, and its s; InputError when none is or an argument is bad."""
     if not (callable(generate) and isinstance(params, tuple)):
-        raise InputError(f"generate must be callable and params a tuple, got {generate!r}, {params!r}")
+        raise InputError(f"generate must be callable and params a tuple, got {shown(generate)}, {shown(params)}")
     if not (isinstance(seed, int) and _is_count(max_reseeds)):
-        raise InputError(f"seed must be an int and max_reseeds one >= 0, got {seed!r}, {max_reseeds!r}")
+        raise InputError(f"seed must be an int and max_reseeds one >= 0, got {shown(seed)}, {shown(max_reseeds)}")
     for used in range(seed, seed + max_reseeds + 1):
         g = generate(*params, used)
         if is_connected(g):
             return g, used
-    raise InputError(f"no connected sample within {max_reseeds} reseeds from seed {seed}")
+    raise InputError(f"no connected sample within {shown(max_reseeds)} reseeds from seed {shown(seed)}")

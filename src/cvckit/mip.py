@@ -40,9 +40,10 @@ from collections.abc import Sequence
 from itertools import accumulate
 from math import inf
 from numbers import Real
+from operator import sub
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, shown
 from .graph import (
     Graph,
     VertexSet,
@@ -87,7 +88,7 @@ _NAME = re.compile(r"(?![\d.+-])[^\s:]+\Z")
 def _check_name(name, what: str) -> None:
     if not isinstance(name, str) or not _NAME.match(name):
         raise InputError(
-            f"{what} name {name!r} is not an LP name: a non-empty str with no "
+            f"{what} name {shown(name)} is not an LP name: a non-empty str with no "
             "whitespace or ':' that does not start with a digit, '.', '+' or '-'"
         )
 
@@ -162,25 +163,25 @@ class MipModel:
 
     def add_variable(self, name: str, kind: str, lb: float = 0.0, ub: float = 1.0):
         if kind not in ("binary", "continuous"):
-            raise InputError(f"unknown variable kind {kind!r}")
+            raise InputError(f"unknown variable kind {shown(kind)}")
         _check_name(name, "variable")
         if name in self._col:
             raise InputError(f"duplicate variable name {name!r}")
         if kind == "binary":
             lb, ub = 0.0, 1.0
         elif not (_bound(lb) and _bound(ub) and lb <= ub and lb < inf and ub > -inf):
-            raise InputError(f"variable {name!r} needs real bounds lb <= ub, lb < inf, ub > -inf, got {lb!r}, {ub!r}")
+            raise InputError(f"variable {name!r} needs real bounds lb <= ub, lb < inf, ub > -inf, got {shown(lb)}, {shown(ub)}")
         self._add_columns([name], kind, lb, ub)
 
     def add_constraint(self, name: str, terms, sense: str, rhs: float):
         if sense not in ("<=", "=", ">="):
-            raise InputError(f"unknown sense {sense!r}")
+            raise InputError(f"unknown sense {shown(sense)}")
         _check_name(name, "constraint")
         if name in self._row_set:
             raise InputError(f"duplicate constraint name {name!r}")
         cols, coefs = self._columns(terms, f"constraint {name!r}")
         if not _finite(rhs):
-            raise InputError(f"constraint {name!r} has right-hand side {rhs!r}, not a finite real")
+            raise InputError(f"constraint {name!r} has right-hand side {shown(rhs)}, not a finite real")
         self._add_rows([name], sense, [rhs], [len(cols)], cols, coefs)
 
     def set_objective(self, terms):
@@ -192,14 +193,14 @@ class MipModel:
         try:
             pairs = [(coef, var) for coef, var in terms]
         except (TypeError, ValueError):
-            raise InputError(f"{where} needs (coef, varname) terms, got {terms!r}") from None
+            raise InputError(f"{where} needs (coef, varname) terms, got {shown(terms)}") from None
         cols, coefs = [], []
         for coef, var in pairs:
             col = self._col.get(var) if isinstance(var, str) else None
             if col is None:
-                raise InputError(f"{where} references undeclared variable {var!r}")
+                raise InputError(f"{where} references undeclared variable {shown(var)}")
             if not _finite(coef):
-                raise InputError(f"{where} has coefficient {coef!r} on {var!r}, not a finite real")
+                raise InputError(f"{where} has coefficient {shown(coef)} on {var!r}, not a finite real")
             cols.append(col)
             coefs.append(coef)
         return cols, coefs
@@ -322,7 +323,7 @@ def _parb_roots(g: Graph, r: Optional[int], r1: Optional[int]) -> tuple[int, int
         return (base, other) if r is not None else (other, base)
     r, r1 = vertex_index(g.n, r, "root"), vertex_index(g.n, r1, "root")
     if not g.masks[r] >> r1 & 1:
-        raise InputError(f"roots {r} and {r1} must be adjacent")
+        raise InputError(f"roots {shown(r)} and {shown(r1)} must be adjacent")
     return r, r1
 
 
@@ -529,13 +530,13 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float]) -> boo
     bad = [t for t in set(map(type, values)) if not issubclass(t, Real)]
     if bad:
         name, val = next((name, val) for name, val in zip(model._names, values) if type(val) in bad)
-        raise InputError(f"variable {name!r} has value {val!r}, not a real number")
+        raise InputError(f"variable {name!r} has value {shown(val)}, not a real number")
     try:
         list(map(float, values))
     except OverflowError:
         # a real that is neither NaN nor a float bound is one float() refused
         name, val = next((name, val) for name, val in zip(model._names, values) if val == val and not _bound(val))
-        raise InputError(f"variable {name!r} has value {val!r}, too large for a float") from None
+        raise InputError(f"variable {name!r} has value {shown(val)}, too large for a float") from None
     tol = DEFAULT_TOL
     # rows first: a point the verifiers build mostly fails an early row
     indices, data, ptr = model._indices, model._data, model._indptr
@@ -826,19 +827,44 @@ def write_lp(model: MipModel) -> str:
     cols, coefs = model._objective
     lines.extend(_wrap(" obj: ", expression(tokens(cols, coefs), coefs, 0, len(coefs))))
     lines.append("Subject To")
+    row_names, senses, rhs_list = model._row_names, model._senses, model._rhs
     data, ptr = model._data, model._indptr
     toks = tokens(model._indices, data)
+    # a run of two-term rows is formatted a block at a time, each term
+    # from a strided slice of toks; other rows one at a time
+    two = bytes(map((2).__eq__, map(sub, ptr[1:], ptr)))
+    runs = [match.span() for match in re.finditer(b"\x01+", two)]
+    runs.append((len(row_names), len(row_names)))
     text = []  # blocks of joined lines, then the lines after them
-    for name, sense, rhs, start, end in zip(model._row_names, model._senses, model._rhs, ptr, ptr[1:]):
-        row = expression(toks, data, start, end)
-        if len(row) <= 6:
-            lines.append(f" {name}: {' '.join(row)} {sense} {num[rhs]}")
-        else:
-            row += (sense, num[rhs])
-            lines.extend(_wrap(f" {name}: ", row))
-        if len(lines) >= _BLOCK_LINES:
+    lo = 0
+    for mid, hi in runs:
+        for name, sense, rhs, start, end in zip(
+            row_names[lo:mid], senses[lo:mid], rhs_list[lo:mid], ptr[lo:mid], ptr[lo + 1 : mid + 1]
+        ):
+            row = expression(toks, data, start, end)
+            if len(row) <= 6:
+                lines.append(f" {name}: {' '.join(row)} {sense} {num[rhs]}")
+            else:
+                row += (sense, num[rhs])
+                lines.extend(_wrap(f" {name}: ", row))
+            if len(lines) >= _BLOCK_LINES:
+                text.append("\n".join(lines))
+                lines.clear()
+        if lines and mid < hi:
             text.append("\n".join(lines))
             lines.clear()
+        for top in range(mid, hi, _BLOCK_LINES):
+            end = min(top + _BLOCK_LINES, hi)
+            start, stop = ptr[top], ptr[end]
+            # a token starts with "+ " exactly when its coefficient is not
+            # negative, so this drops a leading "+ " as expression does
+            text.append("\n".join([
+                f" {name}: {first.removeprefix('+ ')} {second} {sense} {num[rhs]}"
+                for name, first, second, sense, rhs in zip(
+                    row_names[top:end], toks[start:stop:2], toks[start + 1 : stop : 2], senses[top:end], rhs_list[top:end]
+                )
+            ]))
+        lo = hi
     # the final join holds the blocks and the whole text at once, so the
     # whole-table tokens and the column token tables go first
     del toks, plus, minus

@@ -41,11 +41,12 @@ from ``p.as_integer_ratio()``, so a float, int, ``Fraction`` or ``Decimal``
 p selects exactly the draws that ``random() < p`` selects, with no
 rounding anywhere.
 
-Lanes.  ``below`` runs L = ``_LANES`` chunks of C = count // L draws side
-by side, and the count - L*C draws left over as one more lane of that many
-draws.  Each of s0..s3 is then one packed Python int in which lane i takes
-the 72-bit slot at bit 72*i: 64 state bits and 8 guard bits above them.  The guard bits absorb the products: s1*5 is below 2**67
-and rotl64(., 7)*9 below 2**68, so neither carries into the next lane before
+Lanes.  ``below`` runs L = ``_LANES`` = 32 chunks of C = count // L draws
+side by side, and the count - L*C draws left over as one more lane of that
+many draws.  Each of s0..s3 is then one packed Python int in which lane i
+takes the 72-bit slot at bit 72*i: 64 state bits and 8 guard bits above
+them.  The guard bits absorb the products: s1*5 is below 2**67 and
+rotl64(., 7)*9 below 2**68, so neither carries into the next lane before
 it is masked back to 64 bits.  Every shift and rotate masks each slot to the
 bits that stay inside it *before* shifting (``(s1 & low47) << 17``, not
 ``(s1 << 17) & low64``): a left shift of unmasked slots pushes bits into the
@@ -74,7 +75,7 @@ lanes [w, 2w), so L lanes take ceil(log2 L) Horner passes.
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, shown
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,7 +83,7 @@ _MASK64 = (1 << 64) - 1
 # coefficient of x**j (degree 256; see the module docstring)
 _CHARPOLY = 0x10003C03C3F3ECB1904B4EDCF26259F850280002BCEFD1A5E9D116F2BB0F0F001
 # lanes of the packed kernel and the bits each lane takes in a packed int
-_LANES = 16
+_LANES = 32
 _SLOT = 72
 
 
@@ -115,7 +116,7 @@ class Xoshiro256:
 
     def __init__(self, seed: int):
         if not isinstance(seed, int):
-            raise InputError(f"seed must be an int, got {seed!r}")
+            raise InputError(f"seed must be an int, got {shown(seed)}")
         state = seed & _MASK64
         state, s0 = _splitmix64(state)
         state, s1 = _splitmix64(state)
@@ -152,14 +153,14 @@ class Xoshiro256:
         count an int >= 0; anything else is an InputError.
         """
         if not _is_count(count):
-            raise InputError(f"draw count must be a non-negative int, got {count!r}")
+            raise InputError(f"draw count must be a non-negative int, got {shown(count)}")
         try:
             num, den = p.as_integer_ratio()
         except (AttributeError, TypeError, ValueError, OverflowError):
             # a NaN or an infinity has no ratio
             num, den = -1, 1
         if not 0 <= num <= den:
-            raise InputError(f"edge probability must be a number in [0, 1], got {p!r}")
+            raise InputError(f"edge probability must be a number in [0, 1], got {shown(p)}")
         threshold = -((-num << 53) // den) << 11
         state = (self._s0, self._s1, self._s2, self._s3)
         hits, state = _below_lanes(state, count, threshold, _LANES)

@@ -464,6 +464,34 @@ class TestEngineBehavior:
         assert (report.status, report.node_count) == ("time_limit", 0)
         assert report.cover_size == {"bb": 60, "rds": 59}[algorithm]
 
+    def test_timeout_skips_roots_that_cannot_raise_the_bound(self, monkeypatch):
+        # set-up outlasts the limit, so every rds root is closed unsearched;
+        # a bound is at most |U|, so a root with |S| + |U| no larger than
+        # the open bound or the incumbent gets no bound call, and the
+        # report keeps the bound of one fresh call per root
+        now = [0.0]
+        monkeypatch.setattr(bb_module, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        original_roots, original_bound = bb_module._roots, bb_module.color_bound_cached
+        roots, calls = [], [0]
+
+        def slow_roots(*args):
+            now[0] += 10
+            roots.extend(original_roots(*args))
+            return list(roots)
+
+        def counted_bound(*args):
+            calls[0] += 1
+            return original_bound(*args)
+
+        monkeypatch.setattr(bb_module, "_roots", slow_roots)
+        monkeypatch.setattr(bb_module, "color_bound_cached", counted_bound)
+        g = connected_gnp(600, 0.02, 1)
+        report = solve(g, "rds", time_limit=5)
+        assert (report.status, report.node_count, len(roots)) == ("time_limit", 0, 600)
+        every_root = max(1 + original_bound(g.masks, umask, None)[0] for _, _, umask, _ in roots)
+        assert report.best_bound == max(every_root, g.n - report.cover_size) == 284
+        assert calls == [552]
+
     @pytest.mark.parametrize("algorithm", ["bb", "vc-bb"], ids=solver_id)
     def test_time_limit_keeps_the_open_include_child(self, tick_clock, algorithm):
         # a limit of 1 stops right after the first branch; the include

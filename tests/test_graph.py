@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -437,6 +438,40 @@ class TestDimacs:
         with pytest.raises(DimacsError, match=match):
             parse_dimacs(text)
 
+    def test_blanks_tabs_crlf_and_comment_forms(self):
+        # fields split on any whitespace, a first field starting with "c"
+        # is a comment, and a whitespace-only line is skipped
+        text = (
+            "  c leading blanks\r\n\tp edge 4 3 \r\ncfoo glued comment\r\n \t \r\n"
+            "e\t1 2\r\n   e 3 2\r\n\te 4  3\t\r\n\x0c\r\n  cx\n"
+        )
+        assert parse_dimacs(text) == Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p edge 3 1\n  e 1 2 3\n", "line 2: malformed edge line '  e 1 2 3'"),
+            ("\te 1 2\n", "line 1: edge before problem line '\\te 1 2'"),
+            ("p edge 2 1\r\n\r\nc x\r\ne 1 3\r\n", "line 4: vertex out of range in 'e 1 3' (n=2)"),
+            ("p edge 2 1\n \t\n\te\t2 2\n", "line 3: self-loop in '\\te\\t2 2'"),
+            ("p edge 2 1\n  x 1 2\n", "line 2: unknown line type '  x 1 2'"),
+            ("p edge 2 1\ne1 2\n", "line 2: unknown line type 'e1 2'"),
+            (" p edge 2 1\r\n\tp edge 2 1\r\n", "line 2: repeated problem line '\\tp edge 2 1'"),
+            ("p edge 2 1 9\n", "line 1: malformed problem line 'p edge 2 1 9'"),
+            ("p\tedge -2 1\n", "line 1: negative counts in 'p\\tedge -2 1'"),
+            ("p edge 2 1\ne 1 1.5\n", "line 2: malformed edge line 'e 1 1.5'"),
+            ("  c only\n\t\n", "no problem line found"),
+        ],
+    )
+    def test_messages_name_the_raw_line(self, text, message):
+        with pytest.raises(DimacsError, match=f"^{re.escape(message)}$"):
+            parse_dimacs(text)
+
+    def test_duplicate_warning_names_the_raw_line(self):
+        with pytest.warns(UserWarning, match=re.escape("line 3: duplicate edge line ' e 2 1' collapsed")):
+            g = parse_dimacs("p edge 2 1\r\ne 1 2\r\n e 2 1\r\n")
+        assert g == Graph(2, [(0, 1)])
+
 
 def _gnp_reference(n, p, seed):
     """G(n, p) as one random() call per pair: the loop that
@@ -635,7 +670,7 @@ def _reference_stream(seed):
         state = [s0, s1, s2, rot(s3, 45)]
 
 
-LANE_COUNTS = (1, 2, 3, 7, 16)
+LANE_COUNTS = (1, 2, 3, 7, 16, 32)
 
 
 def _state(rng):
@@ -751,10 +786,10 @@ class TestRng:
                     assert hits == [i for i, d in enumerate(draws) if d < threshold]
                     assert end == _state(stream)
 
-    @pytest.mark.parametrize("count", [1770, 3160, 16 * 258 + 5])
+    @pytest.mark.parametrize("count", [1770, 3160, 32 * 258 + 5])
     def test_below_through_the_lanes(self, count):
         # the public path at the solver workloads' base draws and with five
-        # leftover draws after sixteen lanes, against random() calls
+        # leftover draws after 32 lanes, against random() calls
         for seed, p in ((3, 0.02), (4, Fraction(2, 3)), (5, 1), (6, 0)):
             fast, slow = Xoshiro256(seed), Xoshiro256(seed)
             assert fast.below(count, p) == [k for k in range(count) if slow.random() < p]

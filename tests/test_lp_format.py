@@ -9,6 +9,7 @@ import pytest
 from cvckit.errors import InputError
 from cvckit.graph import Graph
 from cvckit.mip import (
+    _BLOCK_LINES,
     MipModel,
     build_parb,
     build_pstp,
@@ -127,9 +128,89 @@ class TestDialect:
             "Bounds\n -2.5 <= a <= 1\n -2.5 <= b <= 1\n -2.5 <= c <= 1\nEnd\n"
         )
 
+    def test_two_term_runs_match_the_per_row_reference(self):
+        # rows of two terms are written a block at a time, every other row
+        # one at a time; the text is the same as row by row, and the
+        # independent reader gets every row back
+        model = _runs_model()
+        text = write_lp(model)
+        body = text.split("Subject To\n", 1)[1].split("\nBounds\n", 1)[0]
+        assert body.split("\n") == _reference_rows(model)
+        parsed = parse_lp(text)
+        assert [row[0] for row in parsed.rows] == [row.name for row in model.constraints]
+        for (name, terms, sense, rhs), row in zip(parsed.rows, model.constraints):
+            assert (sense, rhs) == (row.sense, float(row.rhs)), name
+            assert terms == ({var: float(c) for c, var in row.terms} or {"v0": 0.0}), name
+
     def test_no_variables_rejected(self):
         with pytest.raises(InputError):
             write_lp(MipModel())
+
+
+def _reference_rows(model):
+    """The Subject To lines of `model`, formatted one row at a time from
+    its public view by the dialect rules alone."""
+
+    def num(x):
+        return str(int(x)) if float(x).is_integer() else repr(float(x))
+
+    lines = []
+    for name, terms, sense, rhs in model.constraints:
+        tokens = [f"0 {model.variables[0].name}"] if not terms else []
+        for coef, var in terms:
+            body = "" if abs(coef) == 1 else f"{num(abs(coef))} "
+            token = f"{'-' if coef < 0 else '+'} {body}{var}"
+            tokens.append(token[2:] if not tokens and token[0] == "+" else token)
+        if len(tokens) <= 6:
+            lines.append(f" {name}: {' '.join(tokens)} {sense} {num(rhs)}")
+            continue
+        tokens += [sense, num(rhs)]
+        for start in range(0, len(tokens), 8):
+            lead = f" {name}: " if start == 0 else "    "
+            lines.append(lead + " ".join(tokens[start : start + 8]))
+    return lines
+
+
+# the leading and second coefficients of the two-term rows, in turn: unit,
+# negative leading, non-unit, -0.0 and exact types
+TWO_TERM_COEFFICIENTS = [
+    (1, 1), (-1, 1), (1, -1), (-1, -1), (2.5, -3), (-0.0, 1), (1.0, -0.0),
+    (-2.5, 0.125), (Fraction(1, 4), -(2**60)), (True, -1.0), (0, 7), (-7, 0.0),
+]
+
+
+def _runs_model():
+    """A hand-built model whose two-term rows come as one run of more than
+    two blocks, then in short runs between empty, one-term and nine-term
+    rows, and last as a run that ends the table."""
+    model = MipModel(metadata={"purpose": "two-term runs"})
+    for v in range(12):
+        model.add_variable(f"v{v}", "continuous", -3, 3)
+    count = 0
+
+    def two(sense=">=", rhs=1):
+        nonlocal count
+        a, b = TWO_TERM_COEFFICIENTS[count % len(TWO_TERM_COEFFICIENTS)]
+        model.add_constraint(f"t{count}", [(a, f"v{count % 12}"), (b, f"v{(count + 5) % 12}")], sense, rhs)
+        count += 1
+
+    model.add_constraint("lead", [(3, "v1")], "<=", 2)
+    for _ in range(2 * _BLOCK_LINES + 7):
+        two()
+    for i in range(400):
+        kind = i % 5
+        if kind == 0:
+            model.add_constraint(f"e{i}", (), "=", 0)
+        elif kind == 1:
+            model.add_constraint(f"o{i}", [(-1.5, f"v{i % 12}")], ">=", -1)
+        elif kind == 2:
+            model.add_constraint(f"n{i}", [((-1) ** k * (k + 1), f"v{k}") for k in range(9)], "<=", 4.5)
+        for _ in range(i % 4):
+            two("<=" if i % 2 else "=", Fraction(i, 8))
+    for _ in range(_BLOCK_LINES + 3):
+        two()
+    model.set_objective([(1, "v0"), (-2, "v3")])
+    return model
 
 
 def _random_point(model, rng):

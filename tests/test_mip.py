@@ -9,18 +9,20 @@ from fractions import Fraction
 
 import pytest
 
-from cvckit.errors import InputError, SizeCapError
+from cvckit.errors import InputError, SizeCapError, shown
 from cvckit.bb import solve
 from cvckit.bounds import is_bipartite
 from cvckit.graph import (
     Graph,
     articulation_points,
+    bipartite_random,
     first_connected,
     gnp_random,
     is_connected,
     max_degree_vertex,
     parse_dimacs,
     spanning_tree_count,
+    vertex_mask,
     write_dimacs,
 )
 from cvckit.mip import (
@@ -37,6 +39,7 @@ from cvckit.mip import (
     witness_parb,
     write_lp,
 )
+from cvckit.rng import Xoshiro256
 from cvckit.oracle import brute_force_cvc, check_cvc, feasible_stable_sets, max_feasible_stable
 from tests.conftest import connected_gnp
 from tests.test_graph import complete, cycle, path
@@ -113,6 +116,73 @@ BAD_ARGUMENT_CALLS = {
 def test_bad_argument_type_raises_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+HUGE = 10**5000  # past Python's int-to-str digit limit
+
+
+def _one_binary():
+    model = MipModel()
+    model.add_variable("a", "binary")
+    return model
+
+
+# each call passes an int too long for repr (or a value that holds one)
+# where a refusal quotes the caller's value
+HUGE_INT_CALLS = {
+    "add_variable-ub": lambda: MipModel().add_variable("a", "continuous", 0, HUGE),
+    "add_variable-lb": lambda: MipModel().add_variable("a", "continuous", -HUGE, 0),
+    "add_variable-name": lambda: MipModel().add_variable(HUGE, "binary"),
+    "add_variable-kind": lambda: MipModel().add_variable("a", HUGE),
+    "add_constraint-sense": lambda: _one_binary().add_constraint("r", [(1, "a")], HUGE, 1),
+    "add_constraint-rhs": lambda: _one_binary().add_constraint("r", [(1, "a")], "<=", HUGE),
+    "add_constraint-coef": lambda: _one_binary().add_constraint("r", [(HUGE, "a")], "<=", 1),
+    "add_constraint-var": lambda: _one_binary().add_constraint("r", [(1, HUGE)], "<=", 1),
+    "add_constraint-terms": lambda: _one_binary().add_constraint("r", HUGE, "<=", 1),
+    "check_integer_point-value": lambda: check_integer_point(_one_binary(), {"a": HUGE}),
+    "check_integer_point-fraction": lambda: check_integer_point(_one_binary(), {"a": Fraction(HUGE, 3)}),
+    "build_parb-root": lambda: build_parb(path(4), HUGE),
+    "build_parb-negative-root": lambda: build_parb(path(4), -HUGE),
+    "build_qr-root": lambda: build_qr(path(4), HUGE),
+    "Graph-endpoint": lambda: Graph(3, [(0, HUGE)]),
+    "Graph-edge-shape": lambda: Graph(3, [(0, HUGE, 1)]),
+    "Graph-edges": lambda: Graph(3, HUGE),
+    "Graph-negative-n": lambda: Graph(-HUGE),
+    "Graph-n-too-large": lambda: Graph(HUGE),
+    "vertex_mask-int": lambda: vertex_mask(3, HUGE),
+    "vertex_mask-vertex": lambda: vertex_mask(3, [HUGE]),
+    "max_degree_vertex-mask": lambda: max_degree_vertex(path(3), HUGE),
+    "gnp_random-n": lambda: gnp_random(-HUGE, 0.5, 1),
+    "bipartite_random-n": lambda: bipartite_random(-HUGE, 2, 0.5, 1),
+    "first_connected-seed": lambda: first_connected(gnp_random, (4, 0.0), HUGE, 0),
+    "first_connected-reseeds": lambda: first_connected(gnp_random, (4, 0.0), 1, -HUGE),
+    "first_connected-params": lambda: first_connected(gnp_random, HUGE, 1),
+    "solve-time_limit": lambda: solve(path(3), time_limit=-HUGE),
+    "solve-algorithm": lambda: solve(path(3), HUGE),
+    "solve-warm_start": lambda: solve(path(3), warm_start=HUGE),
+    "solve-prune_log": lambda: solve(path(3), prune_log=HUGE),
+    "below-count": lambda: Xoshiro256(1).below(-HUGE, 0.5),
+    "below-p": lambda: Xoshiro256(1).below(3, HUGE),
+    "Xoshiro256-seed": lambda: Xoshiro256(Fraction(HUGE, 3)),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_INT_CALLS.values(), ids=HUGE_INT_CALLS.keys())
+def test_huge_int_in_a_refusal_is_input_error(call):
+    # the refusal names the int by its digit count, or the value holding
+    # it by its type, in place of a repr that raises ValueError
+    with pytest.raises(InputError, match=r"int of 5001 digits|(Fraction|tuple) with no repr"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [(5, "5"), (-3, "-3"), ("a", "'a'"), (1.5, "1.5"), (HUGE - 1, "an int of 5000 digits"),
+     (-HUGE, "a negative int of 5001 digits"), (2**20000, "an int of 6021 digits")],
+    ids=["int", "negative", "str", "float", "5000-digits", "negative-5001-digits", "2**20000"],
+)
+def test_shown_is_repr_unless_an_int_is_too_long(value, text):
+    assert shown(value) == text
 
 
 def test_empty_graph_stays_valid_where_it_was():
