@@ -13,7 +13,10 @@ child (S, U - v).  A node is pruned when |S| plus an upper bound on
 alpha(G[U]) cannot beat the incumbent.  U is kept only as a bitmask.  The
 search splits V into one mask per degree, highest degree first, and
 branches on the lowest bit of the first of these levels that meets U: the
-candidate of highest degree, ties by lowest index.
+candidate of highest degree, ties by lowest index.  A stack entry is
+(S, |S|, U, cache, level): level is the index of the first level that
+met its parent's U (0 at a root).  Both children's U are subsets of the
+parent's, so no level before it meets them, and the scan resumes there.
 
 The include child's candidates need no cut-vertex pass.  Let
 W = U - v - N(v) and N = N(v), all in H = G - S - v as S is stable.  A u
@@ -168,14 +171,15 @@ def _dfs_inner(masks: tuple[int, ...], root: int, live: int) -> int:
 
 
 def _roots(g: Graph, algorithm: str, levels: list[int]) -> list:
-    """The (S, |S|, U, None) stack entries one algorithm starts from, in
-    stack order, so the last is popped first; see solve.  levels is
-    solve's branch order, one vertex mask per degree, highest first."""
+    """The (S, |S|, U, None, 0) stack entries one algorithm starts from,
+    in stack order, so the last is popped first; see solve.  levels is
+    solve's branch order, one vertex mask per degree, highest first, and
+    each root's scan of it starts at level 0."""
     full = g.full_mask()
     # no feasible stable set contains a cut vertex of G; vc-bb drops none
     cut = 0 if algorithm == "vc-bb" else articulation_points_mask(g.masks, full)
     if algorithm != "rds":
-        return [(0, 0, full & ~cut, None)]
+        return [(0, 0, full & ~cut, None, 0)]
     roots = []
     later = full & ~cut  # the non-cut vertices not yet rooted
     for v in (v for level in levels for v in bits_of(level & ~cut)):
@@ -183,7 +187,7 @@ def _roots(g: Graph, algorithm: str, levels: list[int]) -> list:
         # a cut vertex of G not adjacent to v stays one in G - v, so
         # removing G's cut vertices first leaves the same root candidates
         umask = include_candidates(g.masks, full & ~(1 << v), later, v)
-        roots.append((1 << v, 1, umask, None))
+        roots.append((1 << v, 1, umask, None, 0))
     return roots
 
 
@@ -244,7 +248,7 @@ def solve(
     visits = 0
     status, best_bound = "optimal", 0
     while stack:
-        smask, ssize, umask, cache = stack.pop()
+        smask, ssize, umask, cache, first = stack.pop()
         if ssize > best_size:
             assert _feasible(g, smask, connected), "incumbent is no feasible stable set"
             best_mask, best_size = smask, ssize
@@ -268,17 +272,18 @@ def solve(
             if prune_log is not None:
                 prune_log.append((smask, umask, best_size))
             continue
-        for level in levels:
-            low = level & umask
-            if low:
-                break
+        # umask lies inside its parent's, which no level before first met
+        low = levels[first] & umask
+        while not low:
+            first += 1
+            low = levels[first] & umask
         low &= -low
         v = low.bit_length() - 1
         rmask = umask ^ low
-        stack.append((smask, ssize, rmask, cache))
+        stack.append((smask, ssize, rmask, cache, first))
         smask |= low
         wmask = include_candidates(masks, full & ~smask, rmask, v) if connected else rmask & ~masks[v]
-        stack.append((smask, ssize + 1, wmask, cache))
+        stack.append((smask, ssize + 1, wmask, cache, first))
     if not _feasible(g, best_mask, connected):
         raise ContractError("solver produced an invalid cover; internal bug")
     return SolveReport(

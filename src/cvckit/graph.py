@@ -15,6 +15,7 @@ n or when disconnected).
 
 from __future__ import annotations
 
+import inspect
 import operator
 import warnings
 from typing import Callable, Iterable, Optional
@@ -40,6 +41,8 @@ class Graph:
     ints in range(n); anything else raises InputError naming it.  An
     endpoint given as a bool or another `__index__` type is stored as the
     int it stands for.  Repeated pairs, in either orientation, collapse.
+    n is checked, and its masks allocated, before the first pair is read,
+    so a lazy `edges` never starts for a count the constructor refuses.
 
     The `edges` property is derived from the masks on each access, in
     O(n + m) big-int operations, so a loop should bind it once.
@@ -475,19 +478,19 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
     Every unordered pair (i, j), i < j, scanned lexicographically, consumes
     exactly one float draw and becomes an edge iff draw < p.  It never
     retries for connectivity; `first_connected` does.  `Xoshiro256` refuses
-    a seed that is no int and a p outside [0, 1].
+    a seed that is no int and a p outside [0, 1].  The pairs are drawn
+    lazily, inside `Graph`, so a vertex count it refuses draws nothing.
     """
-    if not _is_count(n):
-        raise InputError(f"vertex count must be a non-negative int, got {shown(n)}")
-    edges = []
-    # row i holds the flat offsets [row_end - (n - 1 - i), row_end)
-    i, row_end = 0, n - 1
-    for k in Xoshiro256(seed).below(n * (n - 1) // 2, p):
-        while k >= row_end:
-            i += 1
-            row_end += n - 1 - i
-        edges.append((i, k - row_end + n))
-    return Graph(n, edges)
+    def edges():
+        # row i holds the flat offsets [row_end - (n - 1 - i), row_end)
+        i, row_end = 0, n - 1
+        for k in Xoshiro256(seed).below(n * (n - 1) // 2, p):
+            while k >= row_end:
+                i += 1
+                row_end += n - 1 - i
+            yield i, k - row_end + n
+
+    return Graph(n, edges())
 
 
 def bipartite_random(n1: int, n2: int, p: float, seed: int) -> Graph:
@@ -495,23 +498,36 @@ def bipartite_random(n1: int, n2: int, p: float, seed: int) -> Graph:
 
     Pairs (i, n1+j) are scanned with i outer and j inner, one draw each,
     edge iff draw < p.  Side membership is fixed by the construction:
-    the first n1 labels are the left side.
+    the first n1 labels are the left side.  As in `gnp_random`, a vertex
+    count n1 + n2 that `Graph` refuses draws nothing.
     """
     if not (_is_count(n1) and _is_count(n2)):
         raise InputError(f"side sizes must be non-negative ints, got {shown(n1)}, {shown(n2)}")
-    hits = Xoshiro256(seed).below(n1 * n2, p)
-    return Graph(n1 + n2, [(k // n2, n1 + k % n2) for k in hits])
+    def edges():
+        for k in Xoshiro256(seed).below(n1 * n2, p):
+            yield k // n2, n1 + k % n2
+
+    return Graph(n1 + n2, edges())
 
 
 def first_connected(
     generate: Callable[..., Graph], params: tuple, seed: int, max_reseeds: int = 1000
 ) -> tuple[Graph, int]:
     """The first connected `generate(*params, s)` for s = seed, ..., seed +
-    max_reseeds, and its s; InputError when none is or an argument is bad."""
+    max_reseeds, and its s; InputError when none is or an argument is bad,
+    params that with a seed do not fit generate's signature included.  A
+    TypeError raised inside generate is its own and passes through."""
     if not (callable(generate) and isinstance(params, tuple)):
         raise InputError(f"generate must be callable and params a tuple, got {shown(generate)}, {shown(params)}")
     if not (isinstance(seed, int) and _is_count(max_reseeds)):
         raise InputError(f"seed must be an int and max_reseeds one >= 0, got {shown(seed)}, {shown(max_reseeds)}")
+    try:
+        inspect.signature(generate).bind(*params, seed)
+    except ValueError:  # a builtin with no signature: nothing to check
+        pass
+    except TypeError as exc:
+        name = getattr(generate, "__name__", shown(generate))
+        raise InputError(f"params {shown(params)} and a seed do not fit {name}: {exc}") from None
     for used in range(seed, seed + max_reseeds + 1):
         g = generate(*params, used)
         if is_connected(g):

@@ -140,12 +140,17 @@ class MipModel:
     only ints, floats and strs, which the cyclic garbage collector does
     not track.  `variables`, `constraints` and `objective` read it back
     as `Variable` and `Constraint` tuples and (coef, varname) terms.
+    The metadata must map strs to strs; anything else is an InputError
+    when the model is made.
     """
 
     def __init__(self, metadata: Optional[Mapping[str, str]] = None):
         if metadata is not None and not isinstance(metadata, Mapping):
             raise InputError(f"metadata must be a mapping, got {type(metadata).__name__}")
         self.metadata: dict[str, str] = dict(metadata or {})
+        for key, value in self.metadata.items():
+            if not (isinstance(key, str) and isinstance(value, str)):
+                raise InputError(f"metadata must map strs to strs, got {shown(key)}: {shown(value)}")
         self._names: list[str] = []
         self._kinds: list[str] = []
         self._lb: list = []

@@ -488,7 +488,7 @@ class TestEngineBehavior:
         g = connected_gnp(600, 0.02, 1)
         report = solve(g, "rds", time_limit=5)
         assert (report.status, report.node_count, len(roots)) == ("time_limit", 0, 600)
-        every_root = max(1 + original_bound(g.masks, umask, None)[0] for _, _, umask, _ in roots)
+        every_root = max(1 + original_bound(g.masks, umask, None)[0] for _, _, umask, _, _ in roots)
         assert report.best_bound == max(every_root, g.n - report.cover_size) == 284
         assert calls == [552]
 

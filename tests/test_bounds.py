@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cvckit import bb as bb_module
 from cvckit.bb import solve
 from cvckit.bounds import (
+    _BYTE_BITS,
     RECOMPUTE_FRACTION,
     CachedMatching,
     _greedy_classes,
@@ -119,6 +120,37 @@ class TestGreedyColorBound:
             choices.append(st.integers(0, n - 1).map(lambda v: 1 << v))
         umask = data.draw(st.one_of(choices), label="umask")
         assert _greedy_classes(g.masks, umask) == first_fit_classes(g.masks, umask)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_byte_scan_matches_first_fit(self, data):
+        # the degree pass reads umask a byte at a time: n up to 300, often
+        # not a multiple of 8, and masks with whole bytes empty, one high
+        # byte alone, a pair of bits across a byte boundary, or none
+        n = data.draw(st.integers(0, 300), label="n")
+        p = data.draw(st.floats(0.02, 0.9), label="p")
+        g = gnp_random(n, p, data.draw(st.integers(0, 2**32), label="seed"))
+        full = g.full_mask()
+        nbytes = (n + 7) // 8
+        choices = [st.just(0), st.just(full), st.integers(0, full)]
+        if nbytes:
+            byte_masks = st.lists(st.booleans(), min_size=nbytes, max_size=nbytes).map(
+                lambda keep: sum(0xFF << 8 * k for k, kept in enumerate(keep) if kept))
+            choices += [
+                # random bits in the bytes kept, every other byte empty
+                st.tuples(st.integers(0, full), byte_masks).map(lambda pair: pair[0] & pair[1]),
+                # the highest byte alone, partial when 8 does not divide n
+                st.integers(1, 255).map(lambda b: b << 8 * (nbytes - 1) & full).filter(bool),
+            ]
+        if n > 8:  # bits 8k - 1 and 8k, each alone or together
+            choices.append(st.tuples(st.integers(1, (n - 1) // 8), st.sampled_from([1, 2, 3])).map(
+                lambda pair: pair[1] << 8 * pair[0] - 1))
+        umask = data.draw(st.one_of(choices), label="umask")
+        assert _greedy_classes(g.masks, umask) == first_fit_classes(g.masks, umask)
+
+    def test_byte_table_lists_each_byte_value_s_bits(self):
+        assert len(_BYTE_BITS) == 256
+        assert all(_BYTE_BITS[b] == tuple(bits_of(b)) for b in range(256))
 
     def test_families(self):
         # clique covers of a clique need one class; of a stable set, n

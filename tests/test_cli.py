@@ -61,6 +61,15 @@ class TestGen:
         assert err == "error: no connected sample within 1000 reseeds from seed 1\n"
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("connected", [(), ("--connected",)], ids=["plain", "connected"])
+    def test_vertex_count_too_large(self, tmp_path, capsys, connected):
+        # refused before the first draw, so the command ends at once
+        outdir = tmp_path / "none"
+        code, out, err = run_cli(capsys, "gen", "gnp", "--n", "10000000000000000000", "--p", "0.5",
+                                 "--seed", "1", *connected, "--out", str(outdir))
+        assert (code, out, err) == (3, "", "error: vertex count 10000000000000000000 is too large\n")
+        assert not outdir.exists()
+
     def test_bipartite_and_bad_probability(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "gen", "bipartite", "--n1", "3", "--n2", "4",
                                "--p", "0.5", "--seed", "2", "--out", str(tmp_path))

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvckit import graph as graph_module
 from cvckit import rng as rng_module
 from cvckit.errors import DimacsError, InputError
 from cvckit.graph import (
@@ -575,6 +577,44 @@ class TestGenerators:
         assert used == 7 and g == bipartite_random(10, 12, 0.3, 7)
         # one vertex counts as connected
         assert first_connected(gnp_random, (1, 0.0), 9) == (Graph(1), 9)
+
+    @pytest.mark.parametrize(
+        "draw,n",
+        [
+            (lambda: gnp_random(2**70, 0.0, 1), 2**70),
+            (lambda: gnp_random(sys.maxsize + 1, 0.5, 1), sys.maxsize + 1),
+            (lambda: bipartite_random(2**70, 1, 0.0, 1), 2**70 + 1),
+            (lambda: bipartite_random(sys.maxsize, 1, 0.5, 1), sys.maxsize + 1),
+        ],
+        ids=["gnp-2**70", "gnp-maxsize+1", "bip-2**70+1", "bip-maxsize+1"],
+    )
+    def test_huge_vertex_count_draws_nothing(self, monkeypatch, draw, n):
+        # Graph refuses a count past sys.maxsize before it allocates, and
+        # the generators draw inside it, so the stream is never even seeded
+        def no_stream(seed):
+            raise AssertionError("a stream was seeded for a refused vertex count")
+
+        monkeypatch.setattr(graph_module, "Xoshiro256", no_stream)
+        with pytest.raises(InputError, match=f"^vertex count {n} is too large$"):
+            draw()
+
+    def test_first_connected_checks_params_against_the_signature(self):
+        with pytest.raises(InputError, match=r"^params \(\) and a seed do not fit gnp_random: missing a required argument: 'p'$"):
+            first_connected(gnp_random, (), 1)
+        with pytest.raises(InputError, match=r"^params \(5, 0\.5, 2\) and a seed do not fit gnp_random: too many positional"):
+            first_connected(gnp_random, (5, 0.5, 2), 1)
+        with pytest.raises(InputError, match="do not fit bipartite_random: missing a required argument: 'p'$"):
+            first_connected(bipartite_random, (5,), 1)
+        calls = []
+
+        def broken(n, p, seed):
+            calls.append(seed)
+            raise TypeError("raised inside the generator")
+
+        # a TypeError of the generator's own is not taken for a bad signature
+        with pytest.raises(TypeError, match="^raised inside the generator$"):
+            first_connected(broken, (5, 0.5), 1)
+        assert calls == [1]
 
     def test_first_connected_runs_out_of_reseeds(self):
         seeds = []

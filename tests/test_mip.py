@@ -370,6 +370,19 @@ class TestMipModel:
         model.to_arrays()
         write_lp(model)
 
+    def test_metadata_must_map_strs_to_strs(self):
+        # refused as the model is made, not when write_lp formats it
+        with pytest.raises(InputError, match="^metadata must map strs to strs, got 1: 2$"):
+            MipModel({1: 2})
+        with pytest.raises(InputError, match="^metadata must map strs to strs, got 'a': an int of 5001 digits$"):
+            MipModel({"a": HUGE})
+        with pytest.raises(InputError, match="^metadata must map strs to strs, got an int of 5001 digits: 'a'$"):
+            MipModel({HUGE: "a"})
+        with pytest.raises(InputError, match="^metadata must map strs to strs, got 'b': None$"):
+            MipModel({"a": "x", "b": None})
+        assert MipModel({"a": "x"}).metadata == {"a": "x"}
+        assert MipModel().metadata == {}
+
     def test_metadata_line_breaks_are_refused(self):
         for metadata in ({"note": "a\nEnd"}, {"note": "a\rb"}, {"a\nb": "c"}):
             model = MipModel(metadata)
