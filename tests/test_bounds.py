@@ -26,7 +26,7 @@ from cvckit.graph import (
     set_to_mask,
 )
 from cvckit.oracle import brute_force_vc
-from tests.conftest import connected_gnp
+from tests.search_pins import HARD, graph
 from tests.test_graph import complete, cycle, path
 
 
@@ -192,8 +192,8 @@ class TestGreedyColorBound:
             return bound, out
 
         monkeypatch.setattr(bb_module, "color_bound_cached", recorded)
-        for seed in (1, 2, 4, 5):  # four distinct graphs
-            solve(connected_gnp(40, 0.1, seed), algorithm)
+        for name in HARD["colorings"]:
+            solve(graph(name), algorithm)
         assert len(seen) > 300
         for masks, umask, classes in seen:
             assert classes == first_fit_classes(masks, umask)

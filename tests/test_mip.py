@@ -74,16 +74,11 @@ def test_bad_vertex_argument_raises_input_error(call, value):
 
 
 # each call passes one argument of the wrong type where the library
-# takes a Graph, a vertex set or mask, DIMACS text, a model, an
-# assignment, metadata or a prune log
+# takes a Graph, a vertex set or mask, DIMACS text, metadata or a prune
+# log; tests/test_fuzz.py checks that every exported Graph, model, str
+# and mapping argument refuses any other type
 BAD_ARGUMENT_CALLS = {
-    "check_cvc-graph": lambda: check_cvc("g", [0]),
-    "witness_parb-graph": lambda: witness_parb("g", [0], 0, 1),
-    "write_dimacs-graph": lambda: write_dimacs("g"),
-    "articulation_points-graph": lambda: articulation_points("x"),
-    "is_connected-graph": lambda: is_connected("x"),
     "is_bipartite-graph": lambda: is_bipartite("x"),
-    "default_roots-graph": lambda: default_roots(None),
     "max_degree_vertex-graph": lambda: max_degree_vertex("x", 1),
     "check_cvc-int-cover": lambda: check_cvc(path(4), 5),
     "check_cvc-none-cover": lambda: check_cvc(path(4), None),
@@ -93,10 +88,6 @@ BAD_ARGUMENT_CALLS = {
     "max_degree_vertex-mask-beyond-n": lambda: max_degree_vertex(path(4), 1 << 9),
     "max_degree_vertex-float-mask": lambda: max_degree_vertex(path(4), 1.5),
     "parse_dimacs-bytes": lambda: parse_dimacs(b"p edge 1 0"),
-    "parse_dimacs-none": lambda: parse_dimacs(None),
-    "write_lp-model": lambda: write_lp(None),
-    "check_integer_point-model": lambda: check_integer_point(None, {}),
-    "check_integer_point-list": lambda: check_integer_point(build_parb(path(4)), [1, 2]),
     "check_integer_point-str-values": lambda: check_integer_point(
         build_parb(path(4), 1, 2), {k: str(v) for k, v in witness_parb(path(4), {1, 2}, 1, 2).items()}
     ),
