@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import bipartite_alpha, color_bound_cached, is_bipartite
-from .errors import ContractError, InputError, shown
+from .errors import ContractError, InputError, checked_name, checked_type, shown
 from .graph import (
     Graph,
     VertexSet,
@@ -91,23 +91,6 @@ class SolveReport:
 
 
 ALGORITHMS = ("bb", "rds", "vc-bb")
-
-
-def _validate(g: Graph, algorithm: str, time_limit, warm_start, prune_log) -> None:
-    if algorithm not in ALGORITHMS:
-        raise InputError(f"algorithm must be one of {', '.join(ALGORITHMS)}, got {shown(algorithm)}")
-    if time_limit is not None:
-        # bool is an int subclass, but True is no number of seconds
-        if isinstance(time_limit, bool) or not isinstance(time_limit, numbers.Real):
-            raise InputError(f"time limit must be a number of seconds, got {shown(time_limit)}")
-        # written so that NaN, which fails every comparison, is rejected too
-        if not time_limit > 0:
-            raise InputError(f"time limit must be positive, got {shown(time_limit)}")
-    if not isinstance(warm_start, bool):
-        raise InputError(f"warm_start must be True or False, got {shown(warm_start)}")
-    if prune_log is not None and not isinstance(prune_log, list):
-        raise InputError(f"prune_log must be None or a list, got {shown(prune_log)}")
-    require(g, "solver", connected=True)
 
 
 def include_candidates(masks: tuple[int, ...], live: int, rmask: int, v: int) -> int:
@@ -197,7 +180,6 @@ def solve(
     *,
     time_limit: Optional[float] = None,
     warm_start: bool = True,
-    prune_log: Optional[list] = None,
 ) -> SolveReport:
     """Exact minimum (connected) vertex cover of a connected graph.
 
@@ -218,8 +200,7 @@ def solve(
     Past the limit, each entry left is popped, offered as the incumbent
     and bounded, never searched.
     warm_start, a bool, seeds the incumbent with the complement of
-    greedy_cvc_2approx.  prune_log, a list, gets a (stable_mask,
-    candidate_mask, incumbent_size) triple for each bound-test prune.
+    greedy_cvc_2approx.
 
     The bound follows the input: on bipartite graphs the exact stable-set
     bound |U| - nu(G[U]) (Koenig), from a maximum matching each node
@@ -227,7 +208,16 @@ def solve(
     reusing a node's inherited coloring while its candidate set is still
     at least 75% of the size the coloring was computed at.
     """
-    _validate(g, algorithm, time_limit, warm_start, prune_log)
+    checked_name(algorithm, ALGORITHMS, "algorithm")
+    if time_limit is not None:
+        # bool is an int subclass, but True is no number of seconds
+        if isinstance(time_limit, bool) or not isinstance(time_limit, numbers.Real):
+            raise InputError(f"time limit must be a number of seconds, got {shown(time_limit)}")
+        # written so that NaN, which fails every comparison, is rejected too
+        if not time_limit > 0:
+            raise InputError(f"time limit must be positive, got {shown(time_limit)}")
+    checked_type(warm_start, bool, "warm_start")
+    require(g, "solver", connected=True)
     t0 = time.perf_counter()
     connected = algorithm != "vc-bb"
     masks, full = g.masks, g.full_mask()
@@ -269,8 +259,6 @@ def solve(
             continue
         bound, cache = bound_of(masks, umask, cache)
         if best_size >= ssize + bound:
-            if prune_log is not None:
-                prune_log.append((smask, umask, best_size))
             continue
         # umask lies inside its parent's, which no level before first met
         low = levels[first] & umask

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bb import ALGORITHMS, solve
-from .errors import CvcKitError, InputError
+from .errors import CvcKitError, InputError, checked_count
 from .graph import (
     Graph,
     bipartite_random,
@@ -52,17 +52,16 @@ EXIT_VERIFY = 5
 
 def _read_graph(path: str) -> Graph:
     try:
-        with open(path, "r", encoding="ascii") as handle:
-            return parse_dimacs(handle.read())
-    except (OSError, UnicodeDecodeError) as exc:
+        text = Path(path).read_text(encoding="ascii")
+    except (OSError, ValueError) as exc:  # ValueError: a non-ASCII byte, or a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from exc
+    return parse_dimacs(text)
 
 
 def _write_text(path: str | Path, text: str) -> None:
     try:
-        with open(path, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
+        Path(path).write_text(text, encoding="ascii", newline="")
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
@@ -107,10 +106,8 @@ def _instance_name(kind: str, params: tuple, seed: int) -> str:
 
 
 def _cmd_gen(args) -> int:
-    if args.count < 1:
-        raise InputError(f"--count must be at least 1, got {args.count}")
-    if args.max_reseeds < 0:
-        raise InputError(f"--max-reseeds must be non-negative, got {args.max_reseeds}")
+    checked_count(args.count, "--count", 1)
+    checked_count(args.max_reseeds, "--max-reseeds")
     generate, names, _, _ = GEN_KINDS[args.kind]
     params = tuple(getattr(args, name) for name in names)
     outdir = Path(args.out)
@@ -123,7 +120,7 @@ def _cmd_gen(args) -> int:
         # made once a graph is in hand, so a refused draw leaves no directory
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise InputError(f"cannot create {outdir}: {exc}") from exc
         path = outdir / (_instance_name(args.kind, params, used) + ".col")
         _write_text(path, write_dimacs(g))
@@ -247,8 +244,7 @@ def _parse_spec(kind: str, spec: str) -> tuple[tuple, int]:
 
 
 def _cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise InputError(f"--repeats must be at least 1, got {args.repeats}")
+    checked_count(args.repeats, "--repeats", 1)
     if not 1 <= args.jobs <= (os.cpu_count() or 1):
         raise InputError(f"--jobs must lie in [1, {os.cpu_count() or 1}], got {args.jobs}")
     try:

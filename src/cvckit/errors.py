@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the argument checks shared across the package."""
 
 
 class CvcKitError(Exception):
@@ -41,3 +41,32 @@ def shown(value) -> str:
         while size >= 10**digits:
             digits += 1
         return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
+def checked_count(value, what: str, least: int = 0) -> int:
+    """value, an int >= least and no bool, or InputError quoting it."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
+        return value
+    raise InputError(f"{what} must be an int >= {least}, got {shown(value)}")
+
+
+def checked_seed(value) -> int:
+    """value, any int, or InputError quoting it."""
+    if isinstance(value, int):
+        return value
+    raise InputError(f"seed must be an int, got {shown(value)}")
+
+
+def checked_name(value, names: tuple, what: str) -> str:
+    """value, one of the strs `names`, or InputError quoting it."""
+    if isinstance(value, str) and value in names:
+        return value
+    raise InputError(f"{what} must be one of {', '.join(names)}, got {shown(value)}")
+
+
+def checked_type(value, kind: type, what: str):
+    """value, an instance of `kind`, or InputError naming its type, so a
+    huge str is never repr'd."""
+    if isinstance(value, kind):
+        return value
+    raise InputError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")

@@ -20,8 +20,8 @@ import operator
 import warnings
 from typing import Callable, Iterable, Optional
 
-from .errors import DimacsError, InputError, SizeCapError, shown
-from .rng import Xoshiro256, _is_count
+from .errors import DimacsError, InputError, SizeCapError, checked_count, checked_seed, checked_type, shown
+from .rng import Xoshiro256
 
 # Vertex sets are plain frozensets of ints with incidence semantics.
 VertexSet = frozenset
@@ -51,8 +51,7 @@ class Graph:
     __slots__ = ("n", "m", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not _is_count(n):
-            raise InputError(f"vertex count must be a non-negative int, got {shown(n)}")
+        checked_count(n, "vertex count")
         try:
             edges = iter(edges)
             masks = [0] * n
@@ -400,8 +399,7 @@ def parse_dimacs(text: str) -> Graph:
     vertex numbers, self-loops, unknown line types) raise DimacsError
     naming the line.  Text that is not a str raises InputError.
     """
-    if not isinstance(text, str):
-        raise InputError(f"DIMACS text must be a str, got {type(text).__name__}")
+    checked_type(text, str, "DIMACS text")
     n = m_declared = None
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -501,8 +499,8 @@ def bipartite_random(n1: int, n2: int, p: float, seed: int) -> Graph:
     the first n1 labels are the left side.  As in `gnp_random`, a vertex
     count n1 + n2 that `Graph` refuses draws nothing.
     """
-    if not (_is_count(n1) and _is_count(n2)):
-        raise InputError(f"side sizes must be non-negative ints, got {shown(n1)}, {shown(n2)}")
+    checked_count(n1, "n1")
+    checked_count(n2, "n2")
     def edges():
         for k in Xoshiro256(seed).below(n1 * n2, p):
             yield k // n2, n1 + k % n2
@@ -517,10 +515,10 @@ def first_connected(
     max_reseeds, and its s; InputError when none is or an argument is bad,
     params that with a seed do not fit generate's signature included.  A
     TypeError raised inside generate is its own and passes through."""
-    if not (callable(generate) and isinstance(params, tuple)):
-        raise InputError(f"generate must be callable and params a tuple, got {shown(generate)}, {shown(params)}")
-    if not (isinstance(seed, int) and _is_count(max_reseeds)):
-        raise InputError(f"seed must be an int and max_reseeds one >= 0, got {shown(seed)}, {shown(max_reseeds)}")
+    checked_type(generate, Callable, "generate")
+    checked_type(params, tuple, "params")
+    checked_seed(seed)
+    checked_count(max_reseeds, "max_reseeds")
     try:
         inspect.signature(generate).bind(*params, seed)
     except ValueError:  # a builtin with no signature: nothing to check

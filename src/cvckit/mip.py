@@ -43,7 +43,7 @@ from numbers import Real
 from operator import sub
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import ContractError, InputError, shown
+from .errors import ContractError, InputError, checked_name, checked_type, shown
 from .graph import (
     Graph,
     VertexSet,
@@ -145,8 +145,8 @@ class MipModel:
     """
 
     def __init__(self, metadata: Optional[Mapping[str, str]] = None):
-        if metadata is not None and not isinstance(metadata, Mapping):
-            raise InputError(f"metadata must be a mapping, got {type(metadata).__name__}")
+        if metadata is not None:
+            checked_type(metadata, Mapping, "metadata")
         self.metadata: dict[str, str] = dict(metadata or {})
         for key, value in self.metadata.items():
             if not (isinstance(key, str) and isinstance(value, str)):
@@ -167,8 +167,7 @@ class MipModel:
         self._objective: tuple[list, list] = ([], [])  # (columns, coefficients)
 
     def add_variable(self, name: str, kind: str, lb: float = 0.0, ub: float = 1.0):
-        if kind not in ("binary", "continuous"):
-            raise InputError(f"unknown variable kind {shown(kind)}")
+        checked_name(kind, ("binary", "continuous"), "variable kind")
         _check_name(name, "variable")
         if name in self._col:
             raise InputError(f"duplicate variable name {name!r}")
@@ -179,8 +178,7 @@ class MipModel:
         self._add_columns([name], kind, lb, ub)
 
     def add_constraint(self, name: str, terms, sense: str, rhs: float):
-        if sense not in ("<=", "=", ">="):
-            raise InputError(f"unknown sense {shown(sense)}")
+        checked_name(sense, ("<=", "=", ">="), "sense")
         _check_name(name, "constraint")
         if name in self._row_set:
             raise InputError(f"duplicate constraint name {name!r}")
@@ -523,9 +521,8 @@ def check_integer_point(model: MipModel, assignment: Mapping[str, float]) -> boo
     Rows and bounds hold within DEFAULT_TOL, and binary variables must
     sit within it of 0 or 1.
     """
-    if not (isinstance(model, MipModel) and isinstance(assignment, Mapping)):
-        raise InputError("check_integer_point needs a MipModel and a mapping of names to values, "
-                         f"got {type(model).__name__} and {type(assignment).__name__}")
+    checked_type(model, MipModel, "model")
+    checked_type(assignment, Mapping, "assignment")
     try:
         values = [assignment[name] for name in model._names]
     except KeyError as missing:
@@ -798,8 +795,7 @@ def write_lp(model: MipModel) -> str:
     An empty linear expression is written as the first variable with
     coefficient zero.  Long expressions wrap at eight terms per line.
     """
-    if not isinstance(model, MipModel):
-        raise InputError(f"write_lp needs a MipModel, got {type(model).__name__}")
+    checked_type(model, MipModel, "model")
     names = model._names
     if not names:
         raise InputError("cannot write a model with no variables")

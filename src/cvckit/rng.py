@@ -75,7 +75,7 @@ lanes [w, 2w), so L lanes take ceil(log2 L) Horner passes.
 
 from __future__ import annotations
 
-from .errors import InputError, shown
+from .errors import InputError, checked_count, checked_seed, shown
 
 _MASK64 = (1 << 64) - 1
 
@@ -96,11 +96,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _is_count(n) -> bool:
-    """n is a non-negative int and not a bool."""
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
-
-
 def _rotl64(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
@@ -115,9 +110,7 @@ class Xoshiro256:
     __slots__ = ("_s0", "_s1", "_s2", "_s3")
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int):
-            raise InputError(f"seed must be an int, got {shown(seed)}")
-        state = seed & _MASK64
+        state = checked_seed(seed) & _MASK64
         state, s0 = _splitmix64(state)
         state, s1 = _splitmix64(state)
         state, s2 = _splitmix64(state)
@@ -152,8 +145,7 @@ class Xoshiro256:
         layout.  p is any real in [0, 1] with `as_integer_ratio()`, and
         count an int >= 0; anything else is an InputError.
         """
-        if not _is_count(count):
-            raise InputError(f"draw count must be a non-negative int, got {shown(count)}")
+        checked_count(count, "draw count")
         try:
             num, den = p.as_integer_ratio()
         except (AttributeError, TypeError, ValueError, OverflowError):

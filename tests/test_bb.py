@@ -30,11 +30,10 @@ from cvckit.oracle import (
     brute_force_cvc,
     brute_force_vc,
     check_cvc,
-    max_feasible_stable,
 )
 from cvckit.rng import Xoshiro256
 from tests import search_pins
-from tests.conftest import connected_gnp
+from tests.conftest import connected_bipartite, connected_gnp
 from tests.search_pins import HARD, INSTANCES, SEARCH, TIMEOUT, graph, measure, row, table_text
 from tests.test_bounds import induced_alpha
 from tests.test_graph import complete, cycle, path
@@ -184,23 +183,31 @@ class TestEngineBehavior:
             assert warm.cover_size == cold.cover_size, name
             assert warm.node_count <= cold.node_count, name
 
-    def test_prune_log_safety(self):
-        # every logged prune must be justified by the naive enumerator:
-        # nothing in the pruned subtree beats the incumbent of that moment
-        # (for vc-bb, any stable set of G[U] may join S)
-        for algorithm, seed in itertools.product(("bb", "rds", "vc-bb"), (2, 4, 9, 13)):
-            g = connected_gnp(9, 0.35, seed)
-            log = []
-            solve(g, algorithm, warm_start=False, prune_log=log)
-            assert log, "expected at least one pruning event"
-            for smask, umask, incumbent in log:
-                if algorithm == "vc-bb":
-                    best_inside = smask.bit_count() + induced_alpha(g, mask_to_set(umask))
-                else:
-                    best_inside = max_feasible_stable(
-                        g, base=mask_to_set(smask), candidates=mask_to_set(umask)
-                    )
-                assert best_inside <= incumbent, (algorithm, seed, smask, umask)
+    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+    @pytest.mark.parametrize("algorithm", ["bb", "rds", "vc-bb"])
+    def test_every_bound_call_bounds_alpha(self, monkeypatch, algorithm, warm):
+        # at every call, reused colorings and repaired matchings included,
+        # a coloring bound is at least alpha(G[U]) and a matching bound is
+        # alpha(G[U]) exactly (Koenig), so no prune drops a better S
+        calls = []
+        for name in ("color_bound_cached", "bipartite_alpha"):
+            def recorded(masks, umask, cache, name=name, bound_of=getattr(bb_module, name)):
+                value, out = bound_of(masks, umask, cache)
+                calls.append((name, umask, value))
+                return value, out
+            monkeypatch.setattr(bb_module, name, recorded)
+        graphs = [connected_gnp(9, 0.35, seed) for seed in (2, 4, 9, 13)]
+        # two bipartite draws whose searches repair a matching by augmenting
+        graphs += [connected_bipartite(6, 6, 0.35, 8), connected_bipartite(7, 7, 0.3, 1)]
+        kinds = set()
+        for g in graphs:
+            calls.clear()
+            solve(g, algorithm, warm_start=warm)
+            for name, umask, value in calls:
+                alpha = induced_alpha(g, mask_to_set(umask))
+                assert value >= alpha if name == "color_bound_cached" else value == alpha, (name, umask)
+                kinds.add(name)
+        assert kinds == {"color_bound_cached", "bipartite_alpha"}
 
     def test_single_vertex(self):
         # K1 takes the general path: the warm start (or the cold rds root)
@@ -229,7 +236,7 @@ class TestEngineBehavior:
             solve(cycle(5), "bb", time_limit={"time_limit": 1})
         # a truthy non-bool must not switch the warm start on
         for flag in ("no", 1, None):
-            with pytest.raises(InputError, match="warm_start must be True or False"):
+            with pytest.raises(InputError, match="warm_start must be a bool"):
                 solve(cycle(5), "bb", warm_start=flag)
 
     @pytest.mark.parametrize("limit", ["5", [1], 1j, True, False])

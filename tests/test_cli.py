@@ -413,3 +413,23 @@ class TestUsage:
         assert run_cli(capsys, "frobnicate")[0] == 2
         assert run_cli(capsys, "solve")[0] == 2
         assert run_cli(capsys, "--help")[0] == 0
+
+    # open() and mkdir() refuse a path holding a NUL byte with ValueError,
+    # not OSError; each command that reads or writes a path exits 3 on it
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "gnp", "--n", "5", "--p", "0.5", "--seed", "1", "--out", "a\x00b"],
+            ["solve", "a\x00b"],
+            ["emit", "{file}", "--model", "parb", "-o", "a\x00b"],
+            ["verify", "a\x00b"],
+            ["bench", "--gnp", "6,0.5,1", "-o", "a\x00b"],
+        ],
+        ids=["gen", "solve", "emit", "verify", "bench"],
+    )
+    def test_nul_byte_in_a_path(self, instance, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        argv = [word.format(file=instance[1]) for word in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("error: cannot")
+        assert [path.name for path in tmp_path.iterdir()] == [instance[1].name]

@@ -18,9 +18,6 @@ Left out on purpose:
   `cvckit bench --repeats 99999999999999999999999` both outlast the cap.
 - objects whose own __index__ raises: their exception passes through by
   design, as a generator's own TypeError does in first_connected.
-- a NUL byte in a CLI argument: no command line carries one.  Passed to
-  cli.main directly, as in main(["solve", "\\x00"]), it ends as the
-  ValueError of open().
 """
 
 import itertools
@@ -91,10 +88,9 @@ def model():
     return m
 
 
-def solve(g, algorithm, time_limit, warm_start, prune_log):
+def solve(g, algorithm, time_limit, warm_start):
     """cvckit.solve with its keyword arguments taken by position."""
-    return cvckit.solve(g, algorithm, time_limit=time_limit, warm_start=warm_start,
-                        prune_log=prune_log)
+    return cvckit.solve(g, algorithm, time_limit=time_limit, warm_start=warm_start)
 
 
 # label -> (callable, valid arguments); a method is called on a fresh
@@ -120,7 +116,7 @@ CALLS = {
     "is_connected": (cvckit.is_connected, (P4,)),
     "max_feasible_stable": (cvckit.max_feasible_stable, (P4, [0], [3])),
     "parse_dimacs": (cvckit.parse_dimacs, ("p edge 2 1\ne 1 2\n",)),
-    "solve": (solve, (P4, "rds", 10.0, False, [])),
+    "solve": (solve, (P4, "rds", 10.0, False)),
     "spanning_tree_count": (cvckit.spanning_tree_count, (P4,)),
     "witness_parb": (cvckit.witness_parb, (P4, [1, 2], 1, 2)),
     "write_dimacs": (cvckit.write_dimacs, (P4,)),
@@ -204,7 +200,7 @@ def test_drawn_arguments(data):
 
 
 ODD_TEXT = ("", "-1", "0", "nan", "inf", "-inf", "1e309", "0.5", "2.5", "x", "1,2",
-            "99999999999999999999999", "/", ".", "é", "-")
+            "99999999999999999999999", "/", ".", "é", "-", "a\x00b")
 GRAPH = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
 # subcommand -> its argv, values after their options; options whose value
 # is a count of the work asked for take no value above COUNT_LIMIT

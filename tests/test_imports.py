@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never reads."""
+"""Source hygiene: no module imports a name it never reads, and no
+package module imports another's private name."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,18 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
+def private_imports(source):
+    """The leading-underscore names that a module imports from a cvckit
+    module, relative imports included."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "cvckit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
 def test_unused_imports_are_found():
     source = "from __future__ import annotations\nimport os, a.b\nfrom x import y as z, w\nw(a.b)\n"
     assert unused_imports(source) == [(2, "os"), (3, "z")]
@@ -40,3 +53,17 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_private_imports_are_found():
+    source = "from .rng import Xoshiro256, _is_count\nfrom cvckit.bb import _roots\nfrom os import _exit\n"
+    assert private_imports(source) == [(1, "_is_count"), (2, "_roots")]
+
+
+def test_no_private_imports_across_modules():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, name in private_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert not found, "private names imported from another module:\n" + "\n".join(found)

@@ -93,8 +93,6 @@ BAD_ARGUMENT_CALLS = {
     ),
     "MipModel-str": lambda: MipModel("abc"),
     "MipModel-list": lambda: MipModel([1]),
-    "solve-str-prune-log": lambda: solve(path(4), prune_log="x"),
-    "solve-tuple-prune-log": lambda: solve(path(4), prune_log=()),
     "first_connected-str-generate": lambda: first_connected("gnp", (5, 0.5), 1),
     "first_connected-list-params": lambda: first_connected(gnp_random, [5, 0.5], 1),
     "first_connected-float-seed": lambda: first_connected(gnp_random, (5, 0.5), 1.0),
@@ -147,11 +145,8 @@ HUGE_INT_CALLS = {
     "bipartite_random-n": lambda: bipartite_random(-HUGE, 2, 0.5, 1),
     "first_connected-seed": lambda: first_connected(gnp_random, (4, 0.0), HUGE, 0),
     "first_connected-reseeds": lambda: first_connected(gnp_random, (4, 0.0), 1, -HUGE),
-    "first_connected-params": lambda: first_connected(gnp_random, HUGE, 1),
     "solve-time_limit": lambda: solve(path(3), time_limit=-HUGE),
     "solve-algorithm": lambda: solve(path(3), HUGE),
-    "solve-warm_start": lambda: solve(path(3), warm_start=HUGE),
-    "solve-prune_log": lambda: solve(path(3), prune_log=HUGE),
     "below-count": lambda: Xoshiro256(1).below(-HUGE, 0.5),
     "below-p": lambda: Xoshiro256(1).below(3, HUGE),
     "Xoshiro256-seed": lambda: Xoshiro256(Fraction(HUGE, 3)),
@@ -163,6 +158,20 @@ def test_huge_int_in_a_refusal_is_input_error(call):
     # the refusal names the int by its digit count, or the value holding
     # it by its type, in place of a repr that raises ValueError
     with pytest.raises(InputError, match=r"int of 5001 digits|(Fraction|tuple) with no repr"):
+        call()
+
+
+# a type refusal names the value's type, not the value
+TYPE_REFUSALS = {
+    "first_connected-params": lambda: first_connected(gnp_random, HUGE, 1),
+    "solve-warm_start": lambda: solve(path(3), warm_start=HUGE),
+    "write_lp-model": lambda: write_lp("x" * 10**6),
+}
+
+
+@pytest.mark.parametrize("call", TYPE_REFUSALS.values(), ids=TYPE_REFUSALS.keys())
+def test_type_refusal_names_the_type(call):
+    with pytest.raises(InputError, match=r"^\w+ must be a \w+, got (int|str)$"):
         call()
 
 
